@@ -210,6 +210,26 @@ class ExecutionTimings(_LazyRecordView):
             raise ValueError("execution-timing columns must share one length")
         self._items: list[ExecutionTiming | None] | None = None
 
+    @classmethod
+    def from_blocks(cls, blocks, starts_s, ends_s) -> "ExecutionTimings":
+        """Timings of back-to-back launch sequences.
+
+        ``blocks`` holds one ``(kernel_name, start_index, count)`` per
+        sequence, in launch order; ``starts_s`` / ``ends_s`` hold every
+        execution's host-observed times in the same order (adopted as-is).
+        """
+        names: list[str] = []
+        index_parts: list[np.ndarray] = []
+        for kernel_name, start_index, count in blocks:
+            names.extend([kernel_name] * count)
+            index_parts.append(np.arange(start_index, start_index + count, dtype=np.int64))
+        return cls(
+            indices=index_parts[0] if len(index_parts) == 1 else np.concatenate(index_parts),
+            starts_s=starts_s,
+            ends_s=ends_s,
+            kernel_names=names,
+        )
+
     def __len__(self) -> int:
         return self.indices.shape[0]
 
@@ -365,18 +385,10 @@ class ExecutionArena:
                 f"arena staged {staged} executions but holds "
                 f"{len(self._starts)} starts / {len(self._ends)} ends"
             )
-        names: list[str] = []
-        index_parts: list[np.ndarray] = []
-        for kernel_name, start_index, count in self._blocks:
-            names.extend([kernel_name] * count)
-            index_parts.append(
-                np.arange(start_index, start_index + count, dtype=np.int64)
-            )
-        view = ExecutionTimings(
-            indices=index_parts[0] if len(index_parts) == 1 else np.concatenate(index_parts),
-            starts_s=np.array(self._starts, dtype=float),
-            ends_s=np.array(self._ends, dtype=float),
-            kernel_names=names,
+        view = ExecutionTimings.from_blocks(
+            self._blocks,
+            np.array(self._starts, dtype=float),
+            np.array(self._ends, dtype=float),
         )
         self.begin()
         return view

@@ -81,6 +81,10 @@ class StitchedRunSeries:
         self._toi_arr: np.ndarray | None = None
         self._last_exec_arr: np.ndarray | None = None
         self._power_columns: dict[str, tuple[np.ndarray, np.ndarray | None] | None] = {}
+        # Per-run durations of one execution ("last" or an index), extended
+        # as runs arrive: which -> [runs scanned, run indices, durations].
+        self._run_order: list[RunRecord] = []
+        self._durations: dict[int | str, list] = {}
         for run_index, run in dict(runs or {}).items():
             self.add_run(run, (lois_by_run or {}).get(run_index, ()))
 
@@ -118,6 +122,7 @@ class StitchedRunSeries:
             raise ValueError(f"run {run.run_index} already stitched into this series")
         lois = tuple(lois)
         self._runs[run.run_index] = run
+        self._run_order.append(run)
         self._lois_by_run[run.run_index] = lois
         if reading_match is not None:
             self._reading_match[run.run_index] = reading_match
@@ -142,6 +147,23 @@ class StitchedRunSeries:
     def reading_match(self, run_index: int) -> tuple[np.ndarray, np.ndarray] | None:
         """Cached (window-end times, execution positions) for one run, if any."""
         return self._reading_match.get(run_index)
+
+    def execution_durations(self, which: int | str) -> tuple[list[int], list[float]]:
+        """``(run indices, durations)`` of execution ``which`` in stitch order.
+
+        ``which`` is ``"last"`` or an execution index; runs without that
+        execution are left out.  Only the runs added since the previous call
+        are scanned, so per-snapshot profile builds stay linear in the runs.
+        """
+        entry = self._durations.setdefault(which, [0, [], []])
+        scanned, run_indices, durations = entry
+        for run in self._run_order[scanned:]:
+            duration = _execution_duration(run, which)
+            if duration is not None:
+                run_indices.append(run.run_index)
+                durations.append(duration)
+        entry[0] = len(self._run_order)
+        return run_indices, durations
 
     # ------------------------------------------------------------------ #
     # LOI views.
@@ -701,21 +723,42 @@ class ProfileStitcher:
     def _execution_time(
         series: StitchedRunSeries, golden_runs: Sequence[int] | None, which: int | str
     ) -> float:
-        selected = set(golden_runs) if golden_runs is not None else None
-        durations: list[float] = []
-        for run_index, run in series.runs.items():
-            if selected is not None and run_index not in selected:
-                continue
-            if not run.executions:
-                continue
-            if which == "last":
-                durations.append(run.last_execution.duration_s)
-            else:
-                try:
-                    durations.append(run.execution(int(which)).duration_s)
-                except KeyError:
-                    continue
+        run_indices, durations = series.execution_durations(which)
+        if golden_runs is not None:
+            selected = set(golden_runs)
+            durations = [
+                duration
+                for run_index, duration in zip(run_indices, durations)
+                if run_index in selected
+            ]
         return mean_duration_or_zero(durations)
+
+
+def _execution_duration(run: RunRecord, which: int | str) -> float | None:
+    """Host-observed duration of execution ``which`` of ``run``, if it has one.
+
+    Columnar timings are read straight from their start/end arrays (the
+    same float subtraction :attr:`ExecutionTiming.duration_s` performs),
+    without materialising timing objects.
+    """
+    executions = run.executions
+    if not executions:
+        return None
+    if isinstance(executions, ExecutionTimings):
+        if which == "last":
+            position = -1
+        else:
+            matches = np.flatnonzero(executions.indices == int(which))
+            if not matches.size:
+                return None
+            position = int(matches[0])
+        return float(executions.ends_s[position] - executions.starts_s[position])
+    if which == "last":
+        return executions[-1].duration_s
+    try:
+        return run.execution(int(which)).duration_s
+    except KeyError:
+        return None
 
 
 def mean_duration_or_zero(durations: Sequence[float]) -> float:

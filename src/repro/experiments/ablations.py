@@ -101,9 +101,21 @@ def sampler_ablation_from_results(
     instantaneous: FinGraVResult = results["ablations/sampler/instantaneous"]
     return SamplerAblationResult(
         kernel_name=averaging.kernel_name,
-        averaging_error=averaging.sse_vs_ssp_error(),
-        instantaneous_error=instantaneous.sse_vs_ssp_error(),
+        averaging_error=_error_or_nan(averaging),
+        instantaneous_error=_error_or_nan(instantaneous),
     )
+
+
+def _error_or_nan(result: FinGraVResult) -> float:
+    """SSE-vs-SSP error, NaN when the SSE profile came back empty.
+
+    A NaN error makes ``averaging_window_causes_split`` False (every
+    comparison with NaN is), so the takeaway is never claimed without data.
+    """
+    try:
+        return result.sse_vs_ssp_error()
+    except ValueError:
+        return float("nan")
 
 
 def run_sampler_ablation(

@@ -10,6 +10,7 @@ the paper) where it stabilises.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -99,6 +100,19 @@ class Fig6Result:
         }
 
 
+def sse_summary(summary: Mapping[str, object]) -> tuple[float, float]:
+    """``(SSE mean total W, SSE-vs-SSP error)`` from a result summary.
+
+    Both are NaN when the session's SSE profile came back empty (a short
+    kernel can end its budget without an SSE log of interest): the summary
+    then carries neither key.
+    """
+    return (
+        float(summary.get("sse_mean_total_w", math.nan)),
+        float(summary.get("sse_vs_ssp_error", math.nan)),
+    )
+
+
 def _binned_series(result: FinGraVResult, component: str, bins: int) -> RunShapeSeries:
     times, power = result.run_profile.binned_mean(component, bins=bins)
     return RunShapeSeries(
@@ -143,14 +157,15 @@ def fig6_from_results(
     # The SSE/SSP means and error come from the summary snapshot so a slim
     # run-only result (no SSP/SSE profiles shipped) assembles identically.
     summary = result.summary()
+    sse_power_w, sse_vs_ssp_error = sse_summary(summary)
     return Fig6Result(
         kernel_name=result.kernel_name,
         result=result,
         total_series=_binned_series(result, "total", bins),
         xcd_series=_binned_series(result, "xcd", bins),
-        sse_power_w=float(summary["sse_mean_total_w"]),
+        sse_power_w=sse_power_w,
         ssp_power_w=float(summary["ssp_mean_total_w"]),
-        sse_vs_ssp_error=float(summary["sse_vs_ssp_error"]),
+        sse_vs_ssp_error=sse_vs_ssp_error,
         throttling_detected=result.plan.throttling_detected,
         ssp_executions=result.plan.ssp_executions,
     )

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..core.profiler import FinGraVResult
 from .common import ExperimentScale, default_scale
-from .fig6 import RunShapeSeries, _binned_series
+from .fig6 import RunShapeSeries, _binned_series, sse_summary
 from .sweep import ProfileJob, SweepRunner, configured_adaptive, configured_result_mode, kernel_spec, run_jobs
 
 
@@ -101,14 +101,15 @@ def fig8_from_results(
     # The SSE/SSP means and error come from the summary snapshot so a slim
     # run-only result (no SSP/SSE profiles shipped) assembles identically.
     summary = result.summary()
+    sse_power_w, sse_vs_ssp_error = sse_summary(summary)
     return Fig8Result(
         kernel_name=result.kernel_name,
         result=result,
         total_series=_binned_series(result, "total", bins),
         xcd_series=_binned_series(result, "xcd", bins),
-        sse_power_w=float(summary["sse_mean_total_w"]),
+        sse_power_w=sse_power_w,
         ssp_power_w=float(summary["ssp_mean_total_w"]),
-        sse_vs_ssp_error=float(summary["sse_vs_ssp_error"]),
+        sse_vs_ssp_error=sse_vs_ssp_error,
         ssp_executions=result.plan.ssp_executions,
     )
 

@@ -84,6 +84,40 @@ _C_SOURCE = r"""
 #define FW_RECOVERING 4
 #define FW_CAPPED 5
 
+#define R_PARK 0
+#define R_PRE_PAD 1
+#define R_READ_OUT 2
+#define R_READ_BACK 3
+#define R_PRE_DELAY 4
+#define R_POST_PAD 5
+#define R_LAT_MEAN 6
+#define R_LAT_JIT 7
+#define R_ERR_STD 8
+#define R_GAP 9
+#define R_EPOCH 10
+#define R_DRIFT 11
+#define R_HZ 12
+#define R_WINDOW 13
+#define R_SPERIOD 14
+#define R_SPHASE 15
+#define R_NSEQ 16
+#define R_LEN 17
+
+#define Q_DESC 0
+#define Q_EXECS 1
+#define Q_CACHE 2
+#define Q_HASRV 3
+#define Q_RFACT 4
+#define Q_CV 5
+#define Q_LEN 6
+
+#define O_START 0
+#define O_TICKS 1
+#define O_AFTER 2
+#define O_STOP 3
+#define O_NSMP 4
+#define O_LEN 5
+
 static int fw_transition(double *st, const double *pp, double *ev, long ev_cap,
                          long *lens, double now, int state, double freq,
                          double power) {
@@ -464,13 +498,14 @@ int fc_execute(double *st, const double *pp, const double *desc,
                         ev, ev_cap, lens, out8);
 }
 
-int fc_sequence(double *st, const double *pp, const double *desc,
-                double *cache, long executions, const double *variates,
-                int has_rv, double run_factor, double execution_cv,
-                double latency_mean, double latency_jitter, double error_std,
-                double gap_s, int record, double *seg, long seg_cap,
-                double *ev, long ev_cap, long *lens, double *exec_rows,
-                double *cpu_starts, double *cpu_ends) {
+static int sequence_core(double *st, const double *pp, const double *desc,
+                         double *cache, long executions, const double *variates,
+                         int has_rv, double run_factor, double execution_cv,
+                         double latency_mean, double latency_jitter,
+                         double error_std, double gap_s, int record, double *seg,
+                         long seg_cap, double *ev, long ev_cap, long *lens,
+                         double *exec_rows, double *cpu_starts,
+                         double *cpu_ends) {
     double min_factor = pp[P_MINFACT];
     double retention = pp[P_RETENTION];
     double cold_executions = desc[3];
@@ -478,8 +513,6 @@ int fc_sequence(double *st, const double *pp, const double *desc,
     double *row8;
     long i, cursor = 0;
     int cold, rc;
-    lens[0] = 0;
-    lens[1] = 0;
     for (i = 0; i < executions; i++) {
         if (i > 0 && gap_s > 0.0) {
             rc = idle_core(st, pp, gap_s, record, seg, seg_cap, ev, ev_cap, lens);
@@ -508,6 +541,176 @@ int fc_sequence(double *st, const double *pp, const double *desc,
         cursor += 4;
     }
     return 0;
+}
+
+static int sample_core(const double *pp, const double *rp, const double *seg,
+                       const long *lens, double *smp, long smp_cap,
+                       double *out) {
+    double start = out[O_START];
+    double stop = out[O_STOP];
+    double period = rp[R_SPERIOD];
+    double phase = rp[R_SPHASE];
+    int window = rp[R_WINDOW] != 0.0;
+    double epoch = rp[R_EPOCH];
+    double drift = rp[R_DRIFT];
+    double hz = rp[R_HZ];
+    double t, b0, b_last, fill_x, fill_i, fill_h;
+    double cum_x, cum_i, cum_h, d, tail, e_x, e_i, e_h;
+    double *row;
+    long first, last, idx, count = 0, n, k, j;
+    int side;
+    first = (long)ceil((start - phase) / period);
+    last = (long)floor((stop + 1e-12 - phase) / period) + 1;
+    if (last < first) last = first;
+    for (idx = first; idx <= last; idx++) {
+        t = phase + (double)idx * period;
+        if (t > stop + 1e-12) continue;
+        if (window && t <= start + 1e-12) continue;
+        if (count >= smp_cap) return 3;
+        smp[count * 5 + 0] = t;
+        smp[count * 5 + 1] = rint((t + epoch) * drift * hz);
+        count++;
+    }
+    out[O_NSMP] = (double)count;
+    n = lens[0];
+    b0 = seg[0];
+    b_last = seg[(n - 1) * 5 + 1];
+    fill_x = pp[P_IDLE_X];
+    fill_i = pp[P_IDLE_I];
+    fill_h = pp[P_IDLE_H];
+    if (!window) {
+        k = 0;
+        for (j = 0; j < count; j++) {
+            row = smp + j * 5;
+            t = row[0];
+            while (k + 1 < n && seg[(k + 1) * 5] <= t) k++;
+            if (b0 <= t && t < b_last) {
+                row[2] = seg[k * 5 + 2];
+                row[3] = seg[k * 5 + 3];
+                row[4] = seg[k * 5 + 4];
+            } else {
+                row[2] = fill_x;
+                row[3] = fill_i;
+                row[4] = fill_h;
+            }
+        }
+        return 0;
+    }
+    for (side = 0; side < 2; side++) {
+        k = 0;
+        cum_x = 0.0;
+        cum_i = 0.0;
+        cum_h = 0.0;
+        for (j = 0; j < count; j++) {
+            row = smp + j * 5;
+            t = row[0];
+            if (side == 0) t = t - period;
+            while (k + 1 < n && seg[(k + 1) * 5] <= t) {
+                d = seg[(k + 1) * 5] - seg[k * 5];
+                cum_x += seg[k * 5 + 2] * d;
+                cum_i += seg[k * 5 + 3] * d;
+                cum_h += seg[k * 5 + 4] * d;
+                k++;
+            }
+            if (t < b0) {
+                d = t - b0;
+                e_x = d * fill_x;
+                e_i = d * fill_i;
+                e_h = d * fill_h;
+            } else if (t >= b_last) {
+                d = b_last - seg[k * 5];
+                tail = t - b_last;
+                e_x = (cum_x + seg[k * 5 + 2] * d) + tail * fill_x;
+                e_i = (cum_i + seg[k * 5 + 3] * d) + tail * fill_i;
+                e_h = (cum_h + seg[k * 5 + 4] * d) + tail * fill_h;
+            } else {
+                d = t - seg[k * 5];
+                e_x = cum_x + seg[k * 5 + 2] * d;
+                e_i = cum_i + seg[k * 5 + 3] * d;
+                e_h = cum_h + seg[k * 5 + 4] * d;
+            }
+            if (side == 0) {
+                row[2] = e_x;
+                row[3] = e_i;
+                row[4] = e_h;
+            } else {
+                row[2] = (e_x - row[2]) / period;
+                row[3] = (e_i - row[3]) / period;
+                row[4] = (e_h - row[4]) / period;
+            }
+        }
+    }
+    return 0;
+}
+
+static int run_core(double *st, const double *pp, const double *rp,
+                    const double *descs, const double *seqs, double *caches,
+                    const double *variates, double *seg, long seg_cap,
+                    double *ev, long ev_cap, long *lens, double *exec_rows,
+                    double *cpu_starts, double *cpu_ends, double *smp,
+                    long smp_cap, double *out) {
+    const double *seq;
+    double capture;
+    long q, n_seq, executions, row = 0;
+    int rc;
+    rc = idle_core(st, pp, rp[R_PARK], 0, seg, seg_cap, ev, ev_cap, lens);
+    if (rc != 0) return rc;
+    out[O_START] = st[S_NOW];
+    rc = idle_core(st, pp, rp[R_PRE_PAD], 1, seg, seg_cap, ev, ev_cap, lens);
+    if (rc != 0) return rc;
+    capture = st[S_NOW] + rp[R_READ_OUT];
+    out[O_TICKS] = rint((capture + rp[R_EPOCH]) * rp[R_DRIFT] * rp[R_HZ]);
+    rc = idle_core(st, pp, rp[R_READ_OUT] + rp[R_READ_BACK], 1, seg, seg_cap,
+                   ev, ev_cap, lens);
+    if (rc != 0) return rc;
+    out[O_AFTER] = st[S_NOW];
+    rc = idle_core(st, pp, rp[R_PRE_DELAY], 1, seg, seg_cap, ev, ev_cap, lens);
+    if (rc != 0) return rc;
+    n_seq = (long)rp[R_NSEQ];
+    for (q = 0; q < n_seq; q++) {
+        seq = seqs + q * Q_LEN;
+        executions = (long)seq[Q_EXECS];
+        rc = sequence_core(st, pp, descs + (long)seq[Q_DESC],
+                           caches + 2 * (long)seq[Q_CACHE], executions,
+                           variates + 4 * row, (int)seq[Q_HASRV], seq[Q_RFACT],
+                           seq[Q_CV], rp[R_LAT_MEAN], rp[R_LAT_JIT],
+                           rp[R_ERR_STD], rp[R_GAP], 1, seg, seg_cap, ev, ev_cap,
+                           lens, exec_rows + 8 * row, cpu_starts + row,
+                           cpu_ends + row);
+        if (rc != 0) return rc;
+        row += executions;
+    }
+    rc = idle_core(st, pp, rp[R_POST_PAD], 1, seg, seg_cap, ev, ev_cap, lens);
+    if (rc != 0) return rc;
+    out[O_STOP] = st[S_NOW];
+    return sample_core(pp, rp, seg, lens, smp, smp_cap, out);
+}
+
+int fc_sequence(double *st, const double *pp, const double *desc,
+                double *cache, long executions, const double *variates,
+                int has_rv, double run_factor, double execution_cv,
+                double latency_mean, double latency_jitter, double error_std,
+                double gap_s, int record, double *seg, long seg_cap,
+                double *ev, long ev_cap, long *lens, double *exec_rows,
+                double *cpu_starts, double *cpu_ends) {
+    lens[0] = 0;
+    lens[1] = 0;
+    return sequence_core(st, pp, desc, cache, executions, variates, has_rv,
+                         run_factor, execution_cv, latency_mean, latency_jitter,
+                         error_std, gap_s, record, seg, seg_cap, ev, ev_cap,
+                         lens, exec_rows, cpu_starts, cpu_ends);
+}
+
+int fc_run(double *st, const double *pp, const double *rp, const double *descs,
+           const double *seqs, double *caches, const double *variates,
+           double *seg, long seg_cap, double *ev, long ev_cap, long *lens,
+           double *exec_rows, double *cpu_starts, double *cpu_ends,
+           double *smp, long smp_cap, double *out) {
+    lens[0] = 0;
+    lens[1] = 0;
+    return run_core(st, pp, rp, descs, seqs, caches, variates, seg, seg_cap,
+                    ev, ev_cap, lens, exec_rows, cpu_starts, cpu_ends, smp,
+                    smp_cap, out);
 }
 """
 
@@ -579,7 +782,7 @@ def build_library(compiler: str | None = None) -> Path:
 class CcKernels:
     """ctypes binding presenting the uniform fastcore kernel API.
 
-    ``idle`` / ``execute`` / ``sequence`` take the same numpy-array arguments
+    ``idle`` / ``execute`` / ``sequence`` / ``run`` take the same numpy-array arguments
     as the ``_fastcore_kernels`` entry points (capacities are read off the
     array shapes here and passed explicitly to C).
 
@@ -615,8 +818,15 @@ class CcKernels:
             ctypes.c_double, ctypes.c_double, ctypes.c_int,
             ptr, ctypes.c_long, ptr, ctypes.c_long, ptr, ptr, ptr, ptr,
         ]
+        lib.fc_run.restype = ctypes.c_int
+        lib.fc_run.argtypes = [
+            ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+            ptr, ctypes.c_long, ptr, ctypes.c_long, ptr,
+            ptr, ptr, ptr, ptr, ctypes.c_long, ptr,
+        ]
         self._lib = lib
         self._ptrs: dict[int, tuple] = {}
+        self._run_args: dict[tuple, tuple] = {}
 
     def _ptr(self, arr) -> int:
         cached = self._ptrs.get(id(arr))  # statics: allow[identity-hash] -- pointer cache; the pinned array reference keeps the id stable
@@ -656,6 +866,31 @@ class CcKernels:
             gap_s, record, p(seg), seg.shape[0], p(ev), ev.shape[0], p(lens),
             p(exec_rows), p(cpu_starts), p(cpu_ends),
         )
+
+    def run(
+        self, st, pp, rp, descs, seqs, caches, variates, seg, ev, lens,
+        exec_rows, cpu_starts, cpu_ends, smp, out,
+    ):
+        # A run passes the same fifteen device-owned buffers every time, so
+        # the whole marshalled argument list is cached per buffer set (the
+        # entry pins the arrays, keeping their ids unique while cached).
+        arrays = (
+            st, pp, rp, descs, seqs, caches, variates, seg, ev, lens,
+            exec_rows, cpu_starts, cpu_ends, smp, out,
+        )
+        key = tuple(map(id, arrays))
+        cached = self._run_args.get(key)
+        if cached is None:
+            if len(self._run_args) > 8:  # buffers regrown or swapped by tests
+                self._run_args.clear()
+            p = self._ptr
+            args = (
+                p(st), p(pp), p(rp), p(descs), p(seqs), p(caches), p(variates),
+                p(seg), seg.shape[0], p(ev), ev.shape[0], p(lens),
+                p(exec_rows), p(cpu_starts), p(cpu_ends), p(smp), smp.shape[0], p(out),
+            )
+            cached = self._run_args[key] = (arrays, args)
+        return self._lib.fc_run(*cached[1])
 
 
 def load() -> CcKernels:

@@ -4,9 +4,12 @@ This module is the *single transcription* of the device's measured hot loops
 -- the idle per-period loop of :meth:`SimulatedGPU._idle_fast`, the execution
 slice loop of :meth:`SimulatedGPU._execute_fast`, the firmware control
 boundary of :meth:`SimulatedGPU._maybe_step_firmware` /
-:meth:`PowerManagementFirmware.step`, and the closed-form thermal relaxation
-of :meth:`ThermalModel.relax_span` -- into a form Numba can ``@njit`` and a C
-compiler can mirror line for line (``_fastcore_cc``).  Every expression is a
+:meth:`PowerManagementFirmware.step`, the closed-form thermal relaxation
+of :meth:`ThermalModel.relax_span`, and the sampler window integration of
+:class:`~repro.gpu.telemetry.AveragingPowerLogger` -- into a form Numba can
+``@njit`` and a C compiler can mirror line for line (``_fastcore_cc``).
+``run_core`` composes them into one whole instrumented run of
+:meth:`SimulatedDeviceBackend.run`.  Every expression is a
 verbatim copy of the corresponding Python engine statement (same operand
 order, same comparisons, same clamps), so the compiled engines replay the
 vectorized engine's iterated-float arithmetic bit for bit; the equivalence
@@ -43,15 +46,35 @@ Data layout (shared with the C core)
   (start, end, cold, mean_freq, energy, xcd_w, iod_w, hbm_w) -- the exact
   ``_ExecutionLog`` row layout.
 
-Kernels return 0 on success, 1 on segment-buffer overflow and 2 on
-event-buffer overflow; on overflow the caller restores its state snapshot,
-grows the buffer and retries (no RNG is consumed inside the kernels, so a
-retry is deterministic).
+Whole-run layout (``run_core``):
+
+``rp`` -- float64[R_LEN] the run's parameters and pre-drawn read delays
+  (see ``R_*`` below).
+``descs`` -- the run's ``desc`` profiles, back to back.
+``seqs`` -- float64[n_seq, Q_LEN] one row per launch sequence, in launch
+  order: (offset into ``descs``, executions, ``caches`` row, has run
+  variation, run factor, execution cv).
+``caches`` -- float64[n_kernels, 2] (consecutive_executions, last_end_s) per
+  distinct kernel; sequences of one kernel share its row.
+``variates`` -- the sequences' standard normals, back to back (four per
+  execution, as ``sequence_core`` consumes them).
+``exec_rows`` / ``cpu_starts`` / ``cpu_ends`` -- every execution of the run,
+  in launch order.
+``smp`` -- float64[cap, 5] output samples (time, ticks, xcd, iod, hbm).
+``out`` -- float64[O_LEN] logger start, anchor ticks, time after the anchor
+  read, logger stop and sample count (see ``O_*`` below).
+
+Kernels return 0 on success, 1 on segment-buffer overflow, 2 on event-buffer
+overflow and 3 on sample-buffer overflow; on overflow the caller restores its
+state snapshot, grows the buffer and retries (no RNG is consumed inside the
+kernels, so a retry is deterministic).
 """
 
 from __future__ import annotations
 
-from math import exp
+from math import ceil, exp, floor
+
+import numpy as np
 
 try:  # pragma: no cover - exercised only when Numba is installed
     from numba import njit as _njit
@@ -125,6 +148,43 @@ FW_BOOST = 2
 FW_THROTTLED = 3
 FW_RECOVERING = 4
 FW_CAPPED = 5
+
+# Run-parameter indices (rp).
+R_PARK = 0
+R_PRE_PAD = 1
+R_READ_OUT = 2
+R_READ_BACK = 3
+R_PRE_DELAY = 4
+R_POST_PAD = 5
+R_LAT_MEAN = 6
+R_LAT_JIT = 7
+R_ERR_STD = 8
+R_GAP = 9
+R_EPOCH = 10
+R_DRIFT = 11
+R_HZ = 12
+R_WINDOW = 13
+R_SPERIOD = 14
+R_SPHASE = 15
+R_NSEQ = 16
+R_LEN = 17
+
+# Launch-sequence row columns (seqs).
+Q_DESC = 0
+Q_EXECS = 1
+Q_CACHE = 2
+Q_HASRV = 3
+Q_RFACT = 4
+Q_CV = 5
+Q_LEN = 6
+
+# Run output indices (out).
+O_START = 0
+O_TICKS = 1
+O_AFTER = 2
+O_STOP = 3
+O_NSMP = 4
+O_LEN = 5
 
 
 # --------------------------------------------------------------------- #
@@ -561,6 +621,199 @@ def sequence_core(
 
 
 # --------------------------------------------------------------------- #
+# Sampler readings (telemetry.AveragingPowerLogger / InstantaneousPowerSampler
+# sample_columns over the recorded slices, transcribed).
+# --------------------------------------------------------------------- #
+@_njit(cache=True)
+def sample_core(pp, rp, seg, lens, smp, out):
+    """The sampler's readings between ``out[O_START]`` and ``out[O_STOP]``.
+
+    Sample times, their filters and the tick conversion replay
+    ``AveragingPowerLogger._sample_times_array`` (window samplers) or
+    ``InstantaneousPowerSampler.sample_columns`` (``rp[R_WINDOW] == 0``) and
+    ``GPUTimestampCounter.ticks_at_many``.  Powers replay ``_SegmentTimeline``
+    on the gapless recording ``seg[:lens[0]]`` (the device records each slice
+    from where the previous one ended): bounds are the slice starts plus the
+    last slice end, idle power fills outside them.  Window samplers take the
+    cumulative-energy difference over ``[t - period, t]`` divided by the
+    period -- each side from its own monotone cursor, whose running sums are
+    the timeline's sequential cumulative sums; the instantaneous sampler
+    takes the power of the slice covering ``t``.
+    """
+    start = out[O_START]
+    stop = out[O_STOP]
+    period = rp[R_SPERIOD]
+    phase = rp[R_SPHASE]
+    window = rp[R_WINDOW] != 0.0
+    epoch = rp[R_EPOCH]
+    drift = rp[R_DRIFT]
+    hz = rp[R_HZ]
+    first = ceil((start - phase) / period)
+    last = floor((stop + 1e-12 - phase) / period) + 1
+    if last < first:
+        last = first
+    count = 0
+    for idx in range(first, last + 1):
+        t = phase + idx * period
+        if t > stop + 1e-12:
+            continue
+        if window and t <= start + 1e-12:
+            continue
+        if count >= smp.shape[0]:
+            return 3
+        smp[count, 0] = t
+        smp[count, 1] = np.rint((t + epoch) * drift * hz)
+        count += 1
+    out[O_NSMP] = count
+    n = lens[0]
+    b0 = seg[0, 0]
+    b_last = seg[n - 1, 1]
+    fill_x = pp[P_IDLE_X]
+    fill_i = pp[P_IDLE_I]
+    fill_h = pp[P_IDLE_H]
+    if not window:
+        k = 0
+        for j in range(count):
+            t = smp[j, 0]
+            while k + 1 < n and seg[k + 1, 0] <= t:
+                k += 1
+            if b0 <= t and t < b_last:
+                smp[j, 2] = seg[k, 2]
+                smp[j, 3] = seg[k, 3]
+                smp[j, 4] = seg[k, 4]
+            else:
+                smp[j, 2] = fill_x
+                smp[j, 3] = fill_i
+                smp[j, 4] = fill_h
+        return 0
+    # Side 0 stores the energy at each window start, side 1 finishes the
+    # window average from the energy at its end.
+    for side in range(2):
+        k = 0
+        cum_x = 0.0
+        cum_i = 0.0
+        cum_h = 0.0
+        for j in range(count):
+            t = smp[j, 0]
+            if side == 0:
+                t = t - period
+            while k + 1 < n and seg[k + 1, 0] <= t:
+                d = seg[k + 1, 0] - seg[k, 0]
+                cum_x += seg[k, 2] * d
+                cum_i += seg[k, 3] * d
+                cum_h += seg[k, 4] * d
+                k += 1
+            if t < b0:
+                d = t - b0
+                e_x = d * fill_x
+                e_i = d * fill_i
+                e_h = d * fill_h
+            elif t >= b_last:
+                d = b_last - seg[k, 0]
+                tail = t - b_last
+                e_x = (cum_x + seg[k, 2] * d) + tail * fill_x
+                e_i = (cum_i + seg[k, 3] * d) + tail * fill_i
+                e_h = (cum_h + seg[k, 4] * d) + tail * fill_h
+            else:
+                d = t - seg[k, 0]
+                e_x = cum_x + seg[k, 2] * d
+                e_i = cum_i + seg[k, 3] * d
+                e_h = cum_h + seg[k, 4] * d
+            if side == 0:
+                smp[j, 2] = e_x
+                smp[j, 3] = e_i
+                smp[j, 4] = e_h
+            else:
+                smp[j, 2] = (e_x - smp[j, 2]) / period
+                smp[j, 3] = (e_i - smp[j, 3]) / period
+                smp[j, 4] = (e_h - smp[j, 4]) / period
+    return 0
+
+
+# --------------------------------------------------------------------- #
+# Whole instrumented run (SimulatedDeviceBackend.run, transcribed).
+# --------------------------------------------------------------------- #
+@_njit(cache=True)
+def run_core(
+    st,
+    pp,
+    rp,
+    descs,
+    seqs,
+    caches,
+    variates,
+    seg,
+    ev,
+    lens,
+    exec_rows,
+    cpu_starts,
+    cpu_ends,
+    smp,
+    out,
+):
+    """One instrumented run, from the park to the sampler's readings.
+
+    In order: the park (not recorded); recording starts; pre-padding; the
+    timestamp-anchor read (``SimulatedGPU.read_timestamp``: the counter is
+    captured one way into the round trip, which is then spent at idle); the
+    pre-delay; every launch sequence of ``seqs`` (``sequence_core``, the
+    preceding kernels first); post-padding; then ``sample_core`` over the
+    recorded slices.  Every random draw arrives pre-drawn -- the read delays
+    in ``rp``, each sequence's run factor in ``seqs`` and its standard
+    normals in ``variates`` -- so the kernel consumes no RNG.
+    """
+    rc = idle_core(st, pp, rp[R_PARK], 0, seg, ev, lens)
+    if rc != 0:
+        return rc
+    out[O_START] = st[S_NOW]
+    rc = idle_core(st, pp, rp[R_PRE_PAD], 1, seg, ev, lens)
+    if rc != 0:
+        return rc
+    capture = st[S_NOW] + rp[R_READ_OUT]
+    out[O_TICKS] = np.rint((capture + rp[R_EPOCH]) * rp[R_DRIFT] * rp[R_HZ])
+    rc = idle_core(st, pp, rp[R_READ_OUT] + rp[R_READ_BACK], 1, seg, ev, lens)
+    if rc != 0:
+        return rc
+    out[O_AFTER] = st[S_NOW]
+    rc = idle_core(st, pp, rp[R_PRE_DELAY], 1, seg, ev, lens)
+    if rc != 0:
+        return rc
+    row = 0
+    for q in range(int(rp[R_NSEQ])):
+        executions = int(seqs[q, Q_EXECS])
+        rc = sequence_core(
+            st,
+            pp,
+            descs[int(seqs[q, Q_DESC]):],
+            caches[int(seqs[q, Q_CACHE])],
+            executions,
+            variates[4 * row:],
+            int(seqs[q, Q_HASRV]),
+            seqs[q, Q_RFACT],
+            seqs[q, Q_CV],
+            rp[R_LAT_MEAN],
+            rp[R_LAT_JIT],
+            rp[R_ERR_STD],
+            rp[R_GAP],
+            1,
+            seg,
+            ev,
+            lens,
+            exec_rows[row:],
+            cpu_starts[row:],
+            cpu_ends[row:],
+        )
+        if rc != 0:
+            return rc
+        row += executions
+    rc = idle_core(st, pp, rp[R_POST_PAD], 1, seg, ev, lens)
+    if rc != 0:
+        return rc
+    out[O_STOP] = st[S_NOW]
+    return sample_core(pp, rp, seg, lens, smp, out)
+
+
+# --------------------------------------------------------------------- #
 # Public entry points (reset the output counters, then run the cores).
 # --------------------------------------------------------------------- #
 def k_idle(st, pp, duration, record, seg, ev, lens):
@@ -623,11 +876,24 @@ def k_sequence(
     )
 
 
+def k_run(
+    st, pp, rp, descs, seqs, caches, variates, seg, ev, lens,
+    exec_rows, cpu_starts, cpu_ends, smp, out,
+):
+    lens[0] = 0
+    lens[1] = 0
+    return run_core(
+        st, pp, rp, descs, seqs, caches, variates, seg, ev, lens,
+        exec_rows, cpu_starts, cpu_ends, smp, out,
+    )
+
+
 __all__ = [
     "HAVE_NUMBA",
     "k_idle",
     "k_execute",
     "k_sequence",
+    "k_run",
     "STATE_LEN",
     "PARAM_LEN",
 ]

@@ -21,6 +21,7 @@ from ..core.records import (
     DelayCalibration,
     ExecutionArena,
     ExecutionTiming,
+    ExecutionTimings,
     PowerReading,
     PowerReadings,
     RunRecord,
@@ -99,6 +100,36 @@ class BackendConfig:
         return fastcore.resolve_engine(self.engine, self.vectorized)
 
 
+#: The backend constructor's object parameters and the types they take.
+_PARAMETER_TYPES = (
+    ("device", SimulatedGPU),
+    ("spec", GPUSpec),
+    ("config", BackendConfig),
+    ("launch_config", LaunchConfig),
+)
+
+
+def _check_parameter_types(values: tuple) -> None:
+    """Reject a constructor argument of the wrong type with a clear TypeError.
+
+    The message names the parameter and, when the value is one of the
+    backend's own argument types (typically a config passed positionally),
+    the keyword it belongs to.
+    """
+    for (name, expected), value in zip(_PARAMETER_TYPES, values):
+        if value is None or isinstance(value, expected):
+            continue
+        message = (
+            f"SimulatedDeviceBackend parameter {name!r} expects a "
+            f"{expected.__name__} or None, got {type(value).__name__}"
+        )
+        for keyword, kind in _PARAMETER_TYPES:
+            if isinstance(value, kind):
+                message += f"; pass it by keyword: SimulatedDeviceBackend({keyword}=...)"
+                break
+        raise TypeError(message)
+
+
 class SimulatedDeviceBackend:
     """A :class:`~repro.core.backend.ProfilingBackend` over the simulated GPU."""
 
@@ -113,6 +144,7 @@ class SimulatedDeviceBackend:
         config: BackendConfig | None = None,
         launch_config: LaunchConfig | None = None,
     ) -> None:
+        _check_parameter_types((device, spec, config, launch_config))
         self._config = config or BackendConfig()
         self._config.validate()
         self._device = device or SimulatedGPU(
@@ -222,14 +254,105 @@ class SimulatedDeviceBackend:
         run_index: int = 0,
         preceding: tuple[tuple[object, int], ...] | list[tuple[object, int]] = (),
     ) -> RunRecord:
-        """One instrumented run (steps 2 and 5 of the methodology)."""
+        """One instrumented run (steps 2 and 5 of the methodology).
+
+        On the compiled engine the whole run is one kernel call
+        (:meth:`_run_whole`) whenever every launch sequence of it fuses
+        (:meth:`KernelLauncher.fuses`); otherwise :meth:`_run_stepwise`
+        drives the device call by call.  Both produce identical records.
+        """
         if executions <= 0:
             raise ValueError("need at least one execution per run")
         if pre_delay_s < 0:
             raise ValueError("the random pre-delay cannot be negative")
+        if any(count <= 0 for _, count in preceding):
+            raise ValueError("need at least one execution per preceding kernel")
         descriptor = self._descriptor_of(kernel)
+        sequences = [(self._descriptor_of(k), count) for k, count in preceding]
+        sequences.append((descriptor, executions))
+        if self._device.engine == "compiled" and all(
+            self._launcher.fuses(d) for d, _ in sequences
+        ):
+            run = self._run_whole
+        else:
+            run = self._run_stepwise
+        (
+            anchor, logger_start_s, logger_stop_s, run_variation,
+            readings, executions_timing, preceding_timing,
+        ) = run(sequences, pre_delay_s)
+        return RunRecord(
+            run_index=run_index,
+            kernel_name=descriptor.name,
+            readings=readings,
+            executions=executions_timing,
+            anchor=anchor,
+            logger_period_s=self._sampler.period_s,
+            counter_frequency_hz=self.counter_frequency_hz,
+            pre_delay_s=pre_delay_s,
+            preceding_executions=preceding_timing,
+            metadata={
+                "logger_start_cpu_s": logger_start_s,
+                "logger_stop_cpu_s": logger_stop_s,
+                "sampler": self._config.sampler,
+                "run_variation_outlier": run_variation.is_outlier,
+            },
+        )
+
+    def _run_whole(self, sequences, pre_delay_s: float) -> tuple:
+        """The compiled engine's run: one ``SimulatedGPU._run_compiled`` call.
+
+        Timings get the block layout :meth:`KernelLauncher.sequence_into`
+        stages on the stepwise path (every sequence indexed from 0); readings
+        come from the kernel's sampler columns.
+        """
+        config = self._config
+        sampler = self._sampler
+        period = sampler.period_s
+        window = not isinstance(sampler, InstantaneousPowerSampler)
+        (
+            logger_start_s, ticks, cpu_after_s, round_trip_s, logger_stop_s,
+            run_variation, cpu_starts, cpu_ends, sample_ticks, sample_powers,
+        ) = self._device._run_compiled(
+            sequences,
+            config.park_s,
+            config.pre_padding_periods * period,
+            pre_delay_s,
+            config.post_padding_periods * period,
+            self._launcher.config,
+            period,
+            sampler.phase_offset_s,
+            window,
+        )
+        *preceding, (descriptor, executions) = sequences
+        split = cpu_starts.shape[0] - executions
+        preceding_timing = ()
+        if preceding:
+            preceding_timing = ExecutionTimings.from_blocks(
+                [(d.name, 0, count) for d, count in preceding],
+                cpu_starts[:split].copy(),
+                cpu_ends[:split].copy(),
+            )
+        executions_timing = ExecutionTimings.from_blocks(
+            ((descriptor.name, 0, executions),),
+            cpu_starts[split:].copy(),
+            cpu_ends[split:].copy(),
+        )
+        anchor = TimestampAnchor(
+            gpu_ticks=ticks, cpu_time_after_s=cpu_after_s, round_trip_s=round_trip_s
+        )
+        readings = self._readings_fast(
+            sample_ticks, None, sample_powers, period if window else 0.0
+        )
+        return (
+            anchor, logger_start_s, logger_stop_s, run_variation,
+            readings, executions_timing, preceding_timing,
+        )
+
+    def _run_stepwise(self, sequences, pre_delay_s: float) -> tuple:
+        """The run driven device call by device call (every other engine)."""
         device = self._device
         period = self._sampler.period_s
+        *preceding, (descriptor, executions) = sequences
 
         device.park(self._config.park_s)
         logger_start_s = device.start_recording()
@@ -252,8 +375,7 @@ class SimulatedDeviceBackend:
             # branch below; the record adopts both as lazy views.
             arena = self._arena
             arena.begin()
-            for preceding_kernel, preceding_count in preceding:
-                preceding_descriptor = self._descriptor_of(preceding_kernel)
+            for preceding_descriptor, preceding_count in preceding:
                 variation = device.draw_run_variation(preceding_descriptor)
                 self._launcher.sequence_into(
                     arena, preceding_descriptor, preceding_count, run_variation=variation
@@ -274,8 +396,7 @@ class SimulatedDeviceBackend:
             )
         else:
             preceding_observed: list[ObservedExecution] = []
-            for preceding_kernel, preceding_count in preceding:
-                preceding_descriptor = self._descriptor_of(preceding_kernel)
+            for preceding_descriptor, preceding_count in preceding:
                 variation = device.draw_run_variation(preceding_descriptor)
                 preceding_observed.extend(
                     self._launcher.launch_sequence(
@@ -295,22 +416,9 @@ class SimulatedDeviceBackend:
             readings = tuple(self._reading_from(sample) for sample in samples)
             executions_timing = tuple(self._timing_from(obs) for obs in observed)
             preceding_timing = tuple(self._timing_from(obs) for obs in preceding_observed)
-        return RunRecord(
-            run_index=run_index,
-            kernel_name=descriptor.name,
-            readings=readings,
-            executions=executions_timing,
-            anchor=anchor,
-            logger_period_s=period,
-            counter_frequency_hz=self.counter_frequency_hz,
-            pre_delay_s=pre_delay_s,
-            preceding_executions=preceding_timing,
-            metadata={
-                "logger_start_cpu_s": logger_start_s,
-                "logger_stop_cpu_s": logger_stop_s,
-                "sampler": self._config.sampler,
-                "run_variation_outlier": run_variation.is_outlier,
-            },
+        return (
+            anchor, logger_start_s, logger_stop_s, run_variation,
+            readings, executions_timing, preceding_timing,
         )
 
     # ------------------------------------------------------------------ #

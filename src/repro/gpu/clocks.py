@@ -135,27 +135,29 @@ class GPUTimestampCounter:
     def frequency_hz(self) -> float:
         return self._spec.timestamp_counter_hz
 
+    @property
+    def drift_factor(self) -> float:
+        """GPU seconds per CPU second, ``1 + drift``."""
+        return 1.0 + self._spec.drift_ppm * 1e-6
+
     # ------------------------------------------------------------------ #
     # Ground-truth conversions (used by the simulator, *not* the profiler).
     # ------------------------------------------------------------------ #
     def ticks_at(self, sim_time_s: float) -> int:
         """Counter value at an absolute simulated time (ground truth)."""
-        drift = 1.0 + self._spec.drift_ppm * 1e-6
-        gpu_seconds = (sim_time_s + self._spec.epoch_offset_s) * drift
+        gpu_seconds = (sim_time_s + self._spec.epoch_offset_s) * self.drift_factor
         return int(round(gpu_seconds * self._spec.timestamp_counter_hz))
 
     def ticks_at_many(self, sim_times_s: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`ticks_at` (same float64 ops, half-even rounding)."""
-        drift = 1.0 + self._spec.drift_ppm * 1e-6
         times = np.asarray(sim_times_s, dtype=float)
-        gpu_seconds = (times + self._spec.epoch_offset_s) * drift
+        gpu_seconds = (times + self._spec.epoch_offset_s) * self.drift_factor
         return np.rint(gpu_seconds * self._spec.timestamp_counter_hz).astype(np.int64)
 
     def sim_time_of_ticks(self, ticks: int) -> float:
         """Inverse of :meth:`ticks_at` (ground truth, for testing)."""
-        drift = 1.0 + self._spec.drift_ppm * 1e-6
         gpu_seconds = ticks / self._spec.timestamp_counter_hz
-        return gpu_seconds / drift - self._spec.epoch_offset_s
+        return gpu_seconds / self.drift_factor - self._spec.epoch_offset_s
 
     # ------------------------------------------------------------------ #
     # Host-visible operation.

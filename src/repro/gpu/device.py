@@ -34,7 +34,9 @@ Time advance comes in three interchangeable engines selected by the
   Simulation state (clock, warmth, control accumulator, firmware) is packed
   into a flat float vector around each call and recorded slices / firmware
   events are drained from preallocated buffers afterwards, so a whole
-  launch sequence collapses to one compiled call.  There is no idle-span
+  launch sequence collapses to one compiled call -- and a backend's whole
+  instrumented run, sampler readings included, to one more
+  (:meth:`_run_compiled`).  There is no idle-span
   batching threshold on this engine: the compiled per-period loop is cheap
   at any span length.
 * ``engine="vectorized"`` (default) -- the batched NumPy engine.  Slice boundaries
@@ -1169,6 +1171,22 @@ class SimulatedGPU:
         self._fc_ev = np.empty((256, 4))
         self._fc_out8 = np.empty(8)
         self._fc_cache = np.empty(2)
+        # Whole-run (run_core) buffers, reused across runs and grown on
+        # demand; the counter's tick conversion is fixed for the device.
+        run_params = np.zeros(_FK.R_LEN)
+        run_params[_FK.R_EPOCH] = self._spec.clocks.epoch_offset_s
+        run_params[_FK.R_DRIFT] = self._timestamp_counter.drift_factor
+        run_params[_FK.R_HZ] = self._timestamp_counter.frequency_hz
+        self._fc_run = run_params
+        self._fc_descs = np.empty(64)
+        self._fc_seqs = np.empty((4, _FK.Q_LEN))
+        self._fc_caches = np.empty((4, 2))
+        self._fc_variates = np.empty(256)
+        self._fc_rows = np.empty((64, 8))
+        self._fc_cpu_starts = np.empty(64)
+        self._fc_cpu_ends = np.empty(64)
+        self._fc_smp = np.empty((256, 5))
+        self._fc_out = np.empty(_FK.O_LEN)
 
     def _fc_pack(self) -> np.ndarray:
         """Mirror live simulation state into the kernel state vector."""
@@ -1191,7 +1209,7 @@ class SimulatedGPU:
 
     def _fc_unpack(self) -> None:
         """Write the kernel state vector back into the live objects."""
-        st = self._fc_state
+        st = self._fc_state.tolist()
         firmware = self._firmware
         control = self._control
         self._sim_clock._now_s = st[_FK.S_NOW]
@@ -1209,26 +1227,24 @@ class SimulatedGPU:
 
     def _fc_drain(self) -> None:
         """Flush recorded slices and firmware events out of the kernel buffers."""
-        lens = self._fc_lens
-        n_seg = int(lens[0])
+        n_seg = int(self._fc_lens[0])
         if n_seg and self._recording:
             self._buffer.append_block(self._fc_seg[:n_seg].copy())
-        n_ev = int(lens[1])
+        self._fc_drain_events()
+
+    def _fc_drain_events(self) -> None:
+        """Append the kernel's firmware events to the firmware's history."""
+        n_ev = int(self._fc_lens[1])
         if n_ev:
-            ev = self._fc_ev
             events = self._firmware._events
-            for k in range(n_ev):
+            for time_s, state, frequency_ghz, power_w in self._fc_ev[:n_ev].tolist():
                 events.append(
-                    FirmwareEvent(
-                        time_s=float(ev[k, 0]),
-                        state=_FC_STATES[int(ev[k, 1])],
-                        frequency_ghz=float(ev[k, 2]),
-                        power_w=float(ev[k, 3]),
-                    )
+                    FirmwareEvent(time_s, _FC_STATES[int(state)], frequency_ghz, power_w)
                 )
 
     def _fc_grow(self, rc: int) -> None:
-        """Double the overflowed output buffer (rc 1: segments, rc 2: events).
+        """Double the overflowed output buffer (rc 1: segments, rc 2: events,
+        rc 3: samples).
 
         The kernels carry no RNG and the wrapper re-packs fresh state before
         every attempt, so a retried call is deterministic.
@@ -1237,8 +1253,28 @@ class SimulatedGPU:
             self._fc_seg = np.empty((2 * self._fc_seg.shape[0], 5))
         elif rc == 2:
             self._fc_ev = np.empty((2 * self._fc_ev.shape[0], 4))
+        elif rc == 3:
+            self._fc_smp = np.empty((2 * self._fc_smp.shape[0], 5))
         else:  # pragma: no cover - unknown code would be a kernel bug
             raise RuntimeError(f"compiled kernel returned unknown rc={rc}")
+
+    def _fc_reserve(self, sequences: int, executions: int, desc_len: int) -> None:
+        """Grow (doubling) the whole-run buffers to hold a run of this size."""
+        for name, rows in (
+            ("_fc_descs", desc_len),
+            ("_fc_seqs", sequences),
+            ("_fc_caches", sequences),
+            ("_fc_variates", 4 * executions),
+            ("_fc_rows", executions),
+            ("_fc_cpu_starts", executions),
+            ("_fc_cpu_ends", executions),
+        ):
+            buffer = getattr(self, name)
+            if buffer.shape[0] < rows:
+                setattr(
+                    self, name,
+                    np.empty((max(rows, 2 * buffer.shape[0]), *buffer.shape[1:])),
+                )
 
     def _fc_descriptor(self, descriptor: KernelActivityDescriptor) -> np.ndarray:
         """The descriptor flattened into the kernel ``desc`` layout, cached.
@@ -1444,6 +1480,150 @@ class SimulatedGPU:
             self._exec_log.data.frombytes(exec_rows.tobytes())
             self._exec_log.names.extend([descriptor.name] * executions)
         return cpu_starts, cpu_ends
+
+    def _run_compiled(
+        self,
+        sequences: list[tuple[KernelActivityDescriptor, int]],
+        park_s: float,
+        pre_padding_s: float,
+        pre_delay_s: float,
+        post_padding_s: float,
+        launch,
+        sample_period_s: float,
+        sample_phase_s: float,
+        window: bool,
+    ) -> tuple:
+        """A whole instrumented run in one compiled call (``run_core``).
+
+        Equivalent to ``park(park_s)``, ``start_recording()``,
+        ``idle(pre_padding_s)``, ``read_timestamp()``, ``idle(pre_delay_s)``,
+        one ``KernelLauncher.sequence_into`` per ``(descriptor, executions)``
+        of ``sequences`` (launch order, the kernel of interest last; each must
+        satisfy :meth:`KernelLauncher.fuses`), ``idle(post_padding_s)``,
+        ``stop_recording()`` and the sampler's ``sample_columns`` -- the
+        device ends in the same state.  The random draws happen here, before
+        the call, in the order those calls make them: the anchor read's two
+        delays, then per sequence its run variation and its
+        ``standard_normal(4 * executions)``.  ``launch`` is the launcher's
+        :class:`~repro.gpu.scheduler.LaunchConfig`; ``window`` selects the
+        window-averaging samplers over the instantaneous one.
+
+        Returns ``(logger_start_s, anchor_ticks, anchor_cpu_after_s,
+        round_trip_s, logger_stop_s, run_variation, cpu_starts, cpu_ends,
+        sample_ticks, sample_powers)`` with the kernel of interest's run
+        variation and every execution's host-observed start/end in launch
+        order (views of device buffers, valid until the next run).
+        """
+        counter = self._timestamp_counter
+        one_way = counter.sample_read_delay_s()
+        return_way = counter.sample_read_delay_s()
+
+        profiles = [self._fc_descriptor(descriptor) for descriptor, _ in sequences]
+        n_seq = len(sequences)
+        total = sum(executions for _, executions in sequences)
+        desc_len = sum(profile.shape[0] for profile in profiles)
+        if (
+            total > self._fc_rows.shape[0]
+            or n_seq > self._fc_seqs.shape[0]
+            or desc_len > self._fc_descs.shape[0]
+        ):
+            self._fc_reserve(n_seq, total, desc_len)
+        descs = self._fc_descs
+        seqs = self._fc_seqs
+        caches = self._fc_caches
+        variates = self._fc_variates
+        rows = self._fc_rows
+        cpu_starts = self._fc_cpu_starts
+        cpu_ends = self._fc_cpu_ends
+
+        rng = self._rng
+        draw_run = self._variation.draw_run
+        slots: dict[str, int] = {}
+        states: list[_CacheState] = []
+        offset = 0
+        row = 0
+        for q, (descriptor, executions) in enumerate(sequences):
+            profile = profiles[q]
+            descs[offset : offset + profile.shape[0]] = profile
+            run_variation = draw_run(descriptor.variation)
+            rng.standard_normal(out=variates[4 * row : 4 * (row + executions)])
+            name = descriptor.name
+            slot = slots.get(name)
+            if slot is None:
+                slot = slots[name] = len(states)
+                state = self._cache_states.get(name)
+                if state is None:
+                    state = self._cache_states[name] = _CacheState()
+                states.append(state)
+            seqs[q] = (
+                offset, executions, slot, 1.0,
+                run_variation.run_factor, descriptor.variation.execution_cv,
+            )
+            offset += profile.shape[0]
+            row += executions
+
+        rp = self._fc_run
+        rp[_FK.R_PARK] = park_s
+        rp[_FK.R_PRE_PAD] = pre_padding_s
+        rp[_FK.R_READ_OUT] = one_way
+        rp[_FK.R_READ_BACK] = return_way
+        rp[_FK.R_PRE_DELAY] = pre_delay_s
+        rp[_FK.R_POST_PAD] = post_padding_s
+        rp[_FK.R_LAT_MEAN] = launch.launch_latency_s
+        rp[_FK.R_LAT_JIT] = launch.launch_jitter_s
+        rp[_FK.R_ERR_STD] = launch.event_timestamp_error_s
+        rp[_FK.R_GAP] = launch.inter_execution_gap_s
+        rp[_FK.R_WINDOW] = 1.0 if window else 0.0
+        rp[_FK.R_SPERIOD] = sample_period_s
+        rp[_FK.R_SPHASE] = sample_phase_s
+        rp[_FK.R_NSEQ] = n_seq
+        fc_run = self._fc.run
+        out = self._fc_out
+        while True:
+            st = self._fc_pack()
+            for slot, state in enumerate(states):
+                caches[slot, 0] = float(state.consecutive_executions)
+                caches[slot, 1] = state.last_end_s
+            rc = fc_run(
+                st, self._fc_params, rp, descs, seqs, caches, variates,
+                self._fc_seg, self._fc_ev, self._fc_lens,
+                rows, cpu_starts, cpu_ends, self._fc_smp, out,
+            )
+            if rc == 0:
+                break
+            self._fc_grow(rc)
+        self._fc_unpack()
+        self._fc_drain_events()
+        for slot, state in enumerate(states):
+            state.consecutive_executions = int(caches[slot, 0])
+            state.last_end_s = float(caches[slot, 1])
+
+        # What start_recording() ... stop_recording() leave behind: no open
+        # recording, an empty slice buffer and this run's ground truth.
+        self._recording = False
+        self._segments = []
+        self._buffer.clear()
+        self._record_extend = self._buffer.data.extend
+        self._executions = []
+        log = self._exec_log
+        log.clear()
+        log.data.frombytes(rows[:total].tobytes())
+        for descriptor, executions in sequences:
+            log.names.extend([descriptor.name] * executions)
+
+        samples = self._fc_smp[: int(out[_FK.O_NSMP])]
+        return (
+            float(out[_FK.O_START]),
+            int(out[_FK.O_TICKS]),
+            float(out[_FK.O_AFTER]),
+            one_way + return_way,
+            float(out[_FK.O_STOP]),
+            run_variation,
+            cpu_starts[:total],
+            cpu_ends[:total],
+            samples[:, 1].astype(np.int64),
+            samples[:, 2:5].copy(),
+        )
 
     # ------------------------------------------------------------------ #
     # Internals.

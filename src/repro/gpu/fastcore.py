@@ -57,19 +57,24 @@ _KERNEL_CHAIN = (
     "idle_core",
     "execute_core",
     "sequence_core",
+    "sample_core",
+    "run_core",
 )
 
 
 class KernelBundle:
-    """One provider's uniform kernel API (idle / execute / sequence)."""
+    """One provider's uniform kernel API (idle / execute / sequence / run)."""
 
-    __slots__ = ("name", "idle", "execute", "sequence", "numba_version", "lib_path")
+    __slots__ = ("name", "idle", "execute", "sequence", "run", "numba_version", "lib_path")
 
-    def __init__(self, name, idle, execute, sequence, numba_version=None, lib_path=None):
+    def __init__(
+        self, name, idle, execute, sequence, run, numba_version=None, lib_path=None
+    ):
         self.name = name
         self.idle = idle
         self.execute = execute
         self.sequence = sequence
+        self.run = run
         self.numba_version = numba_version
         self.lib_path = lib_path
 
@@ -97,6 +102,7 @@ def _load_provider(name: str) -> tuple[KernelBundle | None, str | None]:
                 _K.k_idle,
                 _K.k_execute,
                 _K.k_sequence,
+                _K.k_run,
                 numba_version=numba.__version__,
             ),
             None,
@@ -104,7 +110,10 @@ def _load_provider(name: str) -> tuple[KernelBundle | None, str | None]:
     if name == "python":
         # The kernels module as imported: pure Python without Numba (slow,
         # debugging/validation only), jitted when Numba is present.
-        return KernelBundle("python", _K.k_idle, _K.k_execute, _K.k_sequence), None
+        return (
+            KernelBundle("python", _K.k_idle, _K.k_execute, _K.k_sequence, _K.k_run),
+            None,
+        )
     if name == "cc":
         try:
             from . import _fastcore_cc
@@ -113,7 +122,9 @@ def _load_provider(name: str) -> tuple[KernelBundle | None, str | None]:
         except Exception as exc:
             return None, f"cc: {exc}"
         return (
-            KernelBundle("cc", cc.idle, cc.execute, cc.sequence, lib_path=cc.lib_path),
+            KernelBundle(
+                "cc", cc.idle, cc.execute, cc.sequence, cc.run, lib_path=cc.lib_path
+            ),
             None,
         )
     return None, f"unknown provider {name!r}"
@@ -199,8 +210,8 @@ def _scenario_params() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return st, pp, desc_long, desc_short
 
 
-def _run_scenario(idle, execute, sequence) -> dict[str, np.ndarray]:
-    """Drive the three entry points through a fixed multi-branch scenario."""
+def _run_scenario(idle, execute, sequence, run) -> dict[str, np.ndarray]:
+    """Drive the four entry points through a fixed multi-branch scenario."""
     st, pp, desc_long, desc_short = _scenario_params()
     period = pp[_K.P_PERIOD]
     seg = np.zeros((512, 5))
@@ -246,6 +257,54 @@ def _run_scenario(idle, execute, sequence) -> dict[str, np.ndarray]:
         )
     )
     drain()
+
+    # Whole runs: a throttling long kernel, then two short sequences sharing
+    # one cache row; first under a window sampler, then a point sampler.
+    rp = np.zeros(_K.R_LEN)
+    rp[_K.R_PARK] = 8e-3
+    rp[_K.R_PRE_PAD] = 1.5e-3
+    rp[_K.R_READ_OUT] = 1.1e-6
+    rp[_K.R_READ_BACK] = 0.9e-6
+    rp[_K.R_PRE_DELAY] = 0.37e-3
+    rp[_K.R_POST_PAD] = 1.3e-3
+    rp[_K.R_LAT_MEAN] = 2.5e-6
+    rp[_K.R_LAT_JIT] = 0.5e-6
+    rp[_K.R_ERR_STD] = 0.6e-6
+    rp[_K.R_GAP] = 1.0e-6
+    rp[_K.R_EPOCH] = 12.5
+    rp[_K.R_DRIFT] = 1.0 + 3e-6
+    rp[_K.R_HZ] = 100e6
+    rp[_K.R_NSEQ] = 3
+    descs = np.concatenate([desc_long, desc_short])
+    seqs = np.array(
+        [
+            [0, 2, 0, 1, 1.03, 0.01],
+            [desc_long.shape[0], 4, 1, 1, 0.98, 0.006],
+            [desc_long.shape[0], 3, 1, 1, 0.98, 0.006],
+        ],
+        dtype=float,
+    )
+    caches = np.array([[0.0, -1.0], [3.0, -1.0]])
+    run_variates = np.linspace(-1.1, 1.4, 4 * 9)
+    run_rows = np.zeros((9, 8))
+    run_starts = np.zeros(9)
+    run_ends = np.zeros(9)
+    smp = np.zeros((128, 5))
+    out = np.zeros(_K.O_LEN)
+    samples: list[np.ndarray] = []
+    outs: list[np.ndarray] = []
+    for window, sample_period in ((1.0, 1e-3), (0.0, 100e-6)):
+        rp[_K.R_WINDOW] = window
+        rp[_K.R_SPERIOD] = sample_period
+        check(
+            run(
+                st, pp, rp, descs, seqs, caches, run_variates, seg, ev, lens,
+                run_rows, run_starts, run_ends, smp, out,
+            )
+        )
+        drain()
+        samples.append(smp[: int(out[_K.O_NSMP])].copy())
+        outs.append(out.copy())
     return {
         "segments": np.vstack(segs),
         "events": np.vstack(evs),
@@ -256,6 +315,12 @@ def _run_scenario(idle, execute, sequence) -> dict[str, np.ndarray]:
         "cpu_starts": cpu_starts,
         "cpu_ends": cpu_ends,
         "cache": cache,
+        "run_rows": run_rows,
+        "run_starts": run_starts,
+        "run_ends": run_ends,
+        "run_caches": caches,
+        "samples": np.vstack(samples),
+        "run_outs": np.vstack(outs),
     }
 
 
@@ -274,7 +339,7 @@ def _run_scenario_pure() -> dict[str, np.ndarray]:
             swapped[name] = func
             setattr(_K, name, py_func)
     try:
-        return _run_scenario(_K.k_idle, _K.k_execute, _K.k_sequence)
+        return _run_scenario(_K.k_idle, _K.k_execute, _K.k_sequence, _K.k_run)
     finally:
         for name, func in swapped.items():
             setattr(_K, name, func)
@@ -287,7 +352,7 @@ def self_check(bundle: KernelBundle) -> str | None:
     and execution row agrees exactly, else a short failure description.
     """
     try:
-        got = _run_scenario(bundle.idle, bundle.execute, bundle.sequence)
+        got = _run_scenario(bundle.idle, bundle.execute, bundle.sequence, bundle.run)
         want = _run_scenario_pure()
     except Exception as exc:
         return f"self-check scenario failed: {exc!r}"

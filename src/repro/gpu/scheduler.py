@@ -205,6 +205,21 @@ class KernelLauncher:
             )
         return observed
 
+    def fuses(self, descriptor: KernelActivityDescriptor) -> bool:
+        """Whether :meth:`sequence_into` draws ``descriptor``'s sequences in one batch.
+
+        The batched draw -- four standard normals per execution -- is the
+        vectorized and compiled engines' launch path (and what the compiled
+        engine's whole-run kernel consumes).  Without execution jitter or
+        timestamp error the launch loop draws a different pattern, so those
+        configurations run it instead.
+        """
+        return not (
+            not self._device.vectorized
+            or descriptor.variation.execution_cv <= 0
+            or self._config.event_timestamp_error_s <= 0
+        )
+
     def sequence_into(
         self,
         arena: ExecutionArena,
@@ -233,7 +248,7 @@ class KernelLauncher:
         latency_mean, latency_jitter, error_std, gap_s = self._fast_consts
         execution_cv = descriptor.variation.execution_cv
         append_start, append_end = arena.stage(descriptor.name, start_index, executions)
-        if not device.vectorized or execution_cv <= 0 or error_std <= 0:
+        if not self.fuses(descriptor):
             # Configurations whose reference path consumes a different draw
             # pattern fall back to the launch loop (identical by definition).
             for observed in self.launch_sequence(

@@ -254,6 +254,10 @@ class AveragingPowerLogger:
     def period_s(self) -> float:
         return self._period_s
 
+    @property
+    def phase_offset_s(self) -> float:
+        return self._phase_offset_s
+
     def sample_times_between(self, start_s: float, end_s: float) -> list[float]:
         """Absolute times of the sample boundaries within ``(start_s, end_s]``.
 
@@ -373,6 +377,10 @@ class InstantaneousPowerSampler:
     @property
     def period_s(self) -> float:
         return self._period_s
+
+    @property
+    def phase_offset_s(self) -> float:
+        return self._phase_offset_s
 
     def sample_columns(
         self,

@@ -47,9 +47,8 @@ _FASTCORE = "gpu/fastcore.py"
 #: Manifest path relative to the project root (travels with tree copies).
 MANIFEST_REL = "statics/parity_manifest.json"
 
-#: Python kernel -> C function.  The C side folds the ``k_sequence`` entry
-#: point's counter reset into ``fc_sequence`` itself, hence the rename; the
-#: other bodies mirror under their own names.
+#: Python kernel -> C function.  Every body mirrors under its own name (the
+#: ``fc_*`` entry points, like the ``k_*`` ones, only reset the counters).
 C_PAIRS: dict[str, str] = {
     "fw_transition": "fw_transition",
     "fw_step": "fw_step",
@@ -57,11 +56,13 @@ C_PAIRS: dict[str, str] = {
     "control_boundary": "control_boundary",
     "idle_core": "idle_core",
     "execute_core": "execute_core",
-    "sequence_core": "fc_sequence",
+    "sequence_core": "sequence_core",
+    "sample_core": "sample_core",
+    "run_core": "run_core",
 }
 
 #: Module-level constant prefixes shared between the Python and C layouts.
-_CONST_PREFIXES = ("S_", "P_", "FW_")
+_CONST_PREFIXES = ("S_", "P_", "FW_", "R_", "Q_", "O_")
 #: Python-only length constants (C indexes raw pointers; no length defines).
 _PY_ONLY_CONSTANTS = frozenset({"STATE_LEN", "PARAM_LEN"})
 

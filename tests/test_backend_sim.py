@@ -32,6 +32,21 @@ class TestBackendBasics:
         with pytest.raises(ValueError):
             BackendConfig(sampler="bogus").validate()
 
+    def test_positional_config_names_the_keyword(self):
+        # Regression: a config passed positionally used to die deep inside
+        # KernelLauncher with "'BackendConfig' object has no attribute 'rng'".
+        with pytest.raises(TypeError, match=r"'device'.*BackendConfig.*config=") as info:
+            SimulatedDeviceBackend(BackendConfig(sampler="coarse"))
+        assert "SimulatedGPU" in str(info.value)
+
+    def test_wrong_argument_types_name_the_parameter(self, spec):
+        with pytest.raises(TypeError, match=r"'spec'.*GPUSpec.*got BackendConfig.*config="):
+            SimulatedDeviceBackend(None, BackendConfig())
+        with pytest.raises(TypeError, match=r"'config'.*got GPUSpec.*spec="):
+            SimulatedDeviceBackend(config=spec)
+        with pytest.raises(TypeError, match=r"'launch_config'.*LaunchConfig.*got str"):
+            SimulatedDeviceBackend(launch_config="fast")
+
 
 class TestTimeKernel:
     def test_returns_requested_number_of_durations(self, backend, kernel):

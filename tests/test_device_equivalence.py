@@ -21,6 +21,9 @@ batched idle-span boundary engine, the retained per-period inline loop
 
 from __future__ import annotations
 
+import dataclasses
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,7 @@ from repro.gpu import fastcore
 from repro.gpu.backend import BackendConfig, SimulatedDeviceBackend
 from repro.gpu.device import PowerSegment, SegmentArray, SimulatedGPU
 from repro.gpu.dvfs import FirmwareState
+from repro.gpu.scheduler import LaunchConfig
 from repro.gpu.spec import mi300x_spec
 from repro.kernels.workloads import cb_gemm, mb_gemv
 
@@ -388,6 +392,43 @@ class TestExactBoundarySpans:
             assert device._control.energy_j == 0.0
 
 
+@dataclass(frozen=True)
+class RunCase:
+    """A backend configuration and the runs driven through it."""
+
+    config: dict = field(default_factory=dict)
+    launch: LaunchConfig | None = None
+    kernel: object = SHORT
+    executions: int = 12
+    pre_delays: tuple[float, ...] = (0.0, 0.7e-3, 1.9e-3)
+    preceding: tuple = ()
+
+
+#: Runs the compiled engine simulates in one whole-run kernel call.
+WHOLE_RUN_CASES = {
+    "averaging": RunCase(),
+    "coarse": RunCase(config={"sampler": "coarse"}),
+    "instantaneous": RunCase(config={"sampler": "instantaneous"}),
+    "no_reading_noise": RunCase(config={"reading_noise": 0.0}),
+    "zero_pre_delay": RunCase(pre_delays=(0.0, 0.0)),
+    # The second preceding sequence is the kernel of interest itself: both
+    # share its cache state inside the one call.
+    "preceding": RunCase(preceding=((GEMV, 4), (SHORT, 2)), executions=8),
+    "throttling": RunCase(kernel=BIG, executions=4, pre_delays=(0.3e-3,)),
+    "long_pre_delay": RunCase(pre_delays=(1.2,), executions=3),
+}
+
+#: Runs whose launch sequences do not fuse: the stepwise path runs them.
+FALLBACK_CASES = {
+    "no_execution_jitter": RunCase(
+        kernel=dataclasses.replace(
+            SHORT, variation=dataclasses.replace(SHORT.variation, execution_cv=0.0)
+        )
+    ),
+    "no_timestamp_error": RunCase(launch=LaunchConfig(event_timestamp_error_s=0.0)),
+}
+
+
 class TestBackendEquivalence:
     """Full instrumented runs must agree record-for-record across engines."""
 
@@ -468,6 +509,120 @@ class TestBackendEquivalence:
                 assert a.gpu_timestamp_ticks == b.gpu_timestamp_ticks
                 assert a.total_w == b.total_w
                 assert a.components == b.components
+
+    # -- The compiled engine's whole-run kernel (one call per run). -------- #
+    @requires_compiled
+    @pytest.mark.parametrize("name", sorted(WHOLE_RUN_CASES))
+    def test_whole_run_bitwise_equal_vectorized(self, name, monkeypatch):
+        calls = []
+        original = SimulatedGPU._run_compiled
+
+        def counted(device, *args, **kwargs):
+            calls.append(device)
+            return original(device, *args, **kwargs)
+
+        monkeypatch.setattr(SimulatedGPU, "_run_compiled", counted)
+        case = WHOLE_RUN_CASES[name]
+        compiled = drive_runs("compiled", case)
+        vectorized = drive_runs("vectorized", case)
+        assert len(calls) == len(case.pre_delays)
+        assert_runs_identical(compiled, vectorized)
+
+    @requires_compiled
+    def test_whole_run_grows_overflowed_buffers(self):
+        backend, _, _ = drive_runs("compiled", WHOLE_RUN_CASES["long_pre_delay"])
+        # The 1.2 s pre-delay records ~4800 slices and 1200 readings: both
+        # the slice and the sample buffer overflowed and were regrown.
+        assert backend.device._fc_seg.shape[0] > 4096
+        assert backend.device._fc_smp.shape[0] > 1200
+
+    @requires_compiled
+    @pytest.mark.parametrize("name", sorted(FALLBACK_CASES))
+    def test_unfusable_runs_fall_back_to_stepwise(self, name, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an unfusable run reached the whole-run kernel")
+
+        monkeypatch.setattr(SimulatedGPU, "_run_compiled", refuse)
+        case = FALLBACK_CASES[name]
+        assert_runs_identical(drive_runs("compiled", case), drive_runs("vectorized", case))
+
+
+def device_state(backend):
+    """Everything a run leaves behind on the device and backend."""
+    device = backend.device
+    firmware = device.firmware
+    control = device._control
+    return (
+        device.now_s(),
+        device.thermal.warmth,
+        device._next_control_s,
+        firmware.state,
+        firmware.frequency_ghz,
+        firmware._overdraw_accum_s,
+        firmware._throttle_until_s,
+        firmware._idle_accum_s,
+        firmware._last_power_w,
+        control.energy_j,
+        control.time_s,
+        control.active_time_s,
+        [(e.time_s, e.state, e.frequency_ghz, e.power_w) for e in device.firmware_events()],
+        device.executions(),
+        {
+            name: (state.consecutive_executions, state.last_end_s)
+            for name, state in device._cache_states.items()
+        },
+        device.is_recording,
+        device.rng.bit_generator.state,
+        backend._noise_rng.bit_generator.state,
+    )
+
+
+def drive_runs(engine, case, seed=11):
+    """``(backend, records, device state after each run)`` for one case."""
+    backend = SimulatedDeviceBackend(
+        spec=SPEC,
+        seed=seed,
+        config=BackendConfig(engine=engine, **case.config),
+        launch_config=case.launch,
+    )
+    assert backend.device.engine == engine
+    records, states = [], []
+    for i, pre_delay in enumerate(case.pre_delays):
+        records.append(
+            backend.run(
+                case.kernel,
+                executions=case.executions,
+                pre_delay_s=pre_delay,
+                run_index=i,
+                preceding=case.preceding,
+            )
+        )
+        states.append(device_state(backend))
+    return backend, records, states
+
+
+def assert_runs_identical(ours, theirs):
+    """Records and post-run device state equal bit for bit, run by run."""
+    _, records, states = ours
+    _, other_records, other_states = theirs
+    assert len(records) == len(other_records)
+    for a, b in zip(records, other_records):
+        assert (a.run_index, a.kernel_name, a.pre_delay_s) == (
+            b.run_index, b.kernel_name, b.pre_delay_s,
+        )
+        assert (a.logger_period_s, a.counter_frequency_hz) == (
+            b.logger_period_s, b.counter_frequency_hz,
+        )
+        assert a.anchor == b.anchor
+        assert a.metadata == b.metadata
+        assert a.readings == b.readings
+        assert np.array_equal(
+            a.reading_columns().gpu_timestamp_ticks, b.reading_columns().gpu_timestamp_ticks
+        )
+        assert a.executions == b.executions
+        assert a.preceding_executions == b.preceding_executions
+    for state, other in zip(states, other_states):
+        assert state == other
 
 
 class TestDescriptorProfileCache:

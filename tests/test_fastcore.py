@@ -155,7 +155,7 @@ class TestSelfCheckFailure:
             return rc
 
         corrupted = fastcore.KernelBundle(
-            "corrupted", corrupted_idle, bundle.execute, bundle.sequence
+            "corrupted", corrupted_idle, bundle.execute, bundle.sequence, bundle.run
         )
         failure = fastcore.self_check(corrupted)
         assert failure is not None and "mismatch" in failure

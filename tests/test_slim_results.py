@@ -276,3 +276,75 @@ class TestProfileSections:
         fig9_jobs = fig9.fig9_jobs()
         isolated = [j for j in fig9_jobs if j.job_id.startswith("fig9/isolated/")]
         assert isolated and all(j.profile_sections == ("ssp",) for j in isolated)
+
+
+class TestEmptySSEAssembly:
+    """Sweep assembly reports NaN, not an exception, for an empty SSE profile.
+
+    A short kernel can spend its whole budget without an SSE log of
+    interest; the slim run-only result then carries no SSE keys in its
+    summary snapshot and no profile to compute the error from.
+    """
+
+    @pytest.fixture(scope="class")
+    def slim(self) -> SlimFinGraVResult:
+        """A slim result whose SSE profile is not empty (CB-8K-GEMM)."""
+        result = execute_job(
+            ProfileJob(
+                job_id="slim-test/CB-8K-GEMM",
+                kernel=kernel_spec("cb_gemm", 8192),
+                runs=12,
+                backend_seed=71,
+                profiler_seed=171,
+                max_additional_runs=20,
+                result_mode="slim",
+            )
+        )
+        assert "sse_mean_total_w" in result.summary()
+        return result
+
+    @staticmethod
+    def without_sse(slim: SlimFinGraVResult) -> SlimFinGraVResult:
+        summary = {k: v for k, v in slim.summary_data.items() if not k.startswith("sse_")}
+        return dataclasses.replace(
+            slim,
+            sections=("run",),
+            profiles={"run": slim.run_profile},
+            summary_data=summary,
+        )
+
+    @pytest.mark.parametrize("figure", ["fig6", "fig8"])
+    def test_whole_run_figures_report_nan(self, slim, figure):
+        import importlib
+
+        module = importlib.import_module(f"repro.experiments.{figure}")
+        assemble = getattr(module, f"{figure}_from_results")
+        job_id = getattr(module, f"{figure}_jobs")()[0].job_id
+        summary = slim.summary()
+
+        result = assemble({job_id: self.without_sse(slim)})
+        assert np.isnan(result.sse_power_w) and np.isnan(result.sse_vs_ssp_error)
+        assert result.ssp_power_w == summary["ssp_mean_total_w"]
+        row = result.summary()
+        assert np.isnan(row["sse_total_w"]) and np.isnan(row["sse_vs_ssp_error_pct"])
+
+        # With the SSE keys present nothing changes.
+        intact = assemble({job_id: slim})
+        assert intact.sse_power_w == summary["sse_mean_total_w"]
+        assert intact.sse_vs_ssp_error == summary["sse_vs_ssp_error"]
+
+    def test_sampler_ablation_reports_nan_and_no_takeaway(self, slim):
+        from repro.experiments.ablations import sampler_ablation_from_results
+
+        empty = self.without_sse(slim)
+        with pytest.raises(ValueError):
+            empty.sse_vs_ssp_error()
+        for averaging, instantaneous in ((empty, slim), (slim, empty)):
+            ablation = sampler_ablation_from_results({
+                "ablations/sampler/averaging": averaging,
+                "ablations/sampler/instantaneous": instantaneous,
+            })
+            errors = (ablation.averaging_error, ablation.instantaneous_error)
+            assert sum(np.isnan(error) for error in errors) == 1
+            assert slim.sse_vs_ssp_error() in errors
+            assert ablation.to_row()["split_caused_by_averaging"] is False

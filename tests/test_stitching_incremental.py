@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core.records import ReadingColumns
-from repro.core.stitching import ProfileStitcher, StitchedRunSeries
+from repro.core.records import ExecutionTimings, ReadingColumns
+from repro.core.stitching import ProfileStitcher, StitchedRunSeries, mean_duration_or_zero
 from repro.gpu.backend import SimulatedDeviceBackend
 from repro.kernels.workloads import cb_gemm
 
@@ -31,6 +33,74 @@ def series_state(series: StitchedRunSeries):
             for loi in series.all_lois()
         ],
     )
+
+
+def object_walk_execution_time(series, golden_runs, which):
+    """Mean execution duration by walking every run's timing objects.
+
+    The per-snapshot loop ``ProfileStitcher._execution_time`` used before it
+    read columnar timings incrementally; kept here as its specification.
+    """
+    selected = set(golden_runs) if golden_runs is not None else None
+    durations = []
+    for run_index, run in series.runs.items():
+        if selected is not None and run_index not in selected:
+            continue
+        if not run.executions:
+            continue
+        if which == "last":
+            durations.append(run.last_execution.duration_s)
+        else:
+            try:
+                durations.append(run.execution(int(which)).duration_s)
+            except KeyError:
+                continue
+    return mean_duration_or_zero(durations)
+
+
+class TestExecutionTime:
+    @pytest.fixture(scope="class")
+    def mixed_records(self):
+        # 6, 11 and 16 executions per run: index 7 exists only in the longer
+        # runs and index 15 only in the longest (the KeyError branch).
+        backend = SimulatedDeviceBackend(seed=78)
+        kernel = cb_gemm(2048)
+        return [
+            backend.run(
+                kernel, executions=6 + 5 * (i % 3), pre_delay_s=(i % 4) * 2.7e-4, run_index=i
+            )
+            for i in range(12)
+        ]
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_matches_object_walk_bit_for_bit(self, mixed_records, columnar):
+        if columnar:
+            records = mixed_records
+            assert isinstance(records[0].executions, ExecutionTimings)
+        else:
+            records = [
+                dataclasses.replace(run, executions=tuple(run.executions))
+                for run in mixed_records
+            ]
+        stitcher = ProfileStitcher()
+        series = stitcher.collect(records[:5])
+        for start, end in ((5, 5), (5, 9), (9, 12)):
+            # Every snapshot, as the session takes them between batches.
+            stitcher.extend(series, records[start:end])
+            for which in ("last", 0, 7, 15, 99):
+                for golden in (None, [0, 2, 3, 7, 11], []):
+                    assert ProfileStitcher._execution_time(
+                        series, golden, which
+                    ) == object_walk_execution_time(series, golden, which)
+
+    def test_durations_extend_incrementally(self, mixed_records):
+        stitcher = ProfileStitcher()
+        series = stitcher.collect(mixed_records[:4])
+        assert series.execution_durations(15) == ([2], [mixed_records[2].execution(15).duration_s])
+        stitcher.extend(series, mixed_records[4:9])
+        run_indices, durations = series.execution_durations(15)
+        assert run_indices == [2, 5, 8]
+        assert durations == [mixed_records[i].execution(15).duration_s for i in run_indices]
 
 
 class TestExtend:
