@@ -592,14 +592,38 @@ class RunRecord:
     def execution(self, index: int) -> ExecutionTiming:
         executions = self.executions
         if isinstance(executions, ExecutionTimings):
-            matches = np.nonzero(executions.indices == index)[0]
-            if matches.size:
-                return executions[int(matches[0])]
-        else:
-            for execution in executions:
-                if execution.index == index:
-                    return execution
+            return executions[self._timing_position(index)]
+        for execution in executions:
+            if execution.index == index:
+                return execution
         raise KeyError(f"run {self.run_index} has no execution with index {index}")
+
+    def execution_duration(self, which: int | str) -> float:
+        """Host-observed duration of execution ``which`` (``"last"`` or an index).
+
+        Columnar timings are read straight from their start/end arrays (the
+        same float subtraction :attr:`ExecutionTiming.duration_s` performs),
+        without materialising timing objects.  Raises like
+        :attr:`last_execution` / :meth:`execution`.
+        """
+        executions = self.executions
+        if not isinstance(executions, ExecutionTimings):
+            timing = self.last_execution if which == "last" else self.execution(int(which))
+            return timing.duration_s
+        if which == "last":
+            if not executions:
+                raise ValueError("run has no executions")
+            position = -1
+        else:
+            position = self._timing_position(int(which))
+        return float(executions.ends_s[position] - executions.starts_s[position])
+
+    def _timing_position(self, index: int) -> int:
+        """Position of execution ``index`` in the columnar timings."""
+        matches = np.nonzero(self.executions.indices == index)[0]
+        if not matches.size:
+            raise KeyError(f"run {self.run_index} has no execution with index {index}")
+        return int(matches[0])
 
     def execution_durations(self) -> list[float]:
         executions = self.executions

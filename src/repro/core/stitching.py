@@ -11,6 +11,7 @@ on the x-axis) and for the whole-run profiles used by the methodology figures
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -83,7 +84,6 @@ class StitchedRunSeries:
         self._power_columns: dict[str, tuple[np.ndarray, np.ndarray | None] | None] = {}
         # Per-run durations of one execution ("last" or an index), extended
         # as runs arrive: which -> [runs scanned, run indices, durations].
-        self._run_order: list[RunRecord] = []
         self._durations: dict[int | str, list] = {}
         for run_index, run in dict(runs or {}).items():
             self.add_run(run, (lois_by_run or {}).get(run_index, ()))
@@ -122,7 +122,6 @@ class StitchedRunSeries:
             raise ValueError(f"run {run.run_index} already stitched into this series")
         lois = tuple(lois)
         self._runs[run.run_index] = run
-        self._run_order.append(run)
         self._lois_by_run[run.run_index] = lois
         if reading_match is not None:
             self._reading_match[run.run_index] = reading_match
@@ -157,12 +156,15 @@ class StitchedRunSeries:
         """
         entry = self._durations.setdefault(which, [0, [], []])
         scanned, run_indices, durations = entry
-        for run in self._run_order[scanned:]:
-            duration = _execution_duration(run, which)
-            if duration is not None:
-                run_indices.append(run.run_index)
-                durations.append(duration)
-        entry[0] = len(self._run_order)
+        for run in islice(self._runs.values(), scanned, None):
+            if not run.executions:
+                continue
+            try:
+                durations.append(run.execution_duration(which))
+            except KeyError:
+                continue
+            run_indices.append(run.run_index)
+        entry[0] = len(self._runs)
         return run_indices, durations
 
     # ------------------------------------------------------------------ #
@@ -732,33 +734,6 @@ class ProfileStitcher:
                 if run_index in selected
             ]
         return mean_duration_or_zero(durations)
-
-
-def _execution_duration(run: RunRecord, which: int | str) -> float | None:
-    """Host-observed duration of execution ``which`` of ``run``, if it has one.
-
-    Columnar timings are read straight from their start/end arrays (the
-    same float subtraction :attr:`ExecutionTiming.duration_s` performs),
-    without materialising timing objects.
-    """
-    executions = run.executions
-    if not executions:
-        return None
-    if isinstance(executions, ExecutionTimings):
-        if which == "last":
-            position = -1
-        else:
-            matches = np.flatnonzero(executions.indices == int(which))
-            if not matches.size:
-                return None
-            position = int(matches[0])
-        return float(executions.ends_s[position] - executions.starts_s[position])
-    if which == "last":
-        return executions[-1].duration_s
-    try:
-        return run.execution(int(which)).duration_s
-    except KeyError:
-        return None
 
 
 def mean_duration_or_zero(durations: Sequence[float]) -> float:

@@ -826,7 +826,6 @@ class CcKernels:
         ]
         self._lib = lib
         self._ptrs: dict[int, tuple] = {}
-        self._run_args: dict[tuple, tuple] = {}
 
     def _ptr(self, arr) -> int:
         cached = self._ptrs.get(id(arr))  # statics: allow[identity-hash] -- pointer cache; the pinned array reference keeps the id stable
@@ -871,26 +870,12 @@ class CcKernels:
         self, st, pp, rp, descs, seqs, caches, variates, seg, ev, lens,
         exec_rows, cpu_starts, cpu_ends, smp, out,
     ):
-        # A run passes the same fifteen device-owned buffers every time, so
-        # the whole marshalled argument list is cached per buffer set (the
-        # entry pins the arrays, keeping their ids unique while cached).
-        arrays = (
-            st, pp, rp, descs, seqs, caches, variates, seg, ev, lens,
-            exec_rows, cpu_starts, cpu_ends, smp, out,
+        p = self._ptr
+        return self._lib.fc_run(
+            p(st), p(pp), p(rp), p(descs), p(seqs), p(caches), p(variates),
+            p(seg), seg.shape[0], p(ev), ev.shape[0], p(lens),
+            p(exec_rows), p(cpu_starts), p(cpu_ends), p(smp), smp.shape[0], p(out),
         )
-        key = tuple(map(id, arrays))
-        cached = self._run_args.get(key)
-        if cached is None:
-            if len(self._run_args) > 8:  # buffers regrown or swapped by tests
-                self._run_args.clear()
-            p = self._ptr
-            args = (
-                p(st), p(pp), p(rp), p(descs), p(seqs), p(caches), p(variates),
-                p(seg), seg.shape[0], p(ev), ev.shape[0], p(lens),
-                p(exec_rows), p(cpu_starts), p(cpu_ends), p(smp), smp.shape[0], p(out),
-            )
-            cached = self._run_args[key] = (arrays, args)
-        return self._lib.fc_run(*cached[1])
 
 
 def load() -> CcKernels:

@@ -93,6 +93,20 @@ class TestExecutionTime:
                         series, golden, which
                     ) == object_walk_execution_time(series, golden, which)
 
+    def test_run_record_execution_duration(self, mixed_records):
+        run = mixed_records[2]
+        plain = dataclasses.replace(run, executions=tuple(run.executions))
+        for record in (run, plain):
+            assert record.execution_duration("last") == record.last_execution.duration_s
+            for index in (0, 7, 15):
+                assert record.execution_duration(index) == record.execution(index).duration_s
+            with pytest.raises(KeyError):
+                record.execution_duration(99)
+        empty = dataclasses.replace(run, executions=ExecutionTimings.from_blocks(
+            [("k", 0, 0)], np.empty(0), np.empty(0)))
+        with pytest.raises(ValueError):
+            empty.execution_duration("last")
+
     def test_durations_extend_incrementally(self, mixed_records):
         stitcher = ProfileStitcher()
         series = stitcher.collect(mixed_records[:4])
