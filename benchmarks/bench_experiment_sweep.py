@@ -1,6 +1,6 @@
 """Benchmark: columnar profile construction + the parallel experiment sweep.
 
-Four measurements, all extending ``BENCH_profiler.json``:
+Three measurements, all extending ``BENCH_profiler.json``:
 
 * ``test_profile_construction_scaling`` builds profiles from 1k-100k stitched
   LOIs through the columnar path (``profile_from_lois``) and the retained
@@ -16,10 +16,6 @@ Four measurements, all extending ``BENCH_profiler.json``:
   both result modes and records the pickled payload bytes -- the slim mode
   must shrink at least one fig7 job's payload >=5x (the short-kernel jobs
   reach tens of x) with bit-identical profiles.
-* ``test_execution_arena_run_cost`` measures per-execution ``backend.run()``
-  cost on the arena (vectorized) engine against the retained object
-  (``vectorized=False``) path, and against the ``device_run_cost`` numbers
-  the pre-arena benchmark recorded in ``BENCH_profiler.json``.
 """
 
 from __future__ import annotations
@@ -39,10 +35,7 @@ from repro.core.records import LogOfInterest, PowerReading
 from repro.experiments.fig7 import fig7_jobs
 from repro.experiments.sweep import SweepRunner, execute_job
 from repro.experiments.table1 import table1_jobs
-from repro.experiments.common import FAST_SCALE, make_backend
-from repro.gpu.backend import BackendConfig, SimulatedDeviceBackend
-from repro.gpu.spec import mi300x_spec
-from repro.kernels.workloads import cb_gemm
+from repro.experiments.common import FAST_SCALE
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_profiler.json"
 
@@ -262,82 +255,3 @@ def test_slim_vs_full_payload():
     }})
     best = max(row["ratio"] for row in rows)
     assert best >= 5.0, f"best fig7 slim payload ratio {best:.1f}x below 5x"
-
-
-# --------------------------------------------------------------------------- #
-# Execution-arena run cost: per-execution backend.run() vs the object path
-# (and vs the pre-arena numbers recorded by earlier benchmark runs).
-# --------------------------------------------------------------------------- #
-def _run_cost_seconds(backend: SimulatedDeviceBackend, executions: int) -> float:
-    kernel = cb_gemm(2048)
-    backend.run(kernel, executions=executions, pre_delay_s=0.0)  # warm caches
-    repetitions = 12
-    best = float("inf")
-    for repetition in range(3):
-        begin = time.perf_counter()
-        for i in range(repetitions):
-            backend.run(kernel, executions=executions, pre_delay_s=0.0, run_index=i)
-        best = min(best, (time.perf_counter() - begin) / repetitions)
-    return best
-
-
-@pytest.mark.bench
-def test_execution_arena_run_cost():
-    """The arena engine beats the object path on per-execution run cost."""
-    # The pre-arena (PR 3) vectorized numbers are snapshotted once under
-    # their own key: ``device_run_cost`` is re-measured with the *current*
-    # (arena) engine by bench_device_scaling.py, so reading it live would
-    # turn the comparison into arena-vs-arena on every later bench run.
-    previous: dict[int, float] = {}
-    baseline_rows = None
-    if RESULT_PATH.exists():
-        try:
-            payload = json.loads(RESULT_PATH.read_text())
-            baseline_rows = payload.get("pre_arena_device_run_cost")
-            if baseline_rows is None:
-                baseline_rows = payload.get("device_run_cost")
-            for row in baseline_rows or []:
-                previous[row["executions"]] = row.get("vectorized_ms")
-        except (json.JSONDecodeError, TypeError, KeyError):
-            previous = {}
-            baseline_rows = None
-    rows = []
-    for executions in (20, 40, 80, 160):
-        arena_s = _run_cost_seconds(make_backend(seed=3), executions)
-        reference_s = _run_cost_seconds(
-            SimulatedDeviceBackend(
-                spec=mi300x_spec(), seed=3, config=BackendConfig(vectorized=False)
-            ),
-            executions,
-        )
-        row = {
-            "executions": executions,
-            "arena_ms": arena_s * 1e3,
-            "arena_us_per_execution": arena_s / executions * 1e6,
-            "reference_ms": reference_s * 1e3,
-            "speedup_vs_reference": reference_s / arena_s,
-        }
-        pre_arena_ms = previous.get(executions)
-        if pre_arena_ms:
-            row["pre_arena_ms"] = pre_arena_ms
-            row["speedup_vs_pre_arena"] = pre_arena_ms / row["arena_ms"]
-        rows.append(row)
-    print("\n=== per-execution backend.run() cost: arena vs object path ===")
-    for row in rows:
-        extra = ""
-        if "speedup_vs_pre_arena" in row:
-            extra = (f", pre-arena {row['pre_arena_ms']:.2f} ms "
-                     f"({row['speedup_vs_pre_arena']:.2f}x)")
-        print(f"  {row['executions']:>4} executions: arena {row['arena_ms']:7.3f} ms "
-              f"({row['arena_us_per_execution']:5.2f} us/exec), "
-              f"object path {row['reference_ms']:7.3f} ms "
-              f"({row['speedup_vs_reference']:.1f}x){extra}")
-    update: dict = {"arena_run_cost": rows}
-    if baseline_rows:
-        update["pre_arena_device_run_cost"] = baseline_rows  # freeze the baseline
-    _write_results(update)
-    for row in rows:
-        assert row["speedup_vs_reference"] >= 2.0, (
-            f"arena path only {row['speedup_vs_reference']:.2f}x over the "
-            f"object path at {row['executions']} executions"
-        )

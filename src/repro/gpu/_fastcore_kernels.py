@@ -1,26 +1,26 @@
 """Kernel bodies of the compiled slice/boundary core, in njit-able Python.
 
-This module is the *single transcription* of the device's measured hot loops
--- the idle per-period loop of :meth:`SimulatedGPU._idle_fast`, the execution
-slice loop of :meth:`SimulatedGPU._execute_fast`, the firmware control
-boundary of :meth:`SimulatedGPU._maybe_step_firmware` /
-:meth:`PowerManagementFirmware.step`, the closed-form thermal relaxation
-of :meth:`ThermalModel.relax_span`, and the sampler window integration of
+This module is the *single transcription* of the device's hot loops -- the
+idle per-period loop and the execution slice loop of the reference engine
+(:meth:`SimulatedGPU._idle_reference` / :meth:`SimulatedGPU._execute_reference`,
+with per-descriptor utilisations hoisted and idle-span warmth relaxed once
+per span), the firmware control boundary of
+:meth:`SimulatedGPU._maybe_step_firmware` /
+:meth:`PowerManagementFirmware.step`, the closed-form thermal relaxation of
+:meth:`ThermalModel.relax_span`, and the sampler window integration of
 :class:`~repro.gpu.telemetry.AveragingPowerLogger` -- into a form Numba can
 ``@njit`` and a C compiler can mirror line for line (``_fastcore_cc``).
 ``run_core`` composes them into one whole instrumented run of
-:meth:`SimulatedDeviceBackend.run`.  Every expression is a
-verbatim copy of the corresponding Python engine statement (same operand
-order, same comparisons, same clamps), so the compiled engines replay the
-vectorized engine's iterated-float arithmetic bit for bit; the equivalence
-suite pins that contract.  When editing the device hot paths, keep this file
-and the C source in ``_fastcore_cc`` in lockstep.
+:meth:`SimulatedDeviceBackend.run`.  Every provider replays these bodies'
+iterated-float arithmetic bit for bit (the provider self-check pins that),
+and the equivalence suite pins them against the reference engine.  When
+editing a kernel body, keep the C source in ``_fastcore_cc`` in lockstep.
 
 When Numba is importable every function below is compiled with
 ``@njit(cache=True)`` at import time; otherwise the plain Python definitions
-remain, which makes this module double as the ``python`` provider (slow --
-used only to validate the kernel algorithm without Numba, never selected
-automatically).
+remain, which makes this module double as the ``python`` provider (the
+last resort of auto selection, for hosts with neither Numba nor a C
+compiler).
 
 Data layout (shared with the C core)
 ------------------------------------
@@ -37,7 +37,7 @@ Data layout (shared with the C core)
   [0] base_duration_s  [1] frequency_sensitivity  [2] cold_duration_multiplier
   [3] cold_executions  [4] n_phases, then per phase
   (cumulative_fraction, xcd_act, iod_util, hbm_warm, hbm_cold) -- the exact
-  rows of ``SimulatedGPU._descriptor_profile``.
+  rows ``SimulatedGPU._fc_descriptor`` packs.
 
 ``seg`` -- float64[cap, 5] output power slices (start, end, xcd, iod, hbm).
 ``ev``  -- float64[cap, 4] output firmware events (time, state code, freq, power).
@@ -278,7 +278,7 @@ def fw_step(st, pp, ev, lens, now, dt, power, resident):
 
 @_njit(cache=True)
 def fw_arrival(st, pp, ev, lens, now):
-    """``_execute_fast``'s arrival hook (notify_kernel_arrival, inlined)."""
+    """The execution's arrival hook (notify_kernel_arrival, inlined)."""
     st[S_IDLEAC] = 0.0
     s = int(st[S_FWST])
     if s == FW_IDLE or s == FW_RAMPING:
@@ -311,15 +311,14 @@ def control_boundary(st, pp, ev, lens):
 
 
 # --------------------------------------------------------------------- #
-# Idle span (SimulatedGPU._idle_fast's per-period loop, transcribed).
+# Idle span (SimulatedGPU._idle_reference's per-period loop, transcribed).
 # --------------------------------------------------------------------- #
 @_njit(cache=True)
 def idle_core(st, pp, duration, record, seg, ev, lens):
     """One idle span: per-period loop + one closed-form cool relaxation.
 
     Identical slice boundaries, accumulator arithmetic and firmware updates
-    as ``_idle_fast`` (which needs no batched-grid special case here -- the
-    compiled per-period loop is cheap at any span length).
+    as ``_idle_reference``; warmth relaxes once over the whole span.
     """
     if duration <= 1e-12:
         return 0
@@ -387,7 +386,7 @@ def idle_core(st, pp, duration, record, seg, ev, lens):
 
 
 # --------------------------------------------------------------------- #
-# Kernel execution (SimulatedGPU._execute_fast's slice loop, transcribed).
+# Kernel execution (SimulatedGPU._execute_reference's slice loop, transcribed).
 # --------------------------------------------------------------------- #
 @_njit(cache=True)
 def execute_core(st, pp, desc, time_factor, cold, record, seg, ev, lens, out8):
@@ -396,7 +395,7 @@ def execute_core(st, pp, desc, time_factor, cold, record, seg, ev, lens, out8):
     The caller owns the RNG draws (jitter / run factor arrive folded into
     ``time_factor``) and the cache-state bookkeeping (``cold`` arrives
     resolved); everything between -- firmware arrival, the slice loop, power,
-    thermal and control accumulation -- replays ``_execute_fast`` exactly.
+    thermal and control accumulation -- follows ``_execute_reference``.
     """
     now = st[S_NOW]
     start_s = now

@@ -61,16 +61,10 @@ class BackendConfig:
     reading_noise: float = 0.003
     #: Period of the instantaneous sampler when selected.
     instantaneous_period_s: float = 100e-6
-    #: Deprecated engine pin: ``True`` -> ``engine="vectorized"``, ``False``
-    #: -> ``engine="reference"``.  Kept for existing callers; leave ``None``
-    #: (and use ``engine``) in new code.  Only honoured when the backend
-    #: constructs its own device; an explicitly passed device keeps its
-    #: engine.
-    vectorized: bool | None = None
     #: Time-advance engine for a backend-constructed device: ``"compiled"``,
-    #: ``"vectorized"``, ``"reference"`` or ``"auto"``/``None`` (compiled
-    #: when available, else vectorized; overridable via the ``REPRO_ENGINE``
-    #: environment variable -- see docs/engines.md).
+    #: ``"reference"`` or ``"auto"``/``None`` (compiled; overridable via the
+    #: ``REPRO_ENGINE`` environment variable -- see docs/engines.md).  An
+    #: explicitly passed device keeps its engine.
     engine: str | None = None
 
     def validate(self) -> None:
@@ -84,20 +78,12 @@ class BackendConfig:
             raise ValueError("reading noise must be a small non-negative fraction")
         if self.instantaneous_period_s <= 0:
             raise ValueError("instantaneous sampler period must be positive")
-        if self.engine is not None and self.vectorized is not None:
-            raise ValueError(
-                "pass either engine or the deprecated vectorized flag, not both"
-            )
-        if self.engine is not None and self.engine not in ("auto", *fastcore.VALID_ENGINES):
-            raise ValueError(
-                f"unknown engine {self.engine!r}: valid engines are "
-                "'compiled', 'vectorized' and 'reference' "
-                "(or 'auto'/None for auto-selection)"
-            )
+        if self.engine is not None:
+            fastcore.resolve_engine(self.engine)
 
     def resolved_engine(self) -> str:
         """The concrete engine a backend-constructed device will run."""
-        return fastcore.resolve_engine(self.engine, self.vectorized)
+        return fastcore.resolve_engine(self.engine)
 
 
 #: The backend constructor's object parameters and the types they take.
@@ -195,23 +181,21 @@ class SimulatedDeviceBackend:
     def _descriptor_of(self, kernel: object) -> KernelActivityDescriptor:
         if isinstance(kernel, KernelActivityDescriptor):
             return kernel
-        if self._device.vectorized:
-            # activity_descriptor() is a pure function of the kernel and the
-            # device spec, but deriving it redoes the roofline/memory-traffic
-            # math; cache it per kernel handle for the run loop.  The cached
-            # strong reference keeps the id stable; the cache is bounded so a
-            # long-lived backend profiling many kernels cannot grow (or pin
-            # handles) without limit.
-            cached = self._descriptor_cache.get(id(kernel))  # statics: allow[identity-hash] -- in-process cache; the pinned strong ref keeps the id stable
-            if cached is not None and cached[0] is kernel:
-                return cached[1]
+        # activity_descriptor() is a pure function of the kernel and the
+        # device spec, but deriving it redoes the roofline/memory-traffic
+        # math; cache it per kernel handle for the run loop.  The cached
+        # strong reference keeps the id stable; the cache is bounded so a
+        # long-lived backend profiling many kernels cannot grow (or pin
+        # handles) without limit.
+        cached = self._descriptor_cache.get(id(kernel))  # statics: allow[identity-hash] -- in-process cache; the pinned strong ref keeps the id stable
+        if cached is not None and cached[0] is kernel:
+            return cached[1]
         descriptor = getattr(kernel, "activity_descriptor", None)
         if callable(descriptor):
             derived = descriptor(self._device.spec)
-            if self._device.vectorized:
-                if len(self._descriptor_cache) >= self._DESCRIPTOR_CACHE_LIMIT:
-                    self._descriptor_cache.clear()
-                self._descriptor_cache[id(kernel)] = (kernel, derived)  # statics: allow[identity-hash] -- cache key never escapes the process
+            if len(self._descriptor_cache) >= self._DESCRIPTOR_CACHE_LIMIT:
+                self._descriptor_cache.clear()
+            self._descriptor_cache[id(kernel)] = (kernel, derived)  # statics: allow[identity-hash] -- cache key never escapes the process
             return derived
         raise TypeError(
             "kernel handle must be a KernelActivityDescriptor or provide "
@@ -349,7 +333,11 @@ class SimulatedDeviceBackend:
         )
 
     def _run_stepwise(self, sequences, pre_delay_s: float) -> tuple:
-        """The run driven device call by device call (every other engine)."""
+        """The run driven device call by device call.
+
+        The reference engine always runs here, and so does the compiled
+        engine for runs with a sequence that does not fuse.
+        """
         device = self._device
         period = self._sampler.period_s
         *preceding, (descriptor, executions) = sequences
@@ -368,11 +356,11 @@ class SimulatedDeviceBackend:
         if pre_delay_s > 0:
             device.idle(pre_delay_s)
 
-        if device.vectorized:
-            # Hot path: launch sequences stage their timings in the backend's
-            # execution arena (no per-execution objects) and readings come
-            # straight from columnar samples -- identical values to the
-            # branch below; the record adopts both as lazy views.
+        if device.engine == "compiled":
+            # Launch sequences stage their timings in the backend's execution
+            # arena (no per-execution objects) and readings come straight
+            # from columnar samples -- identical values to the branch below;
+            # the record adopts both as lazy views.
             arena = self._arena
             arena.begin()
             for preceding_descriptor, preceding_count in preceding:

@@ -17,56 +17,37 @@ timestamp counter (what tags power-logger samples).  Only the simulator knows
 the exact relationship between them -- the methodology has to reconstruct it,
 exactly as on real hardware (paper challenge C2).
 
-Three execution engines
------------------------
-Time advance comes in three interchangeable engines selected by the
-``engine`` constructor argument (``"compiled"`` | ``"vectorized"`` |
-``"reference"``; the legacy ``vectorized`` boolean maps ``True`` ->
-``"vectorized"`` and ``False`` -> ``"reference"``):
+Two execution engines
+---------------------
+Time advance comes in two interchangeable engines selected by the
+``engine`` constructor argument (``"compiled"`` | ``"reference"``, or
+``"auto"``/``None`` for :func:`repro.gpu.fastcore.resolve_engine`'s choice,
+which is ``compiled``):
 
-* ``engine="compiled"`` -- the per-period/per-slice hot loops run as
-  compiled kernels (:mod:`repro.gpu.fastcore`: Numba ``@njit`` when the
-  ``fast`` extra is installed, a ctypes-bound C mirror otherwise).  The
-  kernels replay the vectorized engine's iterated-float arithmetic exactly
-  -- sequential accumulation order, identical clamps, same RNG stream
-  consumption -- and a one-time self-check pins them bit-for-bit against
-  the pure-Python kernel bodies before the engine can ever be selected.
-  Simulation state (clock, warmth, control accumulator, firmware) is packed
-  into a flat float vector around each call and recorded slices / firmware
-  events are drained from preallocated buffers afterwards, so a whole
-  launch sequence collapses to one compiled call -- and a backend's whole
-  instrumented run, sampler readings included, to one more
-  (:meth:`_run_compiled`).  There is no idle-span
-  batching threshold on this engine: the compiled per-period loop is cheap
-  at any span length.
-* ``engine="vectorized"`` (default) -- the batched NumPy engine.  Slice boundaries
-  between firmware control steps are computed with plain float arithmetic,
-  per-slice power is appended to a columnar :class:`_SegmentBuffer` (no
-  per-slice dataclasses), idle-span warmth is advanced with one closed-form
-  relaxation per span (:meth:`~repro.gpu.thermal.ThermalModel.relax_span`),
-  and :meth:`stop_recording` returns a :class:`SegmentArray` that the
-  telemetry layer ingests without re-packing ``PowerSegment`` objects.
-  Multi-boundary idle spans additionally run through a batched boundary
-  engine: the whole grid of full control periods is computed as one verified
-  NumPy grid (reproducing the per-period loop's iterated-addition floats bit
-  for bit), bulk-appended to the segment buffer, and the firmware evolves
-  over the grid in closed form
-  (:meth:`~repro.gpu.dvfs.PowerManagementFirmware.idle_span` -- at most one
-  IDLE-park transition per span).
+* ``engine="compiled"`` -- the per-period/per-slice hot loops run as the
+  kernel bodies of :mod:`repro.gpu._fastcore_kernels`, through whichever
+  provider :mod:`repro.gpu.fastcore` selected (Numba ``@njit`` when the
+  ``fast`` extra is installed, a ctypes-bound C mirror when a C compiler is
+  present, else the bodies as plain Python).  A one-time self-check pins
+  the provider bit-for-bit against the pure-Python kernel bodies before it
+  is used.  Simulation state (clock, warmth, control accumulator, firmware)
+  is packed into a flat float vector around each call and recorded slices /
+  firmware events are drained from preallocated buffers afterwards, so a
+  whole launch sequence collapses to one compiled call -- and a backend's
+  whole instrumented run, sampler readings included, to one more
+  (:meth:`_run_compiled`).  Recordings come back as a columnar
+  :class:`SegmentArray` and the ground truth as a columnar execution log.
 * ``engine="reference"`` -- the original per-slice reference path, retained
   as the executable specification.  It materialises one :class:`PowerSegment`
   per slice and steps the thermal model slice by slice.
 
-All paths evolve the firmware with exactly one control update per control
-period (one ``step()``-equivalent per period, never per slice -- batched idle
-spans collapse the per-period callbacks into one closed-form update), consume
-the same RNG stream, and produce identical slice boundaries; recorded powers
-agree to ~1 ulp (the only divergence is the closed-form idle-span warmth).
-The equivalence suite in ``tests/test_device_equivalence.py`` pins segments,
-executions, firmware events and final warmth across idle, short-kernel,
-throttling-GEMM, interleaved and long-idle park/unpark scenarios, for the
-compiled engine, the batched engine and the pinned per-period scalar path
-(``_idle_batch_min_periods = inf``) alike.
+Both engines evolve the firmware with exactly one control update per control
+period, consume the same RNG stream and produce identical slice boundaries;
+recorded powers agree to ~1 ulp (the compiled engine relaxes idle-span
+warmth once per span, in closed form).  The equivalence suite in
+``tests/test_device_equivalence.py`` pins segments, executions, firmware
+events and final warmth across idle, short-kernel, throttling-GEMM,
+interleaved and long-idle park/unpark scenarios.
 """
 
 from __future__ import annotations
@@ -178,15 +159,15 @@ class SegmentArray(Sequence):
 
 
 class _SegmentBuffer:
-    """Growable columnar store the vectorized engine appends slices to.
+    """Growable columnar store the compiled engine appends slices to.
 
-    Slices arrive as plain floats interleaved ``(start, end, xcd, iod, hbm)``
-    in one flat list, so recording a slice is a single ``list.extend`` -- no
-    :class:`PowerSegment` / dataclass churn on the hot path.  The batched
-    idle-span engine instead hands over whole ``(n, 5)`` row blocks
-    (:meth:`append_block` is one list append; the block is spliced into the
-    scalar stream at its recorded position).  Everything is packed into a
-    :class:`SegmentArray` once, when the recording stops.
+    Single slices arrive as plain floats interleaved ``(start, end, xcd, iod,
+    hbm)`` in one flat array, so recording a slice is a single ``extend`` --
+    no :class:`PowerSegment` / dataclass churn on the hot path.  Kernel calls
+    instead hand over whole ``(n, 5)`` row blocks (:meth:`append_block` is
+    one list append; the block is spliced into the scalar stream at its
+    recorded position).  Everything is packed into a :class:`SegmentArray`
+    once, when the recording stops.
     """
 
     __slots__ = ("data", "blocks")
@@ -194,9 +175,6 @@ class _SegmentBuffer:
     def __init__(self) -> None:
         self.data = array("d")
         self.blocks: list[tuple[int, np.ndarray]] = []
-
-    def append(self, start: float, end: float, xcd: float, iod: float, hbm: float) -> None:
-        self.data.extend((start, end, xcd, iod, hbm))
 
     def append_block(self, rows: np.ndarray) -> None:
         """Bulk-append ``(start, end, xcd, iod, hbm)`` rows in one call.
@@ -247,9 +225,9 @@ class KernelExecutionResult:
 
 
 class _ExecutionLog:
-    """Columnar ground-truth execution history (the vectorized engine's).
+    """Columnar ground-truth execution history (the compiled engine's).
 
-    The batched execution path appends one flat row of floats per execution
+    The compiled execution path appends one flat row of floats per execution
     -- ``(start, end, cold, mean_frequency, energy, xcd_w, iod_w, hbm_w)`` --
     plus the kernel name, instead of constructing a
     :class:`KernelExecutionResult` (and its :class:`ComponentPower`) per
@@ -335,24 +313,12 @@ class SimulatedGPU:
     #: from the on-chip caches (seconds).
     CACHE_RETENTION_S = 4e-3
 
-    #: Minimum estimated whole control periods left in an idle span before
-    #: the vectorized engine's batched boundary engine takes over from the
-    #: per-period loop.  Measured break-even is ~16-24 periods
-    #: (bench_idle_span.py); the default sits at the low end so the common
-    #: 8 ms park (32 periods) rides the batched grid.  The compiled engine
-    #: has no threshold at all -- its per-period loop is cheap at any span
-    #: length.  Tests set the instance attribute to ``inf`` to pin the
-    #: per-period scalar path, or to a small value to force batching on
-    #: short spans.
-    _IDLE_BATCH_MIN_PERIODS = 16
-
     def __init__(
         self,
         spec: GPUSpec | None = None,
         seed: int = 0,
         thermal_spec: ThermalSpec | None = None,
         firmware_config: FirmwareConfig | None = None,
-        vectorized: bool = True,
         engine: str | None = None,
     ) -> None:
         self._spec = spec or mi300x_spec()
@@ -367,24 +333,8 @@ class SimulatedGPU:
         )
         self._thermal = ThermalModel(thermal_spec)
         self._variation = ExecutionTimeVariationModel(self._rng)
-        # Engine resolution: an explicit ``engine`` string wins (resolved
-        # through fastcore, honouring availability); with ``engine=None``
-        # the legacy ``vectorized`` boolean pins the NumPy or reference
-        # engine exactly as before -- direct constructor callers never
-        # auto-select the compiled tier (backends resolve ``auto`` and pass
-        # the result down explicitly).
-        if engine is None:
-            self._engine = "vectorized" if vectorized else "reference"
-        else:
-            self._engine = _fastcore.resolve_engine(engine)
-        self._vectorized = self._engine != "reference"
-        self._idle_batch_min_periods = float(self._IDLE_BATCH_MIN_PERIODS)
-        # Control-boundary lattice of the batched idle-span engine (built
-        # lazily by _boundary_span) and its cached idle-power row template.
-        self._lattice: np.ndarray | None = None
-        self._lattice_diffs: np.ndarray | None = None
-        self._lattice_broken = False
-        self._idle_rows_cache: np.ndarray | None = None
+        self._engine = _fastcore.resolve_engine(engine)
+        self._compiled = self._engine == "compiled"
 
         # Idle power is constant for the lifetime of the device; cache it so
         # the hot paths (and the firmware fallback) skip re-synthesising it.
@@ -392,24 +342,7 @@ class SimulatedGPU:
         self._idle_power = idle_power
         self._idle_power_xih = (idle_power.xcd_w, idle_power.iod_w, idle_power.hbm_w)
         self._idle_total_w = idle_power.total_w
-        # Constants the batched engine reads every slice, hoisted once.
-        budget = self._spec.power
-        dvfs = self._spec.dvfs
-        self._exec_consts = (
-            dvfs.nominal_frequency_ghz,
-            dvfs.power_exponent,
-            budget.xcd_idle_w,
-            budget.xcd_dynamic_w,
-            budget.iod_idle_w,
-            budget.iod_dynamic_w,
-            budget.hbm_idle_w,
-            budget.hbm_dynamic_w,
-            PowerModel.WARMTH_DYNAMIC_SWING,
-            IOD_FREQUENCY_COUPLING,
-        )
-        thermal_spec = self._thermal.spec
-        self._heat_tau_s = thermal_spec.heat_tau_s
-        self._cool_tau_s = thermal_spec.cool_tau_s
+        self._cool_tau_s = self._thermal.spec.cool_tau_s
 
         self._recording = False
         self._segments: list[PowerSegment] = []
@@ -421,20 +354,12 @@ class SimulatedGPU:
         self._control = _ControlAccumulator()
         self._next_control_s = self._spec.dvfs.control_period_s
         self._executions: list[KernelExecutionResult] = []
-        # Columnar ground-truth log the vectorized engine appends to (the
+        # Columnar ground-truth log the compiled engine appends to (the
         # reference engine keeps appending result objects to _executions).
         self._exec_log = _ExecutionLog()
         self._exec_log_extend = self._exec_log.data.extend
-
-        # Hot-path dispatch: launchers call these bound attributes instead of
-        # branching on the engine per call.
-        if self._engine == "compiled":
+        if self._compiled:
             self._fc_setup()
-            self._idle_hot = self._idle_compiled
-            self._execute_hot = self._execute_compiled
-        else:
-            self._idle_hot = self._idle_fast
-            self._execute_hot = self._execute_fast
 
         # Host-side timestamp reads must go through the device so the round
         # trip is visible to telemetry, thermal state and the firmware alike.
@@ -477,17 +402,8 @@ class SimulatedGPU:
 
     @property
     def engine(self) -> str:
-        """The active time-advance engine (compiled/vectorized/reference)."""
+        """The active time-advance engine (compiled/reference)."""
         return self._engine
-
-    @property
-    def vectorized(self) -> bool:
-        """Whether a batched time-advance engine is active.
-
-        True for both the ``vectorized`` and ``compiled`` engines (they share
-        the columnar recording/launch paths); False only for ``reference``.
-        """
-        return self._vectorized
 
     def now_s(self) -> float:
         """Current CPU/simulated time in seconds."""
@@ -498,7 +414,7 @@ class SimulatedGPU:
 
     def executions(self) -> list[KernelExecutionResult]:
         """Ground-truth execution history since recording started."""
-        if self._vectorized:
+        if self._compiled:
             return self._exec_log.materialize()
         return list(self._executions)
 
@@ -518,12 +434,12 @@ class SimulatedGPU:
     def stop_recording(self) -> Sequence[PowerSegment]:
         """Stop recording and return the captured power segments.
 
-        The vectorized engine returns a columnar :class:`SegmentArray`; the
+        The compiled engine returns a columnar :class:`SegmentArray`; the
         reference engine returns a plain list of :class:`PowerSegment`.  Both
         compare equal element-wise and support the same sequence protocol.
         """
         self._recording = False
-        if self._vectorized:
+        if self._compiled:
             segments_array = self._buffer.to_segment_array()
             self._buffer = _SegmentBuffer()
             self._record_extend = self._buffer.data.extend
@@ -566,8 +482,8 @@ class SimulatedGPU:
         """Let the device sit idle for ``duration_s`` seconds."""
         if duration_s < 0:
             raise ValueError("idle duration cannot be negative")
-        if self._vectorized:
-            self._idle_hot(duration_s)
+        if self._compiled:
+            self._idle_compiled(duration_s)
         else:
             self._idle_reference(duration_s)
 
@@ -587,8 +503,8 @@ class SimulatedGPU:
         longer than the control period (the mechanism behind the power
         excursions and throttling of the largest GEMMs).
         """
-        if self._vectorized:
-            return self._execute_hot(descriptor, run_variation)
+        if self._compiled:
+            return self._execute_compiled(descriptor, run_variation)
         return self._execute_reference(descriptor, run_variation)
 
     def draw_run_variation(self, descriptor: KernelActivityDescriptor) -> RunVariation:
@@ -611,173 +527,6 @@ class SimulatedGPU:
             self._sim_clock.advance(dt)
             remaining -= dt
             self._maybe_step_firmware()
-
-    def _idle_fast(self, duration_s: float) -> None:
-        """Batched idle path: same slice boundaries, columnar recording.
-
-        Firmware control steps stay exact (one ``step``-equivalent update per
-        control period); per-slice work collapses to float appends, and warmth
-        is advanced once with the closed-form relaxation over the whole span
-        (the warmth update inlines :meth:`ThermalModel.step`'s arithmetic --
-        keep in lockstep).
-
-        Multi-boundary spans run through a batched boundary engine: whenever
-        the control accumulator is empty (i.e. the span sits exactly on a
-        control boundary, or started with nothing accrued) and at least
-        ``_IDLE_BATCH_MIN_PERIODS`` whole periods remain, the full-period
-        slices ahead are computed as one vectorized grid.  The grid reproduces
-        the per-period loop's iterated-addition float boundaries exactly --
-        ``np.add.accumulate`` replays ``next_control += period`` and
-        ``remaining -= dt`` sequentially, and the slice-end collapse
-        ``fl(now + fl(next_control - now)) == next_control`` is *verified* per
-        chunk, falling back to the per-period loop below on any mismatch (the
-        reason a naive ``np.arange`` scan would diverge).  The whole grid is
-        bulk-appended to the :class:`_SegmentBuffer` in one call and the
-        firmware evolves over the grid's boundaries in closed form
-        (:meth:`PowerManagementFirmware.idle_span`, at most one IDLE-park
-        transition per span).  The retained per-period loop handles the head
-        slice (a partially-accrued control interval, possibly resident), the
-        tail slice (the final partial period) and any unverifiable grid; it is
-        the pinned scalar path the equivalence suite compares against
-        (``_idle_batch_min_periods = inf`` disables batching entirely).
-        """
-        if duration_s <= 1e-12:
-            return
-        thermal = self._thermal
-        control = self._control
-        clock = self._sim_clock
-        now = clock._now_s
-        end = now + duration_s
-        if end + 1e-12 < self._next_control_s:
-            # The whole span fits before the next control step: one slice,
-            # no firmware callback (matches the reference loop exactly).
-            if self._recording:
-                idle_x, idle_i, idle_h = self._idle_power_xih
-                self._record_extend((now, end, idle_x, idle_i, idle_h))
-            control.energy_j += self._idle_total_w * duration_s
-            control.time_s += duration_s
-            # SimulationClock.advance(duration_s), written directly.
-            clock._now_s = end
-            # ThermalModel.step(duration_s, active=False), inlined.
-            alpha = 1.0 - exp(-duration_s / self._cool_tau_s)
-            warmth = thermal._warmth
-            warmth += (0.0 - warmth) * alpha
-            thermal._warmth = min(max(warmth, 0.0), 1.0)
-            return
-        idle_x, idle_i, idle_h = self._idle_power_xih
-        total_w = self._idle_total_w
-        firmware = self._firmware
-        period = self._spec.dvfs.control_period_s
-        record = self._recording
-        record_extend = self._record_extend
-        next_control = self._next_control_s
-        remaining = duration_s
-        batch_threshold = self._idle_batch_min_periods * period
-        # The control accumulator is kept in locals across the span and
-        # written back once (identical arithmetic to per-slice updates).
-        c_energy = control.energy_j
-        c_time = control.time_s
-        c_active = control.active_time_s
-        while remaining > 1e-12:
-            if (
-                c_time == 0.0
-                and c_energy == 0.0
-                and c_active == 0.0
-                and remaining >= batch_threshold
-            ):
-                # Batched boundary engine: every slice ahead spans one whole
-                # control period from an empty accumulator, so slice ends ARE
-                # the control boundaries and every boundary is a non-resident
-                # firmware update with mean power (total_w * dt) / dt.
-                d0 = next_control - now
-                m = int(remaining / period) + 2
-                span = self._boundary_span(next_control, m)
-                # The lattice pre-verifies every boundary after the first; the
-                # first slice is checked here: it must not trip the 1e-9
-                # clamp and its end must land bit-exactly on the boundary.
-                if span is not None and d0 >= 1e-9 and now + d0 == next_control:
-                    lat, lat_diffs, idx = span
-                    grid = lat[idx : idx + m]
-                    dts = np.empty(m)
-                    dts[0] = d0
-                    dts[1:] = lat_diffs[idx : idx + m - 1]
-                    # remaining -= dt, iterated: subtract.accumulate replays
-                    # the countdown's exact sequential floats.
-                    racc = np.empty(m + 1)
-                    racc[0] = remaining
-                    racc[1:] = dts
-                    np.subtract.accumulate(racc, out=racc)
-                    # A slice is a whole period iff the countdown does not
-                    # truncate it (every dt >= 1e-9 > 1e-12, so the loop
-                    # guard is implied); the first failure is the partial
-                    # tail (or the span end) -- scalar territory.
-                    full = racc[:m] >= dts
-                    count = int(np.argmin(full))
-                    if count == 0 and bool(full[0]):
-                        count = m
-                    if count:
-                        if record:
-                            template = self._idle_rows_cache
-                            if template is None or template.shape[0] < count:
-                                template = np.empty((max(count, 512), 5))
-                                template[:, 2] = idle_x
-                                template[:, 3] = idle_i
-                                template[:, 4] = idle_h
-                                self._idle_rows_cache = template
-                            rows = template[:count].copy()
-                            rows[0, 0] = now
-                            rows[1:, 0] = grid[: count - 1]
-                            rows[:, 1] = grid[:count]
-                            self._buffer.append_block(rows)
-                        span_end = float(grid[count - 1])
-                        firmware.idle_span(
-                            now, span_end - now, total_w, grid[:count], dts[:count]
-                        )
-                        now = span_end
-                        clock._now_s = now
-                        next_control = float(lat[idx + count])
-                        remaining = float(racc[count])
-                        # Each batched boundary reset the accumulator; the
-                        # locals are already 0.0.
-                        continue
-                # Grid unavailable or failed verification: the per-period
-                # loop takes over.
-            dt = next_control - now
-            if dt < 1e-9:
-                dt = 1e-9
-            if remaining < dt:
-                dt = remaining
-            end = now + dt
-            if record and end > now:
-                record_extend((now, end, idle_x, idle_i, idle_h))
-            c_energy += total_w * dt
-            c_time += dt
-            clock._now_s = end
-            remaining -= dt
-            now = end
-            if now + 1e-12 >= next_control:
-                # _maybe_step_firmware, inlined (same thresholds/arithmetic).
-                mean_power = c_energy / c_time if c_time > 0 else total_w
-                resident = c_time > 0 and c_active >= 0.5 * c_time
-                if not resident and firmware._state is FirmwareState.IDLE:
-                    # PowerManagementFirmware.step's non-resident branch for
-                    # an already-idle controller cannot transition: replicate
-                    # its bookkeeping without the call.
-                    firmware._last_power_w = float(mean_power)
-                    firmware._idle_accum_s += c_time
-                    firmware._overdraw_accum_s = 0.0
-                else:
-                    firmware.step(now, c_time, mean_power, resident)
-                c_energy = 0.0
-                c_time = 0.0
-                c_active = 0.0
-                while next_control <= now + 1e-12:
-                    next_control += period
-        control.energy_j = c_energy
-        control.time_s = c_time
-        control.active_time_s = c_active
-        self._next_control_s = next_control
-        self._thermal.relax_span(duration_s, active=False)
 
     def _execute_reference(
         self,
@@ -846,273 +595,6 @@ class SimulatedGPU:
             self._executions.append(result)
         return result
 
-    def _descriptor_profile(
-        self, descriptor: KernelActivityDescriptor
-    ) -> tuple[tuple[float, float, float, float, float], ...]:
-        """Per-phase power utilisations of a descriptor, cached on it.
-
-        Each row is ``(cumulative_fraction, xcd_act, iod_util, hbm_warm,
-        hbm_cold)`` with the phase scaling and the ``min(..., 1.0)`` clamps of
-        :meth:`PowerModel.kernel_power` already applied -- everything that
-        depends only on the (frozen) descriptor and this device's power
-        model, computed once and stashed in the descriptor's ``__dict__``.
-        ``object.__setattr__`` bypasses the frozen guard, which is safe
-        because the cached value is a pure function of the descriptor's own
-        fields and the recorded power model; the cache entry carries the
-        power model it was derived from and is recomputed when the same
-        descriptor runs on a device with a different one.  The cumulative
-        fractions accumulate exactly as
-        :meth:`KernelActivityDescriptor.phase_at` does, so the in-loop lookup
-        reproduces its boundaries bit for bit.
-        """
-        cached = descriptor.__dict__.get("_device_power_profile")
-        if cached is not None and cached[0] is self._power_model:
-            return cached[1]
-        power_model = self._power_model
-        xcd_activity = power_model.xcd_activity(descriptor)
-        iod_utilization = power_model.iod_utilization(descriptor)
-        hbm_warm = power_model.hbm_utilization(descriptor, False)
-        hbm_cold = power_model.hbm_utilization(descriptor, True)
-        rows = []
-        cursor = 0.0
-        for phase in descriptor.phases:
-            cursor += phase.duration_fraction
-            rows.append(
-                (
-                    cursor,
-                    min(xcd_activity * phase.xcd_scale, 1.0),
-                    min(iod_utilization * phase.iod_scale, 1.0),
-                    min(hbm_warm * phase.hbm_scale, 1.0),
-                    min(hbm_cold * phase.hbm_scale, 1.0),
-                )
-            )
-        table = tuple(rows)
-        # The row phase_at(0.5) selects, for the common case of a kernel
-        # that fits in one slice (frac_mid is then exactly 0.5).
-        for mid_row in table:
-            if 0.5 < mid_row[0]:
-                break
-        profile = (table, mid_row)
-        object.__setattr__(descriptor, "_device_power_profile", (power_model, profile))
-        return profile
-
-    def _execute_fast(
-        self,
-        descriptor: KernelActivityDescriptor,
-        run_variation: RunVariation | None,
-        jitter: float | None = None,
-        build_result: bool = True,
-    ) -> KernelExecutionResult | tuple[float, float]:
-        """Batched execution path: identical arithmetic, no per-slice objects.
-
-        One merged function covers cache bookkeeping, the jitter draw, the
-        firmware arrival hook, the slice loop and the result epilogue, so a
-        short (single-slice) kernel costs a handful of float operations plus
-        one columnar append.  Descriptor-level utilisations are hoisted out of
-        the loop (they do not change mid-execution); per-slice power repeats
-        the exact float arithmetic of :meth:`PowerModel.kernel_power`, the
-        warmth update that of :meth:`ThermalModel.step`, and the draws consume
-        the same RNG stream as the reference helpers -- keep them in lockstep.
-
-        ``jitter`` lets the launcher pass a pre-drawn execution-jitter factor
-        (from a batched draw of the identical stream); when ``None`` the draw
-        happens here, exactly as in the reference path.
-
-        ``build_result=False`` is the launch-sequence arena path: the
-        ground-truth row still lands in the columnar execution log, but no
-        :class:`KernelExecutionResult`/:class:`ComponentPower` objects are
-        built -- the caller only needs the returned ``(start_s, end_s)``.
-        """
-        clock = self._sim_clock
-        now = clock._now_s
-
-        # _consume_cache_state, inlined (the state object is reused below).
-        state = self._cache_states.get(descriptor.name)
-        if state is None or (now - state.last_end_s) > self.CACHE_RETENTION_S:
-            state = _CacheState()
-            self._cache_states[descriptor.name] = state
-        cold = state.consecutive_executions < descriptor.cold_executions
-
-        if jitter is None:
-            # ExecutionTimeVariationModel.draw_execution_jitter, inlined.
-            execution_cv = descriptor.variation.execution_cv
-            if execution_cv <= 0:
-                jitter = 1.0
-            else:
-                jitter = float(self._rng.lognormal(mean=0.0, sigma=execution_cv))
-                if jitter < ExecutionTimeVariationModel.MIN_FACTOR:
-                    jitter = ExecutionTimeVariationModel.MIN_FACTOR
-        time_factor = jitter if run_variation is None else run_variation.run_factor * jitter
-
-        start_s = now
-        firmware = self._firmware
-        fw_state = firmware._state
-        if fw_state is FirmwareState.IDLE or fw_state is FirmwareState.RAMPING:
-            firmware.notify_kernel_arrival(start_s)
-        else:
-            # notify_kernel_arrival without a transition: reset idle tracking.
-            firmware._idle_accum_s = 0.0
-
-        thermal = self._thermal
-        control = self._control
-        record = self._recording
-        record_extend = self._record_extend
-        (
-            nominal_ghz,
-            power_exponent,
-            xcd_idle_w,
-            xcd_dynamic_w,
-            iod_idle_w,
-            iod_dynamic_w,
-            hbm_idle_w,
-            hbm_dynamic_w,
-            warmth_swing,
-            iod_coupling,
-        ) = self._exec_consts
-        heat_tau = self._heat_tau_s
-        phase_table, mid_row = self._descriptor_profile(descriptor)
-        sensitivity = descriptor.frequency_sensitivity
-        base_duration = descriptor.base_duration_s
-
-        frequency = firmware._frequency_ghz
-        # Same float ops as descriptor.duration_at(...) * time_factor.
-        duration_full = base_duration * (nominal_ghz / frequency) ** sensitivity
-        if cold:
-            duration_full *= descriptor.cold_duration_multiplier
-        duration_full *= time_factor
-        end = now + duration_full
-        if end + 1e-12 < self._next_control_s:
-            # The whole kernel fits in one slice before the next control step
-            # (the common case for the paper's short kernels): the general
-            # loop below would run exactly once with dt == duration_full and
-            # frac_mid == 0.5, so evaluate that one slice directly.
-            dt = duration_full
-            freq_scale = (frequency / nominal_ghz) ** power_exponent
-            warmth = thermal._warmth
-            clamped = min(max(warmth, 0.0), 1.0)
-            warm_scale = 1.0 - warmth_swing * (1.0 - clamped)
-            iod_freq_scale = 1.0 + iod_coupling * (freq_scale - 1.0)
-            x_w = xcd_idle_w + xcd_dynamic_w * mid_row[1] * freq_scale * warm_scale
-            i_w = iod_idle_w + iod_dynamic_w * mid_row[2] * iod_freq_scale * warm_scale
-            h_w = hbm_idle_w + hbm_dynamic_w * (mid_row[4] if cold else mid_row[3])
-            if record and end > now:
-                record_extend((now, end, x_w, i_w, h_w))
-            total_w = x_w + i_w + h_w
-            total_j = total_w * dt
-            control.energy_j += total_j
-            control.time_s += dt
-            control.active_time_s += dt
-            # ThermalModel.step(dt, active=True), inlined.
-            alpha = 1.0 - exp(-dt / heat_tau)
-            warmth += (1.0 - warmth) * alpha
-            thermal._warmth = min(max(warmth, 0.0), 1.0)
-            # SimulationClock.advance(dt): end is the same float the clock
-            # would compute (now + dt), written directly.
-            clock._now_s = end
-            energy_j = total_j
-            xcd_j = x_w * dt
-            iod_j = i_w * dt
-            hbm_j = h_w * dt
-            freq_time_weighted = frequency * dt
-            now = end
-        else:
-            work_remaining = 1.0
-            energy_j = 0.0
-            xcd_j = iod_j = hbm_j = 0.0
-            freq_time_weighted = 0.0
-
-            while work_remaining > 1e-9:
-                frequency = firmware._frequency_ghz
-                # Same float ops as descriptor.duration_at(...) * time_factor.
-                duration_full = base_duration * (nominal_ghz / frequency) ** sensitivity
-                if cold:
-                    duration_full *= descriptor.cold_duration_multiplier
-                duration_full *= time_factor
-                dt = self._next_control_s - now
-                if dt < 1e-9:
-                    dt = 1e-9
-                work_dt = work_remaining * duration_full
-                if work_dt < dt:
-                    dt = work_dt
-                frac_mid = (1.0 - work_remaining) + 0.5 * dt / duration_full
-                # KernelActivityDescriptor.phase_at over the precomputed
-                # table: falls through to the last phase when no boundary
-                # exceeds frac_mid (covers frac_mid >= 1 exactly the same).
-                for row in phase_table:
-                    if frac_mid < row[0]:
-                        break
-
-                # PowerModel.kernel_power, inlined with hoisted utilisations.
-                freq_scale = (frequency / nominal_ghz) ** power_exponent
-                warmth = thermal._warmth
-                clamped = min(max(warmth, 0.0), 1.0)
-                warm_scale = 1.0 - warmth_swing * (1.0 - clamped)
-                iod_freq_scale = 1.0 + iod_coupling * (freq_scale - 1.0)
-                x_w = xcd_idle_w + xcd_dynamic_w * row[1] * freq_scale * warm_scale
-                i_w = iod_idle_w + iod_dynamic_w * row[2] * iod_freq_scale * warm_scale
-                h_w = hbm_idle_w + hbm_dynamic_w * (row[4] if cold else row[3])
-
-                end = now + dt
-                if record and end > now:
-                    record_extend((now, end, x_w, i_w, h_w))
-                total_w = x_w + i_w + h_w
-                total_j = total_w * dt
-                control.energy_j += total_j
-                control.time_s += dt
-                control.active_time_s += dt
-                # ThermalModel.step(dt, active=True), inlined.
-                alpha = 1.0 - exp(-dt / heat_tau)
-                warmth += (1.0 - warmth) * alpha
-                thermal._warmth = min(max(warmth, 0.0), 1.0)
-                clock._now_s = end
-                energy_j += total_j
-                xcd_j += x_w * dt
-                iod_j += i_w * dt
-                hbm_j += h_w * dt
-                freq_time_weighted += frequency * dt
-                work_remaining -= dt / duration_full
-                now = end
-                if now + 1e-12 >= self._next_control_s:
-                    self._maybe_step_firmware()
-
-        end_s = now
-        duration = end_s - start_s
-        # _update_cache_state, inlined on the state fetched above.
-        state.consecutive_executions += 1
-        state.last_end_s = end_s
-        mean_frequency = freq_time_weighted / duration
-        xcd_w = xcd_j / duration
-        iod_w = iod_j / duration
-        hbm_w = hbm_j / duration
-        if record:
-            # Ground truth goes to the columnar execution log: one flat
-            # extend, no per-execution result objects.
-            self._exec_log_extend(
-                (start_s, end_s, 1.0 if cold else 0.0,
-                 mean_frequency, energy_j, xcd_w, iod_w, hbm_w)
-            )
-            self._exec_log.names.append(descriptor.name)
-        if not build_result:
-            return start_s, end_s
-        # Frozen-dataclass __init__ routes every field through
-        # object.__setattr__; the hot path builds the identical objects
-        # directly through __dict__ (same values, same equality).
-        mean_power = ComponentPower.__new__(ComponentPower)
-        fields = mean_power.__dict__
-        fields["xcd_w"] = xcd_w
-        fields["iod_w"] = iod_w
-        fields["hbm_w"] = hbm_w
-        result = KernelExecutionResult.__new__(KernelExecutionResult)
-        fields = result.__dict__
-        fields["kernel_name"] = descriptor.name
-        fields["start_s"] = start_s
-        fields["end_s"] = end_s
-        fields["cold_caches"] = cold
-        fields["mean_frequency_ghz"] = mean_frequency
-        fields["energy_j"] = energy_j
-        fields["mean_power"] = mean_power
-        return result
-
     # ------------------------------------------------------------------ #
     # Compiled engine.
     # ------------------------------------------------------------------ #
@@ -1124,10 +606,7 @@ class SimulatedGPU:
         firmware tunables, thermal taus, cache retention) in the ``P_*``
         layout of :mod:`repro.gpu._fastcore_kernels`.
         """
-        bundle = _fastcore.kernels()
-        if bundle is None:  # pragma: no cover - resolve_engine guards this
-            raise RuntimeError("compiled engine selected but no provider is available")
-        self._fc = bundle
+        self._fc = _fastcore.kernels()
         dvfs = self._spec.dvfs
         budget = self._spec.power
         cfg = self._firmware.config
@@ -1148,7 +627,7 @@ class SimulatedGPU:
         pp[_FK.P_HDYN] = budget.hbm_dynamic_w
         pp[_FK.P_SWING] = PowerModel.WARMTH_DYNAMIC_SWING
         pp[_FK.P_COUPLE] = IOD_FREQUENCY_COUPLING
-        pp[_FK.P_HEAT_TAU] = self._heat_tau_s
+        pp[_FK.P_HEAT_TAU] = self._thermal.spec.heat_tau_s
         pp[_FK.P_COOL_TAU] = self._cool_tau_s
         pp[_FK.P_LIMIT] = budget.board_limit_w
         pp[_FK.P_EXC_THRESH] = cfg.excursion_threshold
@@ -1277,27 +756,49 @@ class SimulatedGPU:
                 )
 
     def _fc_descriptor(self, descriptor: KernelActivityDescriptor) -> np.ndarray:
-        """The descriptor flattened into the kernel ``desc`` layout, cached.
+        """The descriptor flattened into the kernel ``desc`` layout, cached on it.
 
-        Rides on :meth:`_descriptor_profile` (same power-model-keyed cache
-        discipline): ``[base_duration, sensitivity, cold_mult,
-        cold_executions, n_phases, then (cum, xcd, iod, hbm_warm, hbm_cold)
-        per phase]``.
+        ``[base_duration, sensitivity, cold_mult, cold_executions, n_phases,
+        then (cumulative_fraction, xcd_act, iod_util, hbm_warm, hbm_cold) per
+        phase]``, with the phase scaling and the ``min(..., 1.0)`` clamps of
+        :meth:`PowerModel.kernel_power` already applied -- everything that
+        depends only on the (frozen) descriptor and this device's power
+        model, computed once and stashed in the descriptor's ``__dict__``.
+        ``object.__setattr__`` bypasses the frozen guard, which is safe
+        because the cached value is a pure function of the descriptor's own
+        fields and the recorded power model; the cache entry carries the
+        power model it was derived from and is recomputed when the same
+        descriptor runs on a device with a different one.  The cumulative
+        fractions accumulate exactly as
+        :meth:`KernelActivityDescriptor.phase_at` does, so the in-kernel
+        lookup reproduces its boundaries bit for bit.
         """
         cached = descriptor.__dict__.get("_device_fc_profile")
         if cached is not None and cached[0] is self._power_model:
             return cached[1]
-        table, _mid_row = self._descriptor_profile(descriptor)
-        n = len(table)
-        desc = np.empty(5 + 5 * n)
+        power_model = self._power_model
+        xcd_activity = power_model.xcd_activity(descriptor)
+        iod_utilization = power_model.iod_utilization(descriptor)
+        hbm_warm = power_model.hbm_utilization(descriptor, False)
+        hbm_cold = power_model.hbm_utilization(descriptor, True)
+        phases = descriptor.phases
+        desc = np.empty(5 + 5 * len(phases))
         desc[0] = descriptor.base_duration_s
         desc[1] = descriptor.frequency_sensitivity
         desc[2] = descriptor.cold_duration_multiplier
         desc[3] = float(descriptor.cold_executions)
-        desc[4] = float(n)
-        for i, row in enumerate(table):
-            desc[5 + 5 * i : 10 + 5 * i] = row
-        object.__setattr__(descriptor, "_device_fc_profile", (self._power_model, desc))
+        desc[4] = float(len(phases))
+        cursor = 0.0
+        for i, phase in enumerate(phases):
+            cursor += phase.duration_fraction
+            desc[5 + 5 * i : 10 + 5 * i] = (
+                cursor,
+                min(xcd_activity * phase.xcd_scale, 1.0),
+                min(iod_utilization * phase.iod_scale, 1.0),
+                min(hbm_warm * phase.hbm_scale, 1.0),
+                min(hbm_cold * phase.hbm_scale, 1.0),
+            )
+        object.__setattr__(descriptor, "_device_fc_profile", (power_model, desc))
         return desc
 
     def _idle_compiled(self, duration_s: float) -> None:
@@ -1317,7 +818,7 @@ class SimulatedGPU:
         now = clock._now_s
         end = now + duration_s
         if end + 1e-12 < self._next_control_s:
-            # Same arithmetic as the vectorized engine's single-slice branch.
+            # The idle kernel's single-slice branch, written out.
             control = self._control
             if self._recording:
                 idle_x, idle_i, idle_h = self._idle_power_xih
@@ -1348,28 +849,25 @@ class SimulatedGPU:
         self,
         descriptor: KernelActivityDescriptor,
         run_variation: RunVariation | None,
-        jitter: float | None = None,
-        build_result: bool = True,
-    ) -> KernelExecutionResult | tuple[float, float]:
+    ) -> KernelExecutionResult:
         """Compiled execution path: same RNG draws, slice loop in the kernel."""
         now = self._sim_clock._now_s
 
-        # _consume_cache_state, inlined (identical to _execute_fast).
+        # _consume_cache_state, inlined.
         state = self._cache_states.get(descriptor.name)
         if state is None or (now - state.last_end_s) > self.CACHE_RETENTION_S:
             state = _CacheState()
             self._cache_states[descriptor.name] = state
         cold = state.consecutive_executions < descriptor.cold_executions
 
-        if jitter is None:
-            # ExecutionTimeVariationModel.draw_execution_jitter, inlined.
-            execution_cv = descriptor.variation.execution_cv
-            if execution_cv <= 0:
-                jitter = 1.0
-            else:
-                jitter = float(self._rng.lognormal(mean=0.0, sigma=execution_cv))
-                if jitter < ExecutionTimeVariationModel.MIN_FACTOR:
-                    jitter = ExecutionTimeVariationModel.MIN_FACTOR
+        # ExecutionTimeVariationModel.draw_execution_jitter, inlined.
+        execution_cv = descriptor.variation.execution_cv
+        if execution_cv <= 0:
+            jitter = 1.0
+        else:
+            jitter = float(self._rng.lognormal(mean=0.0, sigma=execution_cv))
+            if jitter < ExecutionTimeVariationModel.MIN_FACTOR:
+                jitter = ExecutionTimeVariationModel.MIN_FACTOR
         time_factor = jitter if run_variation is None else run_variation.run_factor * jitter
 
         desc = self._fc_descriptor(descriptor)
@@ -1398,8 +896,6 @@ class SimulatedGPU:
                 (start_s, end_s, out8[2], out8[3], out8[4], out8[5], out8[6], out8[7])
             )
             self._exec_log.names.append(descriptor.name)
-        if not build_result:
-            return start_s, end_s
         mean_power = ComponentPower.__new__(ComponentPower)
         fields = mean_power.__dict__
         fields["xcd_w"] = float(out8[5])
@@ -1433,7 +929,7 @@ class SimulatedGPU:
         ``variates`` is the launcher's batched ``standard_normal(4 * n)``
         draw (latency, jitter, two timestamp errors per execution, consumed
         in that order inside the kernel -- the identical stream the
-        vectorized launch loop consumes).  Returns the host-observed
+        per-execution launch path consumes).  Returns the host-observed
         ``(cpu_starts, cpu_ends)`` arrays; ground-truth rows land in the
         columnar execution log in bulk.
         """
@@ -1628,82 +1124,6 @@ class SimulatedGPU:
     # ------------------------------------------------------------------ #
     # Internals.
     # ------------------------------------------------------------------ #
-    def _boundary_span(
-        self, next_control: float, need: int
-    ) -> tuple[np.ndarray, np.ndarray, int] | None:
-        """Verified iterated-addition control-boundary lattice.
-
-        Returns ``(lattice, diffs, idx)`` such that ``lattice[idx] ==
-        next_control`` bit-exactly and ``lattice[idx + need]`` exists.  The
-        lattice continues the controller's ``next_control += period``
-        iteration (sequential ``np.add.accumulate`` carries the identical
-        floats), so its entries ARE the boundaries the per-period loop would
-        visit.  Two invariants are verified on every newly-built stretch and
-        amortised across calls:
-
-        * every forward difference is at least ``1e-9`` (no slice ever trips
-          the per-period loop's minimum-step clamp, and the boundary-advance
-          ``while`` adds exactly one period), and
-        * every entry satisfies the slice-end collapse
-          ``fl(prev + fl(next - prev)) == next`` -- the reason a naive
-          ``np.arange`` grid would diverge from the iterated loop.
-
-        Returns ``None`` when verification fails (the batched engine then
-        falls back to the per-period loop).  Entries already passed are
-        dropped once the cursor moves far enough, keeping memory bounded.
-        """
-        if self._lattice_broken:
-            return None
-        period = self._spec.dvfs.control_period_s
-        lat = self._lattice
-        idx = 0
-        if lat is not None:
-            idx = int(np.searchsorted(lat, next_control))
-            if idx >= lat.shape[0] or lat[idx] != next_control:
-                # The controller left the cached chain (e.g. a reseeded
-                # device); rebuild from the current boundary.
-                lat = None
-                idx = 0
-        if lat is None:
-            size = max(1024, need + 2)
-            lat = np.empty(size)
-            lat[0] = next_control
-            lat[1:] = period
-            np.add.accumulate(lat, out=lat)
-            diffs = np.empty(size - 1)
-            np.subtract(lat[1:], lat[:-1], out=diffs)
-            if float(diffs.min()) < 1e-9 or not np.array_equal(lat[:-1] + diffs, lat[1:]):
-                self._lattice_broken = True
-                self._lattice = None
-                return None
-            self._lattice = lat
-            self._lattice_diffs = diffs
-            return lat, diffs, 0
-        if idx > 8192:
-            # Slide the window: boundaries behind the controller are dead.
-            lat = self._lattice = lat[idx:].copy()
-            self._lattice_diffs = self._lattice_diffs[idx:].copy()
-            idx = 0
-        n = lat.shape[0]
-        if idx + need >= n:
-            new_n = max(2 * n, idx + need + 2)
-            new = np.empty(new_n)
-            new[:n] = lat
-            new[n:] = period
-            # Continue the iterated chain from the last cached boundary.
-            np.add.accumulate(new[n - 1 :], out=new[n - 1 :])
-            new_diffs = np.empty(new_n - 1)
-            new_diffs[: n - 1] = self._lattice_diffs
-            np.subtract(new[n:], new[n - 1 : -1], out=new_diffs[n - 1 :])
-            tail = new_diffs[n - 1 :]
-            if float(tail.min()) < 1e-9 or not np.array_equal(new[n - 1 : -1] + tail, new[n:]):
-                self._lattice_broken = True
-                self._lattice = None
-                return None
-            lat = self._lattice = new
-            self._lattice_diffs = new_diffs
-        return lat, self._lattice_diffs, idx
-
     def _maybe_step_firmware(self) -> None:
         now = self._sim_clock.now_s
         if now + 1e-12 < self._next_control_s:

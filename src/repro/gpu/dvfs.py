@@ -23,8 +23,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .spec import DVFSSpec, PowerBudget
 
 
@@ -174,12 +172,10 @@ class PowerManagementFirmware:
         kernel_resident:
             Whether a kernel was executing during the interval.
 
-        Note: ``SimulatedGPU._idle_fast`` inlines the non-resident branch for
-        an already-IDLE controller (it cannot transition, so the bookkeeping
-        is three attribute writes) and :meth:`idle_span` replays a whole run
-        of non-resident steps in closed form; if either branch's behaviour
-        changes here, keep both in lockstep -- the idle scenarios of the
-        device equivalence suite pin the three against each other.
+        Note: the compiled kernels' ``fw_step``
+        (:mod:`repro.gpu._fastcore_kernels`) transcribes this method; if its
+        behaviour changes here, keep both in lockstep -- the device
+        equivalence suite pins the compiled engine against the reference.
 
         A zero-length interval is a no-op: no time elapsed, so there is no
         power measurement to ingest.  (Acting on it used to overwrite
@@ -224,84 +220,6 @@ class PowerManagementFirmware:
             self._hold_cap(now_s, total_power_w)
         return self._frequency_ghz
 
-    def idle_span(
-        self,
-        start_s: float,
-        duration_s: float,
-        power_w: float,
-        boundary_times_s: np.ndarray,
-        boundary_dts_s: np.ndarray,
-    ) -> float:
-        """Advance the controller over N idle control periods in closed form.
-
-        Batched equivalent of N consecutive non-resident :meth:`step` calls,
-        one per control period of an idle span starting at ``start_s`` and
-        lasting ``duration_s`` (the two scalars pin the grid to the span:
-        every boundary must lie inside ``(start_s, start_s + duration_s]``
-        up to a nanosecond of slack, and a misaligned grid is rejected; the
-        controller arithmetic is driven by the grid alone):
-        ``boundary_times_s[k]`` is the simulated time
-        of the k-th control boundary and ``boundary_dts_s[k]`` the elapsed
-        interval it closes (both positive, chronological -- the device's
-        fp-exact boundary grid).  ``power_w`` is the constant total idle power
-        over the span; each interval's mean power replays the accumulator
-        arithmetic ``(power_w * dt) / dt`` of the per-period loop.
-
-        A run of non-resident steps can produce at most one transition -- the
-        IDLE park once ``_idle_accum_s`` crosses ``idle_park_s`` (after
-        parking, further non-resident steps only accumulate) -- so its
-        boundary index is computed directly from the running idle accumulation
-        and the identical :class:`FirmwareEvent` is synthesized at that
-        boundary; ``_idle_accum_s`` / ``_last_power_w`` / ``_overdraw_accum_s``
-        end up exactly as N inlined ``step()`` calls would leave them
-        (``np.add.accumulate`` replays the iterated float additions of
-        ``_idle_accum_s += dt_s`` bit for bit).
-
-        Note: this is the batched half of the lockstep contract documented on
-        :meth:`step` -- ``SimulatedGPU._idle_fast`` drives it for the interior
-        boundaries of multi-period idle spans, and the device equivalence
-        suite pins it against the per-period loop.  Keep the bookkeeping here
-        in lockstep with ``step()``'s non-resident branch.
-        """
-        n = len(boundary_times_s)
-        if n != len(boundary_dts_s):
-            raise ValueError("boundary times and intervals must align")
-        if duration_s < 0:
-            raise ValueError("idle span cannot be negative")
-        if n == 0:
-            return self._frequency_ghz
-        if not (
-            start_s < boundary_times_s[0]
-            and boundary_times_s[-1] <= start_s + duration_s + 1e-9
-        ):
-            raise ValueError("boundary grid does not lie within the idle span")
-        dts = np.asarray(boundary_dts_s, dtype=float)
-        # _idle_accum_s += dt, iterated: add.accumulate is sequential, so the
-        # running sums carry the exact floats of the per-period loop.
-        accum = np.empty(n + 1)
-        accum[0] = self._idle_accum_s
-        accum[1:] = dts
-        np.add.accumulate(accum, out=accum)
-        if self._state is not FirmwareState.IDLE:
-            park = int(np.searchsorted(accum[1:], self._config.idle_park_s, side="left"))
-            if park < n:
-                dt_k = float(dts[park])
-                mean_k = (power_w * dt_k) / dt_k
-                self._transition(
-                    float(boundary_times_s[park]),
-                    FirmwareState.IDLE,
-                    self._dvfs.idle_frequency_ghz,
-                    mean_k,
-                )
-        self._idle_accum_s = float(accum[-1])
-        self._overdraw_accum_s = 0.0
-        dt_last = float(dts[-1])
-        self._last_power_w = (power_w * dt_last) / dt_last
-        return self._frequency_ghz
-
-    # ------------------------------------------------------------------ #
-    # State handlers.
-    # ------------------------------------------------------------------ #
     def _ramp(self, now_s: float, power_w: float) -> None:
         dvfs = self._dvfs
         target = dvfs.boost_frequency_ghz

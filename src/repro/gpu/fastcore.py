@@ -1,38 +1,30 @@
 """Compiled slice/boundary core: providers, self-check and engine selection.
 
-The device offers a three-tier engine matrix:
+The device has two engines:
 
 ``compiled``
     The hot loops (idle per-period loop, execution slice loop, firmware
-    control boundary, closed-form thermal relaxation) run as compiled
-    kernels.  Two providers exist -- ``numba`` (``@njit(cache=True)`` over
-    :mod:`repro.gpu._fastcore_kernels`, preferred; installed via the
-    ``fast`` extra) and ``cc`` (the same kernels hand-mirrored in C,
-    compiled once with the system C compiler and bound through ctypes,
-    :mod:`repro.gpu._fastcore_cc`).  A one-time self-check replays a fixed
-    scenario through the candidate provider and through the pure-Python
-    kernel bodies and requires bit-for-bit agreement before the provider is
-    ever selected; on failure the engine silently *is not* compiled -- auto
-    selection falls back to ``vectorized`` (with a single warning when a
-    provider was present but failed, see below).
-``vectorized``
-    The batched NumPy/float engine (``SimulatedGPU._idle_fast`` /
-    ``_execute_fast``) -- the pinned mid-tier, always available.
+    control boundary, closed-form thermal relaxation, whole instrumented
+    runs) run as the kernel bodies of :mod:`repro.gpu._fastcore_kernels`.
+    Three providers run those bodies, tried in this order -- ``numba``
+    (``@njit(cache=True)``; installed via the ``fast`` extra), ``cc`` (the
+    same kernels hand-mirrored in C, compiled once with the system C
+    compiler and bound through ctypes, :mod:`repro.gpu._fastcore_cc`) and
+    ``python`` (the bodies as plain Python: slow, but available on every
+    host).  A one-time self-check replays a fixed scenario through the
+    candidate provider and through the pure-Python kernel bodies and
+    requires bit-for-bit agreement before the provider is selected; a
+    provider that loads but fails it warns once and the next one is tried.
 ``reference``
     The per-slice object path -- the executable specification.
 
 Selection
 ---------
 :func:`resolve_engine` implements the precedence *explicit argument* >
-``REPRO_ENGINE`` environment variable > auto.  ``auto`` picks ``compiled``
-when a provider passes the self-check and ``vectorized`` otherwise (silent
-fallback); explicitly requesting ``compiled`` when no provider is usable
-falls back to ``vectorized`` with a single warning.  The provider itself can
-be pinned with ``REPRO_FASTCORE_PROVIDER`` (``auto`` | ``numba`` | ``cc`` |
-``python`` | ``none``); ``python`` is the uncompiled kernel bodies (slow --
-for debugging/validation only) and ``none`` disables the compiled tier
-entirely, which makes the import-free path identical to a container without
-Numba or a C compiler.
+``REPRO_ENGINE`` environment variable > auto, and ``auto`` is
+``compiled``.  The provider can be pinned with ``REPRO_FASTCORE_PROVIDER``
+(``auto`` | ``numba`` | ``cc`` | ``python``); a pinned provider that cannot
+be used makes :func:`kernels` raise instead of silently picking another.
 """
 
 from __future__ import annotations
@@ -45,7 +37,15 @@ import numpy as np
 from . import _fastcore_kernels as _K
 
 #: Engines accepted by BackendConfig.engine / SimulatedGPU(engine=...).
-VALID_ENGINES = ("compiled", "vectorized", "reference")
+VALID_ENGINES = ("compiled", "reference")
+
+#: Providers ``REPRO_FASTCORE_PROVIDER`` may pin, and the ones each tries.
+_PROVIDER_CHAINS = {
+    "auto": ("numba", "cc", "python"),
+    "numba": ("numba",),
+    "cc": ("cc",),
+    "python": ("python",),
+}
 
 #: Kernel functions swapped to their pure-Python bodies for the self-check
 #: reference run (outermost last, so nested calls resolve pure as well).
@@ -108,8 +108,8 @@ def _load_provider(name: str) -> tuple[KernelBundle | None, str | None]:
             None,
         )
     if name == "python":
-        # The kernels module as imported: pure Python without Numba (slow,
-        # debugging/validation only), jitted when Numba is present.
+        # The kernels module as imported: pure Python without Numba, jitted
+        # when Numba is present.
         return (
             KernelBundle("python", _K.k_idle, _K.k_execute, _K.k_sequence, _K.k_run),
             None,
@@ -392,32 +392,26 @@ def provider_request() -> str:
     return os.environ.get("REPRO_FASTCORE_PROVIDER", "").strip().lower() or "auto"
 
 
-def kernels() -> KernelBundle | None:
-    """The active compiled-kernel provider, or ``None`` when unavailable.
+def kernels() -> KernelBundle:
+    """The active compiled-kernel provider.
 
-    Resolution runs once per process: candidate providers (``numba`` then
-    ``cc`` under ``auto``) are loaded and self-checked in order; the first
-    that passes wins.  A provider that *loaded* but failed its self-check
-    warns once -- that is the documented silently-degraded path auto
-    selection then routes to the vectorized engine.
+    Resolution runs once per process: the requested provider chain
+    (``numba``, ``cc``, ``python`` under ``auto``) is loaded and
+    self-checked in order; the first that passes wins.  A provider that
+    *loaded* but failed its self-check warns once.  Raises ``ValueError``
+    for an unknown ``REPRO_FASTCORE_PROVIDER`` and ``RuntimeError`` when no
+    provider of the chain is usable (only possible when one is pinned).
     """
     global _RESOLVED, _BUNDLE, _FAILURE
-    if _RESOLVED:
-        return _BUNDLE
-    request = provider_request()
-    candidate_sets = {
-        "auto": ("numba", "cc"),
-        "numba": ("numba",),
-        "cc": ("cc",),
-        "python": ("python",),
-        "none": (),
-    }
-    candidates = candidate_sets.get(request)
-    bundle: KernelBundle | None = None
-    errors: list[str] = []
-    if candidates is None:
-        errors.append(f"unknown REPRO_FASTCORE_PROVIDER {request!r}")
-    else:
+    if not _RESOLVED:
+        request = provider_request()
+        candidates = _PROVIDER_CHAINS.get(request)
+        if candidates is None:
+            raise ValueError(
+                f"unknown REPRO_FASTCORE_PROVIDER {request!r}: valid providers "
+                f"are {', '.join(repr(name) for name in _PROVIDER_CHAINS)}"
+            )
+        errors: list[str] = []
         for name in candidates:
             loaded, error = _load_provider(name)
             if loaded is None:
@@ -425,68 +419,44 @@ def kernels() -> KernelBundle | None:
                 continue
             error = self_check(loaded)
             if error is None:
-                bundle = loaded
+                _BUNDLE = loaded
                 break
             errors.append(f"{name}: {error}")
             _warn_once(
                 f"self-check:{name}",
                 f"fastcore provider {name!r} failed its self-check ({error}); "
-                "the compiled engine is disabled and auto selection falls "
-                "back to the vectorized engine",
+                "trying the next provider",
             )
-    _BUNDLE = bundle
-    _FAILURE = "; ".join(errors) if (bundle is None and errors) else None
-    _RESOLVED = True
+        _FAILURE = None if _BUNDLE is not None else "; ".join(errors)
+        _RESOLVED = True
+    if _BUNDLE is None:
+        raise RuntimeError(f"no usable compiled-kernel provider ({_FAILURE})")
     return _BUNDLE
 
 
-def available() -> bool:
-    """Whether the compiled engine can be selected in this process."""
-    return kernels() is not None
-
-
-def provider_name() -> str | None:
-    bundle = kernels()
-    return bundle.name if bundle is not None else None
+def provider_name() -> str:
+    return kernels().name
 
 
 def numba_version() -> str | None:
-    bundle = kernels()
-    return bundle.numba_version if bundle is not None else None
+    return kernels().numba_version
 
 
-def resolve_engine(engine: str | None = None, vectorized: bool | None = None) -> str:
+def resolve_engine(engine: str | None = None) -> str:
     """Resolve an engine request to one of :data:`VALID_ENGINES`.
 
     Precedence: explicit ``engine`` argument > ``REPRO_ENGINE`` environment
-    variable > auto selection.  The deprecated ``vectorized`` boolean maps
-    onto the engine enum (``True`` -> ``"vectorized"``, ``False`` ->
-    ``"reference"``) and pins the chosen engine -- it never auto-selects, so
-    pre-engine callers keep their exact behaviour.
+    variable > auto selection, which is always ``compiled``.
     """
-    if engine is not None and vectorized is not None:
-        raise ValueError(
-            "pass either engine or the deprecated vectorized flag, not both"
-        )
     if engine is None:
-        if vectorized is not None:
-            return "vectorized" if vectorized else "reference"
         engine = os.environ.get("REPRO_ENGINE", "").strip().lower() or "auto"
     if engine == "auto":
-        return "compiled" if kernels() is not None else "vectorized"
+        return "compiled"
     if engine not in VALID_ENGINES:
         raise ValueError(
-            f"unknown engine {engine!r}: valid engines are 'compiled', "
-            "'vectorized' and 'reference' (or 'auto'/None for auto-selection)"
+            f"unknown engine {engine!r}: valid engines are 'compiled' and "
+            "'reference' (or 'auto'/None for auto-selection)"
         )
-    if engine == "compiled" and kernels() is None:
-        detail = _FAILURE or "no compiled provider available"
-        _warn_once(
-            "compiled-unavailable",
-            f"compiled engine requested but unavailable ({detail}); "
-            "falling back to the vectorized engine",
-        )
-        return "vectorized"
     return engine
 
 
@@ -494,7 +464,6 @@ __all__ = [
     "VALID_ENGINES",
     "KernelBundle",
     "kernels",
-    "available",
     "provider_name",
     "numba_version",
     "provider_request",

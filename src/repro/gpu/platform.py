@@ -3,9 +3,10 @@
 The paper profiles communication collectives on an 8x MI300X node where every
 GPU is connected to every other GPU by a 4th-generation Infinity Fabric link
 with 64 GB/s of unidirectional bandwidth (Section II-A).  This module models
-that node: a fully-connected topology (held as a :mod:`networkx` graph so the
-structure is queryable), per-link bandwidth/latency, and helpers for the
-transfer-time arithmetic the collective kernels need.
+that node: a fully-connected topology in which every link is identical (so
+the structure is plain arithmetic on :class:`~repro.gpu.spec.PlatformSpec`),
+per-link bandwidth/latency, and helpers for the transfer-time arithmetic the
+collective kernels need.
 
 Only GPU 0 -- the profiled GPU -- is instantiated as a full
 :class:`~repro.gpu.device.SimulatedGPU`; the peers matter only through the
@@ -16,8 +17,6 @@ activity descriptors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
 
 from .device import SimulatedGPU
 from .spec import PlatformSpec, mi300x_platform_spec
@@ -39,10 +38,6 @@ class InfinityPlatform:
     def __init__(self, spec: PlatformSpec | None = None, seed: int = 0) -> None:
         self._spec = spec or mi300x_platform_spec()
         self._spec.validate()
-        self._graph = nx.complete_graph(self._spec.num_gpus)
-        for u, v in self._graph.edges:
-            self._graph.edges[u, v]["bandwidth_bytes_per_s"] = self._spec.link.bandwidth_bytes_per_s
-            self._graph.edges[u, v]["latency_s"] = self._spec.link.latency_s
         self._profiled_gpu = SimulatedGPU(self._spec.gpu, seed=seed)
 
     # ------------------------------------------------------------------ #
@@ -55,11 +50,6 @@ class InfinityPlatform:
         return self._spec.num_gpus
 
     @property
-    def topology(self) -> nx.Graph:
-        """The link graph (GPU indices as nodes)."""
-        return self._graph
-
-    @property
     def profiled_gpu(self) -> SimulatedGPU:
         """The GPU on which power is profiled (rank 0)."""
         return self._profiled_gpu
@@ -67,7 +57,7 @@ class InfinityPlatform:
     def peers_of(self, rank: int) -> list[int]:
         """Ranks directly connected to ``rank`` (all others, fully connected)."""
         self._check_rank(rank)
-        return sorted(self._graph.neighbors(rank))
+        return [peer for peer in range(self.num_gpus) if peer != rank]
 
     def link_bandwidth(self, src: int, dst: int) -> float:
         """Unidirectional bandwidth of the link between two ranks (bytes/s)."""
@@ -75,7 +65,7 @@ class InfinityPlatform:
         self._check_rank(dst)
         if src == dst:
             raise ValueError("no link from a GPU to itself")
-        return float(self._graph.edges[src, dst]["bandwidth_bytes_per_s"])
+        return float(self._spec.link.bandwidth_bytes_per_s)
 
     def link_latency(self, src: int, dst: int) -> float:
         """One-way latency of the link between two ranks (seconds)."""
@@ -83,12 +73,11 @@ class InfinityPlatform:
         self._check_rank(dst)
         if src == dst:
             raise ValueError("no link from a GPU to itself")
-        return float(self._graph.edges[src, dst]["latency_s"])
+        return float(self._spec.link.latency_s)
 
     def is_fully_connected(self) -> bool:
-        """True when every pair of GPUs shares a direct link."""
-        n = self.num_gpus
-        return self._graph.number_of_edges() == n * (n - 1) // 2
+        """True when every pair of GPUs shares a direct link (by construction)."""
+        return True
 
     # ------------------------------------------------------------------ #
     # Transfer arithmetic used by the collective kernels.

@@ -17,7 +17,7 @@ describes:
 All samplers are *post-processing* views over the instantaneous power timeline
 recorded by the device -- either a :class:`~repro.gpu.device.PowerSegment`
 list (reference engine) or a columnar
-:class:`~repro.gpu.device.SegmentArray` (vectorized engine, ingested without
+:class:`~repro.gpu.device.SegmentArray` (compiled engine, ingested without
 re-packing dataclasses) -- which keeps the simulation simple while preserving
 the observable behaviour.
 """
@@ -128,7 +128,7 @@ class _SegmentTimeline:
             self._cumulative = np.zeros((1, 3), dtype=float)
             return
         if isinstance(segments, SegmentArray):
-            # Columnar recordings from the vectorized device are ingested
+            # Columnar recordings from the compiled engine are ingested
             # directly -- no per-segment dataclass unpacking.
             starts = segments.starts_s
             ends = segments.ends_s
@@ -286,7 +286,7 @@ class AveragingPowerLogger:
         """Columnar samples: ``(gpu_ticks, window_end_s, powers, window_s)``.
 
         ``powers`` has one xcd/iod/hbm row per sample.  This is the raw form
-        the vectorized backend consumes directly; :meth:`samples` wraps the
+        the backend consumes directly; :meth:`samples` wraps the
         same columns into :class:`TelemetrySample` objects.
 
         Segment-to-sample averaging runs on the cumulative-energy timeline:

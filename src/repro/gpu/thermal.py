@@ -86,17 +86,15 @@ class ThermalModel:
         The first-order dynamics compose analytically: stepping ``dt1`` then
         ``dt2`` equals a single step of ``dt1 + dt2`` up to floating-point
         rounding, because ``exp(-dt1/tau) * exp(-dt2/tau) == exp(-(dt1+dt2)/tau)``.
-        The vectorized device therefore applies one relaxation per idle span
-        instead of one per slice -- its batched idle-span boundary engine
-        emits hundreds of control-period slices without ever stepping warmth
-        per slice, then calls this once for the whole span; the result agrees
-        with the per-slice reference path to ~1 ulp (the device equivalence
-        suite pins the tolerance).
+        The compiled device engine therefore applies one relaxation per idle
+        span instead of one per slice -- its idle kernel emits hundreds of
+        control-period slices without ever stepping warmth per slice, then
+        relaxes once for the whole span with this arithmetic (keep the two
+        in lockstep); the result agrees with the per-slice reference path to
+        ~1 ulp (the device equivalence suite pins the tolerance).
 
         A zero-duration span is a no-op that leaves the warmth state
-        untouched (mirroring :meth:`step`); negative durations raise.  The
-        compiled idle kernel carries an identical twin of this arithmetic --
-        keep them in lockstep.
+        untouched (mirroring :meth:`step`); negative durations raise.
         """
         if dt_s < 0:
             raise ValueError("relaxation span cannot be negative")

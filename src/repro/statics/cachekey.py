@@ -157,11 +157,6 @@ EXEMPTIONS: dict[str, dict[str, str]] = {
             "pinned at its default by make_backend; changing the default "
             "requires a _CACHE_SCHEMA bump"
         ),
-        "vectorized": (
-            "deprecated engine pin: all time-advance engines are pinned "
-            "bit-identical by the equivalence tests and the compiled "
-            "self-check"
-        ),
         "engine": (
             "engine selection only: all time-advance engines are pinned "
             "bit-identical by the equivalence tests and the compiled "

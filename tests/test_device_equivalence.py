@@ -1,22 +1,22 @@
-"""Four-engine equivalence harness: compiled vs vectorized vs reference.
+"""Device equivalence harness: the compiled engine against its specifications.
 
-The contract is that every batched engine reproduces the retained per-slice
-reference path: identical slice boundaries, RNG stream, executions and
-firmware events.  Power values may differ from the *reference* by ~1 ulp
-because idle-span warmth is relaxed once per span instead of once per slice
--- the tolerances below document that bound.  The compiled engine replays
-the vectorized engine's iterated-float arithmetic exactly, so compiled vs
-vectorized is pinned **bit for bit** with no tolerance at all.
+The compiled engine is pinned three ways:
+
+* against the per-slice reference engine: identical slice boundaries, RNG
+  stream, executions and firmware events; power values may differ by ~1 ulp
+  because idle-span warmth is relaxed once per span instead of once per
+  slice -- the tolerances below document that bound;
+* against the pure-Python kernel bodies, **bit for bit**: whichever provider
+  is active (Numba, the C mirror or the bodies themselves) must replay every
+  scenario exactly as the plain Python kernels do;
+* the whole-run kernel (one call per instrumented run) against the per-step
+  compiled path of the same backend, **bit for bit**: records and every piece
+  of post-run device state.
 
 Scenarios mirror the paper's workloads: pure idle, a short (single-slice)
 kernel, a power-limited GEMM that throttles mid-execution, an interleaved
 mix with a mid-recording timestamp read, and a long-idle park/unpark cycle
 spanning hundreds of firmware control periods.
-
-Every scenario is pinned across the full engine matrix: the compiled kernel
-engine (Numba or the C mirror, whichever provider is active), the default
-batched idle-span boundary engine, the retained per-period inline loop
-(``_idle_batch_min_periods = inf``) and the per-slice reference.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
+from repro.gpu import _fastcore_kernels as _K
 from repro.gpu import fastcore
 from repro.gpu.backend import BackendConfig, SimulatedDeviceBackend
 from repro.gpu.device import PowerSegment, SegmentArray, SimulatedGPU
@@ -34,10 +35,6 @@ from repro.gpu.dvfs import FirmwareState
 from repro.gpu.scheduler import LaunchConfig
 from repro.gpu.spec import mi300x_spec
 from repro.kernels.workloads import cb_gemm, mb_gemv
-
-requires_compiled = pytest.mark.skipif(
-    not fastcore.available(), reason="no compiled-kernel provider in this environment"
-)
 
 POWER_RTOL = 1e-9
 POWER_ATOL = 1e-9
@@ -50,8 +47,8 @@ GEMV = mb_gemv(4096).activity_descriptor(SPEC)
 
 def device_pair(seed=123):
     return (
-        SimulatedGPU(SPEC, seed=seed, vectorized=True),
-        SimulatedGPU(SPEC, seed=seed, vectorized=False),
+        SimulatedGPU(SPEC, seed=seed, engine="compiled"),
+        SimulatedGPU(SPEC, seed=seed, engine="reference"),
     )
 
 
@@ -180,97 +177,65 @@ def test_scenario_equivalence(name):
     assert_devices_equivalent(fast, reference, fast_segments, reference_segments)
 
 
-def assert_devices_bitwise_identical(compiled, vectorized, compiled_segments, vectorized_segments):
-    """Compiled vs vectorized: no tolerance -- every float must match exactly."""
-    assert np.array_equal(compiled_segments.starts_s, vectorized_segments.starts_s)
-    assert np.array_equal(compiled_segments.ends_s, vectorized_segments.ends_s)
-    assert np.array_equal(compiled_segments.powers, vectorized_segments.powers)
-    assert compiled.executions() == vectorized.executions()
-    compiled_events = compiled.firmware_events()
-    vectorized_events = vectorized.firmware_events()
-    assert len(compiled_events) == len(vectorized_events)
-    for a, b in zip(compiled_events, vectorized_events):
+def assert_devices_bitwise_identical(ours, theirs, our_segments, their_segments):
+    """No tolerance -- every float must match exactly."""
+    assert np.array_equal(our_segments.starts_s, their_segments.starts_s)
+    assert np.array_equal(our_segments.ends_s, their_segments.ends_s)
+    assert np.array_equal(our_segments.powers, their_segments.powers)
+    assert ours.executions() == theirs.executions()
+    our_events = ours.firmware_events()
+    their_events = theirs.firmware_events()
+    assert len(our_events) == len(their_events)
+    for a, b in zip(our_events, their_events):
         assert (a.time_s, a.state, a.frequency_ghz, a.power_w) == (
             b.time_s, b.state, b.frequency_ghz, b.power_w,
         )
-    assert compiled.now_s() == vectorized.now_s()
-    assert compiled.thermal.warmth == vectorized.thermal.warmth
-    assert compiled._next_control_s == vectorized._next_control_s
-    assert compiled.firmware.state is vectorized.firmware.state
-    assert compiled.firmware.frequency_ghz == vectorized.firmware.frequency_ghz
+    assert ours.now_s() == theirs.now_s()
+    assert ours.thermal.warmth == theirs.thermal.warmth
+    assert ours._next_control_s == theirs._next_control_s
+    assert ours.firmware.state is theirs.firmware.state
+    assert ours.firmware.frequency_ghz == theirs.firmware.frequency_ghz
 
 
-@requires_compiled
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_scenario_equivalence_compiled(name):
-    """The compiled engine is bit-identical to vectorized, tolerance-equal to
-    the reference, on every scenario (including the long-idle park cycle)."""
+def test_scenario_equivalence_compiled(name, monkeypatch):
+    """The active provider replays the pure-Python kernel bodies bit for bit
+    on every scenario (including the long-idle park cycle)."""
     scenario = SCENARIOS[name]
     compiled = SimulatedGPU(SPEC, seed=123, engine="compiled")
-    assert compiled.engine == "compiled"
-    vectorized, reference = device_pair()
-    for device in (compiled, vectorized, reference):
-        scenario(device)
+    scenario(compiled)
     compiled_segments = compiled.stop_recording()
-    vectorized_segments = vectorized.stop_recording()
-    reference_segments = reference.stop_recording()
-    assert_devices_bitwise_identical(
-        compiled, vectorized, compiled_segments, vectorized_segments
+    # Under Numba the kernels are dispatchers: swap their Python bodies in
+    # (nested calls resolve through the module globals at call time).
+    for kernel in fastcore._KERNEL_CHAIN:
+        func = getattr(_K, kernel)
+        monkeypatch.setattr(_K, kernel, getattr(func, "py_func", func))
+    python = SimulatedGPU(SPEC, seed=123, engine="compiled")
+    python._fc = fastcore.KernelBundle(
+        "python", _K.k_idle, _K.k_execute, _K.k_sequence, _K.k_run
     )
-    assert_devices_equivalent(compiled, reference, compiled_segments, reference_segments)
+    scenario(python)
+    python_segments = python.stop_recording()
+    assert_devices_bitwise_identical(
+        compiled, python, compiled_segments, python_segments
+    )
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_scenario_equivalence_scalar_inline(name):
-    """The retained per-period inline idle loop stays in lockstep too.
-
-    ``_idle_batch_min_periods = inf`` disables the batched boundary engine,
-    pinning the scalar path the batched engine replaced (and falls back to)
-    against the per-slice reference.
-    """
-    scenario = SCENARIOS[name]
-    fast, reference = device_pair()
-    fast._idle_batch_min_periods = float("inf")
-    scenario(fast)
-    scenario(reference)
-    fast_segments = fast.stop_recording()
-    reference_segments = reference.stop_recording()
-    assert_devices_equivalent(fast, reference, fast_segments, reference_segments)
-
-
-def engine_matrix(seed=123):
-    """Ordered engine matrix: [compiled,] batched, scalar-inline, reference.
-
-    The compiled engine joins the matrix whenever a provider is available
-    (the provider itself -- Numba or the C mirror -- is whatever fastcore
-    auto-selected; both must pass the same pins).  ``reference`` is always
-    last.
-    """
-    engines: dict[str, SimulatedGPU] = {}
-    if fastcore.available():
-        engines["compiled"] = SimulatedGPU(SPEC, seed=seed, engine="compiled")
-    engines["batched"] = SimulatedGPU(SPEC, seed=seed, vectorized=True)
-    scalar = SimulatedGPU(SPEC, seed=seed, vectorized=True)
-    scalar._idle_batch_min_periods = float("inf")
-    engines["scalar"] = scalar
-    engines["reference"] = SimulatedGPU(SPEC, seed=seed, vectorized=False)
-    return engines
-
-
-def three_engines(seed=123):
-    """Batched engine, pinned scalar-inline path, per-slice reference."""
-    matrix = engine_matrix(seed)
-    return matrix["batched"], matrix["scalar"], matrix["reference"]
+def engine_pair(seed=123):
+    """The compiled engine (whichever provider fastcore selected) and the
+    per-slice reference, in that order."""
+    compiled, reference = device_pair(seed)
+    return {"compiled": compiled, "reference": reference}
 
 
 class TestLongIdleParkUnpark:
-    """The compiled engine, the batched idle-span engine, the inline path and
-    the reference loop must agree bit for bit across a park/unpark/boost
-    cycle spanning hundreds of control periods."""
+    """The compiled engine and the reference loop must agree across a
+    park/unpark/boost cycle spanning hundreds of control periods: events and
+    times bit for bit, powers to the documented tolerance."""
 
     @pytest.fixture(scope="class")
     def driven(self):
-        engines = engine_matrix()
+        engines = engine_pair()
         segments = {}
         for name, device in engines.items():
             scenario_long_idle_park(device)
@@ -299,23 +264,11 @@ class TestLongIdleParkUnpark:
 
     def test_segments_clock_and_warmth_pinned(self, driven):
         engines, segments = driven
-        ref_segments = segments["reference"]
-        assert len(segments["batched"]) > 500  # hundreds of control periods
-        for name in engines:
-            if name == "reference":
-                continue
-            assert_devices_equivalent(
-                engines[name], engines["reference"], segments[name], ref_segments
-            )
-        # Batched vs scalar-inline: the idle grid must be the same floats.
-        assert np.array_equal(segments["batched"].starts_s, segments["scalar"].starts_s)
-        assert np.array_equal(segments["batched"].ends_s, segments["scalar"].ends_s)
-        if "compiled" in engines:
-            # Compiled vs batched: everything identical, powers included.
-            assert_devices_bitwise_identical(
-                engines["compiled"], engines["batched"],
-                segments["compiled"], segments["batched"],
-            )
+        assert len(segments["compiled"]) > 500  # hundreds of control periods
+        assert_devices_equivalent(
+            engines["compiled"], engines["reference"],
+            segments["compiled"], segments["reference"],
+        )
 
     def test_firmware_bookkeeping_identical(self, driven):
         engines, _ = driven
@@ -333,17 +286,12 @@ class TestLongIdleParkUnpark:
 class TestExactBoundarySpans:
     """Audit pin for the 1e-12 boundary slack: a span ending exactly on (or
     within the slack of) a control boundary fires the firmware on the same
-    boundary in the batched engine, the inline path and the reference loop,
-    and the park transition lands on an identical boundary float."""
+    boundary in the compiled engine and the reference loop, and the park
+    transition lands on an identical boundary float."""
 
     @pytest.mark.parametrize("perturb_s", [0.0, 1e-12, -1e-12, 5e-13, -5e-13])
     def test_park_lands_on_same_boundary(self, perturb_s):
-        engines = engine_matrix(seed=21)
-        # The spans here are shorter than the batching crossover; force the
-        # batched engine on so the chunk path itself faces the corner case
-        # (the compiled engine has no threshold -- it always takes its
-        # per-period kernel loop).
-        engines["batched"]._idle_batch_min_periods = 1.0
+        engines = engine_pair(seed=21)
         for device in engines.values():
             device.start_recording()
             device.execute_kernel(SHORT)
@@ -377,10 +325,8 @@ class TestExactBoundarySpans:
     def test_span_ending_on_boundary_steps_firmware_once(self):
         # A span that ends bit-exactly on a boundary must consume that
         # boundary (next_control advances past it) in every engine, leaving
-        # an empty control accumulator -- the audited invariant behind the
-        # batched engine's chunk entry condition.
-        engines = engine_matrix(seed=4)
-        engines["batched"]._idle_batch_min_periods = 1.0
+        # an empty control accumulator.
+        engines = engine_pair(seed=4)
         for device in engines.values():
             device.execute_kernel(SHORT)
             span = device._next_control_s - device.now_s()
@@ -455,10 +401,7 @@ class TestBackendEquivalence:
             )
             return records
 
-        engines = ["vectorized", "reference"]
-        if fastcore.available():
-            engines.insert(0, "compiled")
-        return {engine: one(engine) for engine in engines}
+        return {engine: one(engine) for engine in ("compiled", "reference")}
 
     @staticmethod
     def pairs(record_matrix):
@@ -477,15 +420,7 @@ class TestBackendEquivalence:
 
     def test_readings_match(self, record_matrix):
         for fast, reference in self.pairs(record_matrix):
-            assert len(fast.readings) == len(reference.readings)
-            for a, b in zip(fast.readings, reference.readings):
-                assert a.gpu_timestamp_ticks == b.gpu_timestamp_ticks
-                assert a.window_s == b.window_s
-                assert a.total_w == pytest.approx(b.total_w, rel=POWER_RTOL)
-                for component in ("xcd", "iod", "hbm"):
-                    assert a.components[component] == pytest.approx(
-                        b.components[component], rel=POWER_RTOL
-                    )
+            assert_readings_close(fast, reference)
 
     def test_anchor_and_metadata_identical(self, record_matrix):
         for fast, reference in self.pairs(record_matrix):
@@ -498,22 +433,9 @@ class TestBackendEquivalence:
                 == reference.metadata["run_variation_outlier"]
             )
 
-    def test_compiled_readings_bitwise_equal_vectorized(self, record_matrix):
-        if "compiled" not in record_matrix:
-            pytest.skip("no compiled-kernel provider in this environment")
-        for compiled, vectorized in zip(
-            record_matrix["compiled"], record_matrix["vectorized"]
-        ):
-            assert list(compiled.executions) == list(vectorized.executions)
-            for a, b in zip(compiled.readings, vectorized.readings):
-                assert a.gpu_timestamp_ticks == b.gpu_timestamp_ticks
-                assert a.total_w == b.total_w
-                assert a.components == b.components
-
     # -- The compiled engine's whole-run kernel (one call per run). -------- #
-    @requires_compiled
     @pytest.mark.parametrize("name", sorted(WHOLE_RUN_CASES))
-    def test_whole_run_bitwise_equal_vectorized(self, name, monkeypatch):
+    def test_whole_run_bitwise_equal_stepwise(self, name, monkeypatch):
         calls = []
         original = SimulatedGPU._run_compiled
 
@@ -523,12 +445,15 @@ class TestBackendEquivalence:
 
         monkeypatch.setattr(SimulatedGPU, "_run_compiled", counted)
         case = WHOLE_RUN_CASES[name]
-        compiled = drive_runs("compiled", case)
-        vectorized = drive_runs("vectorized", case)
+        whole = drive_runs("compiled", case)
         assert len(calls) == len(case.pre_delays)
-        assert_runs_identical(compiled, vectorized)
+        monkeypatch.setattr(
+            SimulatedDeviceBackend, "_run_whole", SimulatedDeviceBackend._run_stepwise
+        )
+        stepwise = drive_runs("compiled", case)
+        assert len(calls) == len(case.pre_delays)
+        assert_runs_identical(whole, stepwise)
 
-    @requires_compiled
     def test_whole_run_grows_overflowed_buffers(self):
         backend, _, _ = drive_runs("compiled", WHOLE_RUN_CASES["long_pre_delay"])
         # The 1.2 s pre-delay records ~4800 slices and 1200 readings: both
@@ -536,7 +461,6 @@ class TestBackendEquivalence:
         assert backend.device._fc_seg.shape[0] > 4096
         assert backend.device._fc_smp.shape[0] > 1200
 
-    @requires_compiled
     @pytest.mark.parametrize("name", sorted(FALLBACK_CASES))
     def test_unfusable_runs_fall_back_to_stepwise(self, name, monkeypatch):
         def refuse(*args, **kwargs):
@@ -544,7 +468,9 @@ class TestBackendEquivalence:
 
         monkeypatch.setattr(SimulatedGPU, "_run_compiled", refuse)
         case = FALLBACK_CASES[name]
-        assert_runs_identical(drive_runs("compiled", case), drive_runs("vectorized", case))
+        assert_runs_match_reference(
+            drive_runs("compiled", case), drive_runs("reference", case)
+        )
 
 
 def device_state(backend):
@@ -601,6 +527,55 @@ def drive_runs(engine, case, seed=11):
     return backend, records, states
 
 
+def assert_readings_close(record, reference):
+    """Readings at identical ticks and windows, powers to ``POWER_RTOL``."""
+    assert len(record.readings) == len(reference.readings)
+    for a, b in zip(record.readings, reference.readings):
+        assert a.gpu_timestamp_ticks == b.gpu_timestamp_ticks
+        assert a.window_s == b.window_s
+        assert a.total_w == pytest.approx(b.total_w, rel=POWER_RTOL)
+        for component in ("xcd", "iod", "hbm"):
+            assert a.components[component] == pytest.approx(
+                b.components[component], rel=POWER_RTOL
+            )
+
+
+def assert_close(ours, theirs):
+    """Equal, except that floats (also inside sequences and dataclasses)
+    agree to ``POWER_RTOL``."""
+    if isinstance(ours, float):
+        assert ours == pytest.approx(theirs, rel=POWER_RTOL, abs=POWER_ATOL)
+    elif dataclasses.is_dataclass(ours):
+        assert type(ours) is type(theirs)
+        assert_close(dataclasses.astuple(ours), dataclasses.astuple(theirs))
+    elif isinstance(ours, (list, tuple)):
+        assert len(ours) == len(theirs)
+        for a, b in zip(ours, theirs):
+            assert_close(a, b)
+    else:
+        assert ours == theirs
+
+
+def assert_runs_match_reference(ours, reference):
+    """Compiled runs against the reference engine, run by run: timings,
+    anchors and metadata bit for bit, powers and power-derived state to
+    ``POWER_RTOL``."""
+    _, records, states = ours
+    _, reference_records, reference_states = reference
+    assert len(records) == len(reference_records)
+    for a, b in zip(records, reference_records):
+        assert (a.run_index, a.kernel_name, a.pre_delay_s) == (
+            b.run_index, b.kernel_name, b.pre_delay_s,
+        )
+        assert a.anchor == b.anchor
+        assert a.metadata == b.metadata
+        assert a.executions == b.executions
+        assert a.preceding_executions == b.preceding_executions
+        assert_readings_close(a, b)
+    for state, other in zip(states, reference_states):
+        assert_close(state, other)
+
+
 def assert_runs_identical(ours, theirs):
     """Records and post-run device state equal bit for bit, run by run."""
     _, records, states = ours
@@ -633,15 +608,15 @@ class TestDescriptorProfileCache:
         import dataclasses
 
         descriptor = cb_gemm(2048).activity_descriptor(SPEC)
-        first = SimulatedGPU(SPEC, seed=1, vectorized=True)
+        first = SimulatedGPU(SPEC, seed=1, engine="compiled")
         first.execute_kernel(descriptor)
 
         other_spec = dataclasses.replace(
             SPEC, power=dataclasses.replace(SPEC.power, xcd_stalled_floor=0.44,
                                             xcd_activity_floor=0.9)
         )
-        fast = SimulatedGPU(other_spec, seed=2, vectorized=True)
-        reference = SimulatedGPU(other_spec, seed=2, vectorized=False)
+        fast = SimulatedGPU(other_spec, seed=2, engine="compiled")
+        reference = SimulatedGPU(other_spec, seed=2, engine="reference")
         fast_result = fast.execute_kernel(descriptor)
         reference_result = reference.execute_kernel(descriptor)
         assert fast_result.mean_power.total_w == pytest.approx(

@@ -1,8 +1,5 @@
 """Unit tests for the DVFS / power-cap firmware."""
 
-import copy
-
-import numpy as np
 import pytest
 
 from repro.gpu.dvfs import FirmwareConfig, FirmwareState, PowerManagementFirmware
@@ -263,98 +260,3 @@ class TestCapReleaseHysteresis:
             now = drive_to_cap(firmware)
             firmware.step(now, 250e-6, budget.board_limit_w * fraction, True)
             assert firmware.state is expected, fraction
-
-
-class TestIdleSpan:
-    """`idle_span` must leave the controller exactly as N inlined non-resident
-    ``step()`` calls would: same events, same bookkeeping, bit for bit."""
-
-    PERIOD = 250e-6
-
-    def boundaries(self, start, n, first_dt=None):
-        """An iterated-addition boundary grid like the device's."""
-        dts = []
-        times = []
-        now = start
-        next_control = start + (first_dt if first_dt is not None else self.PERIOD)
-        for _ in range(n):
-            dt = next_control - now
-            times.append(next_control)
-            dts.append(dt)
-            now = next_control
-            next_control = next_control + self.PERIOD
-        return np.asarray(times), np.asarray(dts)
-
-    def scalar_twin(self, firmware):
-        return copy.deepcopy(firmware)
-
-    @pytest.mark.parametrize("n", [1, 2, 7, 9, 400])
-    @pytest.mark.parametrize("power_w", [115.0, 87.3])
-    def test_matches_inlined_steps_from_boost(self, n, power_w):
-        firmware = PowerManagementFirmware(DVFSSpec(), PowerBudget())
-        firmware.notify_kernel_arrival(0.0)
-        firmware.step(self.PERIOD, self.PERIOD, 300.0, True)
-        twin = self.scalar_twin(firmware)
-        times, dts = self.boundaries(self.PERIOD, n, first_dt=0.37 * self.PERIOD)
-
-        for time_s, dt in zip(times, dts):
-            mean = (power_w * dt) / dt
-            twin.step(float(time_s), float(dt), mean, False)
-        firmware.idle_span(self.PERIOD, float(times[-1] - self.PERIOD), power_w, times, dts)
-
-        assert firmware.state is twin.state
-        assert firmware.frequency_ghz == twin.frequency_ghz
-        assert firmware._idle_accum_s == twin._idle_accum_s
-        assert firmware._overdraw_accum_s == twin._overdraw_accum_s
-        assert firmware._last_power_w == twin._last_power_w
-        assert firmware.events == twin.events
-
-    def test_park_event_synthesized_at_the_exact_boundary(self):
-        firmware = PowerManagementFirmware(DVFSSpec(), PowerBudget())
-        firmware.notify_kernel_arrival(0.0)
-        twin = self.scalar_twin(firmware)
-        times, dts = self.boundaries(0.0, 40)
-        for time_s, dt in zip(times, dts):
-            twin.step(float(time_s), float(dt), 113.0, False)
-        firmware.idle_span(0.0, float(times[-1]), 113.0, times, dts)
-        park_events = [e for e in firmware.events if e.state is FirmwareState.IDLE]
-        assert len(park_events) == 1
-        assert park_events[0] == [e for e in twin.events if e.state is FirmwareState.IDLE][0]
-        assert firmware.state is FirmwareState.IDLE
-        assert firmware._idle_accum_s == twin._idle_accum_s
-
-    def test_already_idle_controller_only_accumulates(self):
-        firmware = PowerManagementFirmware(DVFSSpec(), PowerBudget())
-        assert firmware.state is FirmwareState.IDLE
-        times, dts = self.boundaries(0.0, 12)
-        firmware.idle_span(0.0, float(times[-1]), 110.0, times, dts)
-        assert firmware.events == []
-        assert firmware.state is FirmwareState.IDLE
-        expected = 0.0
-        for dt in dts:
-            expected += dt
-        assert firmware._idle_accum_s == expected
-
-    def test_empty_span_is_a_noop(self):
-        firmware = PowerManagementFirmware(DVFSSpec(), PowerBudget())
-        firmware.notify_kernel_arrival(0.0)
-        before = (firmware.state, firmware._idle_accum_s, firmware._last_power_w)
-        firmware.idle_span(0.0, 0.0, 110.0, np.empty(0), np.empty(0))
-        assert (firmware.state, firmware._idle_accum_s, firmware._last_power_w) == before
-
-    def test_mismatched_grid_rejected(self):
-        firmware = PowerManagementFirmware(DVFSSpec(), PowerBudget())
-        with pytest.raises(ValueError):
-            firmware.idle_span(0.0, 1e-3, 110.0, np.zeros(3), np.zeros(2))
-        with pytest.raises(ValueError):
-            firmware.idle_span(0.0, -1e-3, 110.0, np.zeros(2), np.ones(2))
-
-    def test_grid_outside_the_span_rejected(self):
-        firmware = PowerManagementFirmware(DVFSSpec(), PowerBudget())
-        times, dts = self.boundaries(0.0, 4)
-        # Boundary before the span start.
-        with pytest.raises(ValueError):
-            firmware.idle_span(float(times[0]), float(times[-1]), 110.0, times, dts)
-        # Span too short to contain the last boundary.
-        with pytest.raises(ValueError):
-            firmware.idle_span(0.0, float(times[-2]), 110.0, times, dts)

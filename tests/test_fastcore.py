@@ -1,11 +1,12 @@
-"""Engine-selection matrix, provider fallbacks and compiled-core plumbing.
+"""Engine selection, the provider chain and compiled-core plumbing.
 
 Covers the fastcore resolution rules (explicit argument > ``REPRO_ENGINE``
-env var > auto), graceful fallback when no compiled provider is available
-(simulated by pinning ``REPRO_FASTCORE_PROVIDER=none`` / patching out the
-Numba import probe), the one-time self-check failure path (single warning,
-auto falls back to vectorized), the ``BackendConfig`` engine validation and
-deprecation shim, and the ``relax_span`` zero/negative-duration contract.
+env var > auto, which is ``compiled``), the provider chain (``numba`` ->
+``cc`` -> ``python``, simulated by patching out the Numba import probe and
+the C loader), the rejection of removed engine names, provider values and
+keyword arguments, the one-time self-check failure path (single warning,
+the next provider wins), the ``BackendConfig`` engine validation, and the
+``relax_span`` zero/negative-duration contract.
 """
 
 from __future__ import annotations
@@ -35,31 +36,48 @@ def clean_fastcore(monkeypatch):
     fastcore._reset_for_tests()
 
 
+def patch_out_numba_and_cc(monkeypatch):
+    """Make the numba and cc providers unloadable, as on a bare host."""
+    load = fastcore._load_provider
+    monkeypatch.setattr(fastcore, "_numba_importable", lambda: False)
+    monkeypatch.setattr(
+        fastcore,
+        "_load_provider",
+        lambda name: (None, "cc: patched out") if name == "cc" else load(name),
+    )
+
+
 # --------------------------------------------------------------------- #
 # Engine resolution precedence.
 # --------------------------------------------------------------------- #
 class TestResolveEngine:
     def test_explicit_engine_wins(self, clean_fastcore):
-        assert fastcore.resolve_engine("vectorized") == "vectorized"
+        assert fastcore.resolve_engine("compiled") == "compiled"
         assert fastcore.resolve_engine("reference") == "reference"
 
-    def test_vectorized_shim_maps_to_engines(self, clean_fastcore):
-        assert fastcore.resolve_engine(None, True) == "vectorized"
-        assert fastcore.resolve_engine(None, False) == "reference"
+    def test_vectorized_engine_rejected(self, clean_fastcore):
+        assert fastcore.VALID_ENGINES == ("compiled", "reference")
+        with pytest.raises(ValueError, match="'compiled' and 'reference'"):
+            fastcore.resolve_engine("vectorized")
+        with pytest.raises(ValueError, match="'compiled' and 'reference'"):
+            BackendConfig(engine="vectorized").validate()
+        clean_fastcore.setenv("REPRO_ENGINE", "vectorized")
+        with pytest.raises(ValueError, match="'compiled' and 'reference'"):
+            SimulatedGPU(SPEC, seed=1)
 
     def test_engine_and_vectorized_together_raise(self, clean_fastcore):
-        with pytest.raises(ValueError, match="not both"):
-            fastcore.resolve_engine("vectorized", True)
+        with pytest.raises(TypeError):
+            fastcore.resolve_engine("compiled", vectorized=True)
 
     def test_unknown_engine_lists_valid_engines(self, clean_fastcore):
-        with pytest.raises(ValueError, match="compiled.*vectorized.*reference"):
+        with pytest.raises(ValueError, match="compiled.*reference"):
             fastcore.resolve_engine("turbo")
 
     def test_env_var_overrides_auto(self, clean_fastcore):
         clean_fastcore.setenv("REPRO_ENGINE", "reference")
         assert fastcore.resolve_engine() == "reference"
-        clean_fastcore.setenv("REPRO_ENGINE", "vectorized")
-        assert fastcore.resolve_engine() == "vectorized"
+        clean_fastcore.setenv("REPRO_ENGINE", "compiled")
+        assert fastcore.resolve_engine() == "compiled"
 
     def test_env_var_invalid_value_raises(self, clean_fastcore):
         clean_fastcore.setenv("REPRO_ENGINE", "warp-speed")
@@ -68,62 +86,58 @@ class TestResolveEngine:
 
     def test_explicit_argument_beats_env_var(self, clean_fastcore):
         clean_fastcore.setenv("REPRO_ENGINE", "reference")
-        assert fastcore.resolve_engine("vectorized") == "vectorized"
+        assert fastcore.resolve_engine("compiled") == "compiled"
 
     def test_auto_prefers_compiled_when_available(self, clean_fastcore):
-        if not fastcore.available():
-            pytest.skip("no compiled-kernel provider in this environment")
         assert fastcore.resolve_engine() == "compiled"
-        assert fastcore.provider_name() in ("numba", "cc")
+        assert fastcore.provider_name() in ("numba", "cc", "python")
 
 
 # --------------------------------------------------------------------- #
-# Provider-absent fallback.
+# The provider chain.
 # --------------------------------------------------------------------- #
 class TestProviderFallback:
-    def test_provider_none_disables_compiled_tier(self, clean_fastcore):
+    def test_unknown_provider_rejected(self, clean_fastcore):
         clean_fastcore.setenv("REPRO_FASTCORE_PROVIDER", "none")
-        assert fastcore.kernels() is None
-        assert not fastcore.available()
-        # Auto selection falls back silently -- no warning for a merely
-        # absent provider.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert fastcore.resolve_engine() == "vectorized"
+        with pytest.raises(ValueError, match="'none'.*'numba', 'cc', 'python'"):
+            fastcore.kernels()
+        with pytest.raises(ValueError, match="'none'"):
+            SimulatedGPU(SPEC, seed=1, engine="compiled")
 
     def test_numba_absent_auto_skips_to_next_provider(self, clean_fastcore):
         clean_fastcore.setattr(fastcore, "_numba_importable", lambda: False)
-        bundle = fastcore.kernels()
-        # Whatever auto resolves to, it must not claim the numba provider.
-        assert bundle is None or bundle.name != "numba"
+        assert fastcore.kernels().name != "numba"
 
     def test_numba_provider_requested_but_absent(self, clean_fastcore):
         clean_fastcore.setenv("REPRO_FASTCORE_PROVIDER", "numba")
         clean_fastcore.setattr(fastcore, "_numba_importable", lambda: False)
-        assert fastcore.kernels() is None
-        assert fastcore.resolve_engine() == "vectorized"
-
-    def test_explicit_compiled_unavailable_warns_once(self, clean_fastcore):
-        clean_fastcore.setenv("REPRO_FASTCORE_PROVIDER", "none")
-        with pytest.warns(RuntimeWarning, match="falling back to the vectorized"):
-            assert fastcore.resolve_engine("compiled") == "vectorized"
-        # Second request: silent (the warning is one-time).
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert fastcore.resolve_engine("compiled") == "vectorized"
+        # A pinned provider never silently becomes another one.
+        with pytest.raises(RuntimeError, match="numba: not importable"):
+            fastcore.kernels()
+        with pytest.raises(RuntimeError, match="numba: not importable"):
+            SimulatedDeviceBackend(
+                spec=SPEC, seed=2, config=BackendConfig(engine="compiled")
+            )
 
     def test_device_construction_survives_missing_provider(self, clean_fastcore):
-        clean_fastcore.setenv("REPRO_FASTCORE_PROVIDER", "none")
-        with pytest.warns(RuntimeWarning):
-            device = SimulatedGPU(SPEC, seed=1, engine="compiled")
-        assert device.engine == "vectorized"
+        clean_fastcore.setenv("REPRO_FASTCORE_PROVIDER", "numba")
+        clean_fastcore.setattr(fastcore, "_numba_importable", lambda: False)
+        # The reference engine needs no kernels at all.
+        device = SimulatedGPU(SPEC, seed=1, engine="reference")
         device.idle(1e-3)
         assert device.now_s() == pytest.approx(1e-3)
 
-    def test_backend_auto_resolves_to_vectorized(self, clean_fastcore):
-        clean_fastcore.setenv("REPRO_FASTCORE_PROVIDER", "none")
+    def test_backend_auto_resolves_to_python_provider(self, clean_fastcore):
+        patch_out_numba_and_cc(clean_fastcore)
+        with warnings.catch_warnings():
+            # An absent provider is not a failure: no warning.
+            warnings.simplefilter("error")
+            assert fastcore.kernels().name == "python"
         backend = SimulatedDeviceBackend(spec=SPEC, seed=2, config=BackendConfig())
-        assert backend.device.engine == "vectorized"
+        assert backend.device.engine == "compiled"
+        assert fastcore.provider_name() == "python"
+        record = backend.run(cb_gemm(1024), executions=4, pre_delay_s=0.0)
+        assert len(record.executions) == 4
 
 
 # --------------------------------------------------------------------- #
@@ -131,23 +145,34 @@ class TestProviderFallback:
 # --------------------------------------------------------------------- #
 class TestSelfCheckFailure:
     def test_failed_self_check_warns_once_and_falls_back(self, clean_fastcore):
-        if fastcore.provider_request() == "none":
-            pytest.skip("provider explicitly disabled")
+        # Every provider of the chain loads (as the pure bodies, under its
+        # own name); all but the last fail their self-check.
+        python_bundle, _ = fastcore._load_provider("python")
         clean_fastcore.setattr(
-            fastcore, "self_check", lambda bundle: "injected mismatch"
+            fastcore,
+            "_load_provider",
+            lambda name: (
+                fastcore.KernelBundle(
+                    name, python_bundle.idle, python_bundle.execute,
+                    python_bundle.sequence, python_bundle.run,
+                ),
+                None,
+            ),
+        )
+        clean_fastcore.setattr(
+            fastcore,
+            "self_check",
+            lambda bundle: None if bundle.name == "python" else "injected mismatch",
         )
         with pytest.warns(RuntimeWarning, match="failed its self-check"):
-            assert fastcore.kernels() is None
-        assert fastcore.resolve_engine() == "vectorized"
+            assert fastcore.kernels().name == "python"
         # The resolution is cached: no second warning, no second self-check.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert fastcore.kernels() is None
+            assert fastcore.kernels().name == "python"
 
     def test_self_check_catches_a_corrupted_provider(self, clean_fastcore):
         bundle = fastcore.kernels()
-        if bundle is None:
-            pytest.skip("no compiled-kernel provider in this environment")
 
         def corrupted_idle(st, pp, duration, record, seg, ev, lens):
             rc = bundle.idle(st, pp, duration, record, seg, ev, lens)
@@ -161,10 +186,7 @@ class TestSelfCheckFailure:
         assert failure is not None and "mismatch" in failure
 
     def test_self_check_passes_for_active_provider(self, clean_fastcore):
-        bundle = fastcore.kernels()
-        if bundle is None:
-            pytest.skip("no compiled-kernel provider in this environment")
-        assert fastcore.self_check(bundle) is None
+        assert fastcore.self_check(fastcore.kernels()) is None
 
 
 # --------------------------------------------------------------------- #
@@ -172,58 +194,54 @@ class TestSelfCheckFailure:
 # --------------------------------------------------------------------- #
 class TestPythonProvider:
     def test_python_provider_runs_the_device(self, clean_fastcore):
-        clean_fastcore.setenv("REPRO_FASTCORE_PROVIDER", "python")
-        bundle = fastcore.kernels()
-        assert bundle is not None and bundle.name == "python"
-        compiled = SimulatedGPU(SPEC, seed=7, engine="compiled")
-        vectorized = SimulatedGPU(SPEC, seed=7, engine="vectorized")
         short = cb_gemm(1024).activity_descriptor(SPEC)
-        for device in (compiled, vectorized):
+
+        def drive():
+            device = SimulatedGPU(SPEC, seed=7, engine="compiled")
             device.start_recording()
             device.idle(1.2e-3)
             device.execute_kernel(short)
             device.idle(9e-3)
             device.execute_kernel(short)
-        a = compiled.stop_recording()
-        b = vectorized.stop_recording()
-        assert np.array_equal(a.starts_s, b.starts_s)
-        assert np.array_equal(a.powers, b.powers)
-        assert compiled.executions() == vectorized.executions()
-        assert compiled.now_s() == vectorized.now_s()
+            return device, device.stop_recording()
+
+        auto, auto_segments = drive()
+        fastcore._reset_for_tests()
+        clean_fastcore.setenv("REPRO_FASTCORE_PROVIDER", "python")
+        assert fastcore.kernels().name == "python"
+        python, python_segments = drive()
+        assert python._fc.name == "python"
+        assert np.array_equal(python_segments.starts_s, auto_segments.starts_s)
+        assert np.array_equal(python_segments.powers, auto_segments.powers)
+        assert python.executions() == auto.executions()
+        assert python.now_s() == auto.now_s()
 
 
 # --------------------------------------------------------------------- #
-# BackendConfig engine validation + deprecation shim.
+# BackendConfig engine validation.
 # --------------------------------------------------------------------- #
 class TestBackendConfigEngine:
     def test_unknown_engine_rejected_with_valid_list(self, clean_fastcore):
-        with pytest.raises(ValueError, match="compiled.*vectorized.*reference"):
+        with pytest.raises(ValueError, match="compiled.*reference"):
             BackendConfig(engine="hyperspeed").validate()
 
     def test_engine_and_vectorized_both_set_rejected(self, clean_fastcore):
-        with pytest.raises(ValueError, match="not both"):
-            BackendConfig(engine="vectorized", vectorized=True).validate()
+        with pytest.raises(TypeError, match="vectorized"):
+            BackendConfig(vectorized=True)
+        with pytest.raises(TypeError, match="vectorized"):
+            BackendConfig(engine="compiled", vectorized=True)
 
-    def test_vectorized_shim_still_pins_engines(self, clean_fastcore):
-        assert BackendConfig(vectorized=True).resolved_engine() == "vectorized"
-        assert BackendConfig(vectorized=False).resolved_engine() == "reference"
-
-    def test_legacy_boolean_constructor_path_still_works(self, clean_fastcore):
-        backend = SimulatedDeviceBackend(
-            spec=SPEC, seed=3, config=BackendConfig(vectorized=False)
-        )
-        assert backend.device.engine == "reference"
-        assert not backend.device.vectorized
-
-    def test_direct_device_vectorized_flag_never_auto_selects(self, clean_fastcore):
-        # Pre-engine constructor callers must keep their exact engine.
-        assert SimulatedGPU(SPEC, seed=1, vectorized=True).engine == "vectorized"
-        assert SimulatedGPU(SPEC, seed=1, vectorized=False).engine == "reference"
+    def test_direct_device_resolves_auto(self, clean_fastcore):
+        assert SimulatedGPU(SPEC, seed=1).engine == "compiled"
+        clean_fastcore.setenv("REPRO_ENGINE", "reference")
+        assert SimulatedGPU(SPEC, seed=1).engine == "reference"
+        with pytest.raises(TypeError, match="vectorized"):
+            SimulatedGPU(SPEC, seed=1, vectorized=True)
 
     def test_auto_accepted_as_explicit_engine_string(self, clean_fastcore):
         config = BackendConfig(engine="auto")
         config.validate()
-        assert config.resolved_engine() in ("compiled", "vectorized")
+        assert config.resolved_engine() == "compiled"
 
 
 # --------------------------------------------------------------------- #
@@ -250,8 +268,6 @@ class TestRelaxSpan:
 
     def test_compiled_idle_kernel_treats_zero_span_as_noop(self, clean_fastcore):
         bundle = fastcore.kernels()
-        if bundle is None:
-            pytest.skip("no compiled-kernel provider in this environment")
         from repro.gpu import _fastcore_kernels as K
 
         st, pp, _, _ = fastcore._scenario_params()
