@@ -184,7 +184,7 @@ class _LazyRecordView(SequenceABC):
 class ExecutionTimings(_LazyRecordView):
     """Columnar, tuple-compatible view over host-observed execution timings.
 
-    The vectorized backend stages each launch sequence's start/end times in an
+    The compiled engine stages each launch sequence's start/end times in an
     :class:`ExecutionArena` instead of constructing one frozen
     :class:`ExecutionTiming` per execution; run records then adopt the arena's
     columns through this view.  It behaves exactly like the tuple of
@@ -267,7 +267,7 @@ class ExecutionTimings(_LazyRecordView):
 class PowerReadings(_LazyRecordView):
     """Columnar, tuple-compatible view over a run's power readings.
 
-    Built by the vectorized backend straight from the sampler's columnar
+    Built by the compiled engine straight from the sampler's columnar
     output: timestamp ticks, one shared averaging-window length, total watts
     and an ``(n, k)`` per-component power matrix.  Indexing or iterating
     materialises :class:`PowerReading` objects with the identical field values
@@ -333,13 +333,13 @@ class PowerReadings(_LazyRecordView):
 class ExecutionArena:
     """Reusable columnar staging area for one record field's execution timings.
 
-    The vectorized launch path appends each execution's ``(start, end)``
-    floats into the arena's flat buffers -- one block descriptor per launch
+    The compiled launch path stages each execution's ``(start, end)``
+    floats in the arena's flat buffers -- one block descriptor per launch
     sequence carries the kernel name and the contiguous index range -- and
     :meth:`take` snapshots the staged block(s) as an
     :class:`ExecutionTimings` view, resetting the arena for the next field.
-    One arena lives on the backend and is recycled across runs, so the
-    per-execution cost of a run collapses to two ``array.append`` calls.
+    One arena lives on the backend and is recycled across runs; a fused
+    sequence costs two buffer copies, any other two appends per execution.
     """
 
     __slots__ = ("_starts", "_ends", "_blocks")
@@ -546,7 +546,7 @@ class RunRecord:
     ``readings`` / ``executions`` / ``preceding_executions`` hold either plain
     tuples of the record objects (the reference backend path) or the
     tuple-compatible columnar views :class:`PowerReadings` /
-    :class:`ExecutionTimings` (the vectorized arena path).  Both compare equal
+    :class:`ExecutionTimings` (the compiled arena path).  Both compare equal
     element-wise; the ``*_columns`` accessors adopt a view's arrays directly.
     """
 

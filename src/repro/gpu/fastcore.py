@@ -29,8 +29,10 @@ be used makes :func:`kernels` raise instead of silently picking another.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import warnings
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -324,8 +326,9 @@ def _run_scenario(idle, execute, sequence, run) -> dict[str, np.ndarray]:
     }
 
 
-def _run_scenario_pure() -> dict[str, np.ndarray]:
-    """Reference run over the pure-Python kernel bodies.
+@contextlib.contextmanager
+def pure_kernels() -> Iterator[KernelBundle]:
+    """The pure-Python kernel bodies as a bundle, for the ``with`` block.
 
     When Numba is active the module-level kernels are dispatchers; their
     original bodies are temporarily swapped back in (nested calls resolve
@@ -339,7 +342,7 @@ def _run_scenario_pure() -> dict[str, np.ndarray]:
             swapped[name] = func
             setattr(_K, name, py_func)
     try:
-        return _run_scenario(_K.k_idle, _K.k_execute, _K.k_sequence, _K.k_run)
+        yield KernelBundle("python", _K.k_idle, _K.k_execute, _K.k_sequence, _K.k_run)
     finally:
         for name, func in swapped.items():
             setattr(_K, name, func)
@@ -353,7 +356,8 @@ def self_check(bundle: KernelBundle) -> str | None:
     """
     try:
         got = _run_scenario(bundle.idle, bundle.execute, bundle.sequence, bundle.run)
-        want = _run_scenario_pure()
+        with pure_kernels() as pure:
+            want = _run_scenario(pure.idle, pure.execute, pure.sequence, pure.run)
     except Exception as exc:
         return f"self-check scenario failed: {exc!r}"
     for key, expected in want.items():
@@ -412,7 +416,7 @@ def kernels() -> KernelBundle:
                 f"are {', '.join(repr(name) for name in _PROVIDER_CHAINS)}"
             )
         errors: list[str] = []
-        for name in candidates:
+        for position, name in enumerate(candidates, start=1):
             loaded, error = _load_provider(name)
             if loaded is None:
                 errors.append(error or f"{name}: unavailable")
@@ -425,7 +429,11 @@ def kernels() -> KernelBundle:
             _warn_once(
                 f"self-check:{name}",
                 f"fastcore provider {name!r} failed its self-check ({error}); "
-                "trying the next provider",
+                + (
+                    "trying the next provider"
+                    if position < len(candidates)
+                    else "no provider left"
+                ),
             )
         _FAILURE = None if _BUNDLE is not None else "; ".join(errors)
         _RESOLVED = True
@@ -467,6 +475,7 @@ __all__ = [
     "provider_name",
     "numba_version",
     "provider_request",
+    "pure_kernels",
     "resolve_engine",
     "self_check",
 ]

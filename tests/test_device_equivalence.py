@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from repro.gpu import _fastcore_kernels as _K
 from repro.gpu import fastcore
 from repro.gpu.backend import BackendConfig, SimulatedDeviceBackend
 from repro.gpu.device import PowerSegment, SegmentArray, SimulatedGPU
@@ -46,6 +45,8 @@ GEMV = mb_gemv(4096).activity_descriptor(SPEC)
 
 
 def device_pair(seed=123):
+    """The compiled engine (whichever provider fastcore selected) and the
+    per-slice reference, in that order."""
     return (
         SimulatedGPU(SPEC, seed=seed, engine="compiled"),
         SimulatedGPU(SPEC, seed=seed, engine="reference"),
@@ -198,34 +199,21 @@ def assert_devices_bitwise_identical(ours, theirs, our_segments, their_segments)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_scenario_equivalence_compiled(name, monkeypatch):
+def test_scenario_equivalence_compiled(name):
     """The active provider replays the pure-Python kernel bodies bit for bit
     on every scenario (including the long-idle park cycle)."""
     scenario = SCENARIOS[name]
     compiled = SimulatedGPU(SPEC, seed=123, engine="compiled")
     scenario(compiled)
     compiled_segments = compiled.stop_recording()
-    # Under Numba the kernels are dispatchers: swap their Python bodies in
-    # (nested calls resolve through the module globals at call time).
-    for kernel in fastcore._KERNEL_CHAIN:
-        func = getattr(_K, kernel)
-        monkeypatch.setattr(_K, kernel, getattr(func, "py_func", func))
     python = SimulatedGPU(SPEC, seed=123, engine="compiled")
-    python._fc = fastcore.KernelBundle(
-        "python", _K.k_idle, _K.k_execute, _K.k_sequence, _K.k_run
-    )
-    scenario(python)
-    python_segments = python.stop_recording()
+    with fastcore.pure_kernels() as pure:
+        python._fc = pure
+        scenario(python)
+        python_segments = python.stop_recording()
     assert_devices_bitwise_identical(
         compiled, python, compiled_segments, python_segments
     )
-
-
-def engine_pair(seed=123):
-    """The compiled engine (whichever provider fastcore selected) and the
-    per-slice reference, in that order."""
-    compiled, reference = device_pair(seed)
-    return {"compiled": compiled, "reference": reference}
 
 
 class TestLongIdleParkUnpark:
@@ -235,52 +223,40 @@ class TestLongIdleParkUnpark:
 
     @pytest.fixture(scope="class")
     def driven(self):
-        engines = engine_pair()
-        segments = {}
-        for name, device in engines.items():
-            scenario_long_idle_park(device)
-            segments[name] = device.stop_recording()
-        return engines, segments
+        compiled, reference = device_pair()
+        scenario_long_idle_park(compiled)
+        scenario_long_idle_park(reference)
+        return compiled, reference, compiled.stop_recording(), reference.stop_recording()
 
     def test_park_and_boost_events_bitwise_identical(self, driven):
-        engines, _ = driven
-        reference_events = engines["reference"].firmware_events()
+        compiled, reference, _, _ = driven
+        reference_events = reference.firmware_events()
         # The cycle must actually exercise park -> boost -> park.
         states = [event.state for event in reference_events]
         assert states.count(FirmwareState.IDLE) >= 2
         assert FirmwareState.BOOST in states
-        for name, device in engines.items():
-            if name == "reference":
-                continue
-            events = device.firmware_events()
-            assert len(events) == len(reference_events)
-            for ours, refevent in zip(events, reference_events):
-                assert ours.time_s == refevent.time_s
-                assert ours.state is refevent.state
-                assert ours.frequency_ghz == refevent.frequency_ghz
-                assert ours.power_w == pytest.approx(
-                    refevent.power_w, rel=POWER_RTOL, abs=POWER_ATOL
-                )
+        events = compiled.firmware_events()
+        assert len(events) == len(reference_events)
+        for ours, refevent in zip(events, reference_events):
+            assert ours.time_s == refevent.time_s
+            assert ours.state is refevent.state
+            assert ours.frequency_ghz == refevent.frequency_ghz
+            assert ours.power_w == pytest.approx(
+                refevent.power_w, rel=POWER_RTOL, abs=POWER_ATOL
+            )
 
     def test_segments_clock_and_warmth_pinned(self, driven):
-        engines, segments = driven
-        assert len(segments["compiled"]) > 500  # hundreds of control periods
-        assert_devices_equivalent(
-            engines["compiled"], engines["reference"],
-            segments["compiled"], segments["reference"],
-        )
+        compiled, reference, compiled_segments, reference_segments = driven
+        assert len(compiled_segments) > 500  # hundreds of control periods
+        assert_devices_equivalent(compiled, reference, compiled_segments, reference_segments)
 
     def test_firmware_bookkeeping_identical(self, driven):
-        engines, _ = driven
-        reference = engines["reference"]
-        for name, device in engines.items():
-            if name == "reference":
-                continue
-            assert device.firmware._idle_accum_s == reference.firmware._idle_accum_s
-            assert device.firmware._overdraw_accum_s == reference.firmware._overdraw_accum_s
-            assert device.firmware._last_power_w == pytest.approx(
-                reference.firmware._last_power_w, rel=POWER_RTOL
-            )
+        compiled, reference, _, _ = driven
+        assert compiled.firmware._idle_accum_s == reference.firmware._idle_accum_s
+        assert compiled.firmware._overdraw_accum_s == reference.firmware._overdraw_accum_s
+        assert compiled.firmware._last_power_w == pytest.approx(
+            reference.firmware._last_power_w, rel=POWER_RTOL
+        )
 
 
 class TestExactBoundarySpans:
@@ -291,8 +267,8 @@ class TestExactBoundarySpans:
 
     @pytest.mark.parametrize("perturb_s", [0.0, 1e-12, -1e-12, 5e-13, -5e-13])
     def test_park_lands_on_same_boundary(self, perturb_s):
-        engines = engine_pair(seed=21)
-        for device in engines.values():
+        compiled, reference = device_pair(seed=21)
+        for device in (compiled, reference):
             device.start_recording()
             device.execute_kernel(SHORT)
             # Idle exactly to a control boundary eleven periods out (plus a
@@ -301,33 +277,27 @@ class TestExactBoundarySpans:
             span = device._next_control_s + 10 * period - device.now_s() + perturb_s
             device.idle(span)
             device.idle(9 * period)
-        reference = engines["reference"]
         reference_events = reference.firmware_events()
         park_times = [
             event.time_s for event in reference_events if event.state is FirmwareState.IDLE
         ]
         assert park_times, "scenario must park"
-        for name, device in engines.items():
-            if name == "reference":
-                continue
-            events = device.firmware_events()
-            assert [
-                (event.time_s, event.state, event.frequency_ghz) for event in events
-            ] == [
-                (event.time_s, event.state, event.frequency_ghz)
-                for event in reference_events
-            ]
-            assert device.now_s() == reference.now_s()
-            assert device._next_control_s == reference._next_control_s
-        for device in engines.values():
-            device.stop_recording()
+        assert [
+            (event.time_s, event.state, event.frequency_ghz)
+            for event in compiled.firmware_events()
+        ] == [
+            (event.time_s, event.state, event.frequency_ghz) for event in reference_events
+        ]
+        assert compiled.now_s() == reference.now_s()
+        assert compiled._next_control_s == reference._next_control_s
+        compiled.stop_recording()
+        reference.stop_recording()
 
     def test_span_ending_on_boundary_steps_firmware_once(self):
         # A span that ends bit-exactly on a boundary must consume that
         # boundary (next_control advances past it) in every engine, leaving
         # an empty control accumulator.
-        engines = engine_pair(seed=4)
-        for device in engines.values():
+        for device in device_pair(seed=4):
             device.execute_kernel(SHORT)
             span = device._next_control_s - device.now_s()
             device.idle(span)
@@ -379,7 +349,7 @@ class TestBackendEquivalence:
     """Full instrumented runs must agree record-for-record across engines."""
 
     @pytest.fixture(scope="class")
-    def record_matrix(self):
+    def record_pair(self):
         def one(engine):
             backend = SimulatedDeviceBackend(
                 spec=SPEC, seed=11, config=BackendConfig(engine=engine)
@@ -401,29 +371,22 @@ class TestBackendEquivalence:
             )
             return records
 
-        return {engine: one(engine) for engine in ("compiled", "reference")}
+        return one("compiled"), one("reference")
 
-    @staticmethod
-    def pairs(record_matrix):
-        reference = record_matrix["reference"]
-        for engine, records in record_matrix.items():
-            if engine != "reference":
-                yield from zip(records, reference)
-
-    def test_execution_timings_identical(self, record_matrix):
-        for fast, reference in self.pairs(record_matrix):
+    def test_execution_timings_identical(self, record_pair):
+        for fast, reference in zip(*record_pair):
             assert len(fast.executions) == len(reference.executions)
             for a, b in zip(fast.executions, reference.executions):
                 assert a == b
             for a, b in zip(fast.preceding_executions, reference.preceding_executions):
                 assert a == b
 
-    def test_readings_match(self, record_matrix):
-        for fast, reference in self.pairs(record_matrix):
+    def test_readings_match(self, record_pair):
+        for fast, reference in zip(*record_pair):
             assert_readings_close(fast, reference)
 
-    def test_anchor_and_metadata_identical(self, record_matrix):
-        for fast, reference in self.pairs(record_matrix):
+    def test_anchor_and_metadata_identical(self, record_pair):
+        for fast, reference in zip(*record_pair):
             assert fast.anchor == reference.anchor
             assert fast.pre_delay_s == reference.pre_delay_s
             assert fast.metadata["logger_start_cpu_s"] == reference.metadata["logger_start_cpu_s"]

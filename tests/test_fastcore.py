@@ -164,12 +164,19 @@ class TestSelfCheckFailure:
             "self_check",
             lambda bundle: None if bundle.name == "python" else "injected mismatch",
         )
-        with pytest.warns(RuntimeWarning, match="failed its self-check"):
+        with pytest.warns(RuntimeWarning, match="self-check.*trying the next provider"):
             assert fastcore.kernels().name == "python"
         # The resolution is cached: no second warning, no second self-check.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert fastcore.kernels().name == "python"
+
+    def test_failed_self_check_of_last_provider_says_none_left(self, clean_fastcore):
+        clean_fastcore.setenv("REPRO_FASTCORE_PROVIDER", "python")
+        clean_fastcore.setattr(fastcore, "self_check", lambda bundle: "injected mismatch")
+        with pytest.warns(RuntimeWarning, match="self-check.*no provider left"):
+            with pytest.raises(RuntimeError, match="injected mismatch"):
+                fastcore.kernels()
 
     def test_self_check_catches_a_corrupted_provider(self, clean_fastcore):
         bundle = fastcore.kernels()
