@@ -7,15 +7,8 @@ scale linearly in runs.  This benchmark isolates that pipeline with a
 ``profile()`` wall time is dominated by the methodology (LOI extraction,
 binning, stitching), not by the simulated GPU:
 
-* ``test_profiler_scaling_near_linear`` profiles the same short kernel at
-  increasing run counts and asserts that per-run cost does not blow up.
-* ``test_vectorized_speedup_over_legacy`` reproduces the paper's hardest
-  case -- a ~13 us kernel whose SSE LOI scarcity drags the step-8 top-up loop
-  through many batches -- and compares the vectorized incremental engine
-  against the pre-PR implementation (``ProfilerConfig(vectorized=False)``:
-  pure-Python LOI extraction plus a full re-collect of every record per
-  batch).  Both pipelines produce bit-identical profiles; the vectorized one
-  must be at least 5x faster end-to-end.
+``test_profiler_scaling_near_linear`` profiles the same short kernel at
+increasing run counts and asserts that per-run cost does not blow up.
 
 Results are written to ``BENCH_profiler.json`` in the repository root.
 """
@@ -40,7 +33,6 @@ from repro.kernels.workloads import cb_gemm
 KERNEL_SIZE = 1024
 POOL_SEED = 404
 POOL_SIZE = 700
-INITIAL_RUNS = 40
 TOPUP_BUDGET = 600
 BENCH_CONFIG = ProfilerConfig(
     seed=909, refine_ssp_with_power_search=False, max_additional_runs=TOPUP_BUDGET
@@ -94,8 +86,8 @@ class ReplayBackend:
     """A ProfilingBackend that serves pre-simulated records instantly.
 
     Every ``profile()`` call against a fresh ReplayBackend sees the same
-    deterministic sequence of records and probe results, so the vectorized
-    and legacy pipelines traverse identical inputs.
+    deterministic sequence of records and probe results, so every run count
+    traverses the same inputs.
     """
 
     def __init__(self, pool: RecordPool) -> None:
@@ -137,10 +129,10 @@ def pool():
     return RecordPool(cb_gemm(KERNEL_SIZE), POOL_SIZE)
 
 
-def profile_seconds(pool: RecordPool, vectorized: bool, runs: int,
+def profile_seconds(pool: RecordPool, runs: int,
                     max_additional_runs: int | None = None, repetitions: int = 3):
     """Best-of-N wall time of one full profile() call (plus the result)."""
-    config = BENCH_CONFIG.with_overrides(vectorized=vectorized)
+    config = BENCH_CONFIG
     if max_additional_runs is not None:
         config = config.with_overrides(max_additional_runs=max_additional_runs)
     best = float("inf")
@@ -151,20 +143,6 @@ def profile_seconds(pool: RecordPool, vectorized: bool, runs: int,
         result = profiler.profile(pool.kernel, runs=runs)
         best = min(best, time.perf_counter() - begin)
     return result, best
-
-
-def _profiles_identical(left, right) -> bool:
-    for name in ("ssp_profile", "sse_profile", "run_profile"):
-        a, b = getattr(left, name), getattr(right, name)
-        if len(a) != len(b) or a.execution_time_s != b.execution_time_s:
-            return False
-        if not np.array_equal(a.times(), b.times()):
-            return False
-        if a.components != b.components:
-            return False
-        if any(not np.array_equal(a.series(c), b.series(c)) for c in a.components):
-            return False
-    return True
 
 
 def _write_results(update: dict) -> None:
@@ -184,11 +162,10 @@ def test_profiler_scaling_near_linear(pool):
     counts = (60, 120, 240, 480)
     rows = []
     for runs in counts:
-        _, seconds = profile_seconds(pool, vectorized=True, runs=runs,
-                                     max_additional_runs=0)
+        _, seconds = profile_seconds(pool, runs=runs, max_additional_runs=0)
         rows.append({"runs": runs, "seconds": seconds,
                      "us_per_run": seconds / runs * 1e6})
-    print("\n=== profile() scaling (vectorized, replayed backend) ===")
+    print("\n=== profile() scaling (replayed backend) ===")
     for row in rows:
         print(f"  {row['runs']:>4} runs: {row['seconds']*1e3:7.2f} ms "
               f"({row['us_per_run']:6.1f} us/run)")
@@ -203,33 +180,3 @@ def test_profiler_scaling_near_linear(pool):
         f"super-linear scaling: {ratio:.1f}x time for "
         f"{last['runs'] / first['runs']:.0f}x runs"
     )
-
-
-@pytest.mark.bench
-def test_vectorized_speedup_over_legacy(pool):
-    """The vectorized engine beats the pre-PR pipeline >=5x, bit-identically."""
-    vec_result, vec_seconds = profile_seconds(pool, vectorized=True,
-                                              runs=INITIAL_RUNS)
-    legacy_result, legacy_seconds = profile_seconds(pool, vectorized=False,
-                                                    runs=INITIAL_RUNS)
-    speedup = legacy_seconds / vec_seconds
-    topup_runs = vec_result.num_runs - INITIAL_RUNS
-    print("\n=== vectorized vs pre-PR profile() (replayed backend) ===")
-    print(f"  kernel {pool.kernel_name}: {pool.execution_time_s*1e6:.1f} us, "
-          f"{vec_result.num_runs} total runs ({topup_runs} top-up)")
-    print(f"  vectorized: {vec_seconds*1e3:7.2f} ms")
-    print(f"  legacy:     {legacy_seconds*1e3:7.2f} ms")
-    print(f"  speedup:    {speedup:.2f}x")
-    _write_results({"topup": {
-        "kernel": pool.kernel_name,
-        "execution_time_s": pool.execution_time_s,
-        "total_runs": vec_result.num_runs,
-        "topup_runs": topup_runs,
-        "vectorized_seconds": vec_seconds,
-        "legacy_seconds": legacy_seconds,
-        "speedup": speedup,
-    }})
-    assert vec_result.num_runs == legacy_result.num_runs
-    assert _profiles_identical(vec_result, legacy_result)
-    assert topup_runs >= 200, f"scenario lost its top-up ({topup_runs} runs)"
-    assert speedup >= 5.0, f"vectorized speedup {speedup:.2f}x below 5x"

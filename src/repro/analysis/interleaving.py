@@ -16,6 +16,7 @@ SSP profile.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -24,7 +25,7 @@ import numpy as np
 from ..core.backend import ProfilingBackend
 from ..core.profile import FineGrainProfile, ProfileKind, profile_from_lois
 from ..core.profiler import FinGraVProfiler
-from ..core.records import COMPONENT_KEYS, LogOfInterest
+from ..core.records import COMPONENT_KEYS, RunRecord
 from ..core.stitching import ProfileStitcher
 from ..kernels.workloads import InterleavingScenario
 
@@ -54,7 +55,12 @@ class InterleavedMeasurement:
         return abs(self.ratio - 1.0) > 0.05
 
     def direction(self) -> str:
-        """'higher', 'lower' or 'unchanged' relative to the isolated profile."""
+        """'higher', 'lower' or 'unchanged' relative to the isolated profile.
+
+        'unmeasured' when no log of interest was captured (NaN power).
+        """
+        if math.isnan(self.ratio):
+            return "unmeasured"
         if not self.affected:
             return "unchanged"
         return "higher" if self.ratio > 1.0 else "lower"
@@ -96,45 +102,38 @@ class InterleavingStudy:
         """Measured profile of a single execution of ``kernel`` after ``preceding``.
 
         Because the kernel of interest executes only once per run, a short
-        kernel yields a log of interest only in a small fraction of runs; runs
-        are therefore collected in batches until at least ``min_lois`` LOIs are
-        available (bounded by ``max_runs``), mirroring methodology step 8.
+        kernel yields a log of interest only in a small fraction of runs.  The
+        first ``runs`` runs are stitched in one batch; runs are then added one
+        at a time until at least ``min_lois`` LOIs are available (bounded by
+        ``max_runs``), mirroring methodology step 8.
         """
         runs = runs or self._runs
         max_runs = max_runs or max(runs * 10, 400)
         period = self._backend.power_sample_period_s
-        stitcher = ProfileStitcher(components=self._components)
-        series = None
-        durations: list[float] = []
-        run_index = 0
+        preceding = tuple(preceding)
 
-        def loi_count() -> int:
-            return series.count_last_execution_lois() if series is not None else 0
-
-        while run_index < runs or (loi_count() < min_lois and run_index < max_runs):
+        def collect(run_index: int) -> RunRecord:
             pre_delay = float(self._rng.uniform(0.0, 2.0 * period))
-            record = self._backend.run(
+            return self._backend.run(
                 kernel,
                 executions=1,
                 pre_delay_s=pre_delay,
                 run_index=run_index,
-                preceding=tuple(preceding),
+                preceding=preceding,
             )
-            durations.append(record.last_execution.duration_s)
-            if series is None:
-                series = stitcher.collect([record])
-            else:
-                stitcher.extend(series, [record])
-            run_index += 1
-        lois: list[LogOfInterest] = (
-            series.lois_for_last_execution() if series is not None else []
-        )
-        execution_time = float(np.mean(durations)) if durations else 0.0
+
+        records = [collect(run_index) for run_index in range(runs)]
+        stitcher = ProfileStitcher(components=self._components)
+        series = stitcher.collect(records)
+        while series.count_last_execution_lois() < min_lois and len(records) < max_runs:
+            records.append(collect(len(records)))
+            stitcher.extend(series, records[-1:])
+        durations = [record.last_execution.duration_s for record in records]
         return profile_from_lois(
             kernel_name=self._backend.kernel_name(kernel),
             kind=ProfileKind.CUSTOM,
-            lois=lois,
-            execution_time_s=execution_time,
+            lois=series.lois_for_last_execution(),
+            execution_time_s=float(np.mean(durations)),
             components=self._components,
             metadata={"interleaved": True, "runs": runs},
         )
@@ -157,12 +156,8 @@ class InterleavingStudy:
             reference = isolated[kernel_name]
         else:
             reference = self.isolated_ssp(kernel)
+        # An empty interleaved profile reports NaN power and zero LOIs.
         interleaved = self.interleaved_profile(kernel, scenario.preceding, runs=runs)
-        if interleaved.is_empty:
-            raise ValueError(
-                f"scenario {scenario.label}: no logs of interest were captured; "
-                "increase the number of runs"
-            )
         return InterleavedMeasurement(
             label=scenario.label,
             kernel_name=kernel_name,

@@ -34,7 +34,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .records import COMPONENT_KEYS, LogOfInterest
+from .records import COMPONENT_KEYS, LogOfInterest, component_column
 
 
 class ProfileKind(str, enum.Enum):
@@ -790,35 +790,6 @@ class FineGrainProfile:
             row["execution_index"] = int(cols.execution_index[i])
             rows.append(row)
         return rows
-
-
-def component_column(
-    readings: Sequence[object], component: str
-) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """Columnise one component across power readings.
-
-    Returns ``(values, presence-mask)`` -- the mask is ``None`` when the
-    component is present in every reading -- or ``None`` when it is present in
-    none.  The single source of the NaN-fill / presence-mask rules shared by
-    :func:`columns_from_lois` and the stitched series' cached power columns.
-    """
-    n = len(readings)
-    if component == "total":
-        return (
-            np.fromiter((reading.total_w for reading in readings), dtype=float, count=n),
-            None,
-        )
-    raw = [reading.components.get(component) for reading in readings]
-    if all(value is not None for value in raw):
-        return np.asarray(raw, dtype=float), None
-    if any(value is not None for value in raw):
-        return (
-            np.asarray(
-                [value if value is not None else np.nan for value in raw], dtype=float
-            ),
-            np.asarray([value is not None for value in raw], dtype=bool),
-        )
-    return None
 
 
 def columns_from_lois(

@@ -403,8 +403,8 @@ class ReadingColumns:
     needs); the power/window columns are built on first access.  ``powers_w``
     always carries ``total`` plus every component key shared by *all*
     readings; ``uniform_components`` is False when readings disagree on their
-    component sets, in which case consumers that need per-reading component
-    presence must fall back to the scalar path.
+    component sets, in which case :meth:`component` adds per-reading
+    presence masks for the keys only some readings carry.
     """
 
     def __init__(self, readings: Sequence[PowerReading]) -> None:
@@ -466,6 +466,27 @@ class ReadingColumns:
         self._powers_w = powers
         self._uniform = uniform
 
+    def component_names(self) -> tuple[str, ...]:
+        """``total`` plus every component key at least one reading carries."""
+        if self.uniform_components:
+            return tuple(self.powers_w)
+        keys = {key for reading in self._readings for key in reading.components}
+        return ("total", *sorted(keys - {"total"}))
+
+    def component(self, name: str) -> tuple[np.ndarray, np.ndarray | None] | None:
+        """``(values, presence-mask)`` of one component over the readings.
+
+        The rules of :func:`component_column`: the mask is ``None`` when every
+        reading carries the component, and the whole return is ``None`` when
+        none does.
+        """
+        powers = self.powers_w
+        if name in powers:
+            return powers[name], None
+        if self._uniform:
+            return None
+        return component_column(self._readings, name)
+
     @staticmethod
     def from_readings(readings: Sequence[PowerReading]) -> "ReadingColumns":
         if isinstance(readings, PowerReadings):
@@ -492,6 +513,36 @@ class ReadingColumns:
         columns._powers_w = powers
         columns._uniform = True
         return columns
+
+
+def component_column(
+    readings: Sequence[PowerReading], component: str
+) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """Columnise one component across power readings.
+
+    Returns ``(values, presence-mask)`` -- the mask is ``None`` when the
+    component is present in every reading -- or ``None`` when it is present in
+    none.  Missing positions hold ``NaN``.  The single source of the NaN-fill /
+    presence-mask rules shared by profile construction and the stitched LOI
+    ledger.
+    """
+    n = len(readings)
+    if component == "total":
+        return (
+            np.fromiter((reading.total_w for reading in readings), dtype=float, count=n),
+            None,
+        )
+    raw = [reading.components.get(component) for reading in readings]
+    if all(value is not None for value in raw):
+        return np.asarray(raw, dtype=float), None
+    if any(value is not None for value in raw):
+        return (
+            np.asarray(
+                [value if value is not None else np.nan for value in raw], dtype=float
+            ),
+            np.asarray([value is not None for value in raw], dtype=bool),
+        )
+    return None
 
 
 @dataclass(frozen=True)
@@ -709,6 +760,7 @@ __all__ = [
     "ExecutionArena",
     "ReadingColumns",
     "ExecutionColumns",
+    "component_column",
     "ExecutionRole",
     "ExecutionTiming",
     "TimestampAnchor",

@@ -16,214 +16,259 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .profile import (
-    FineGrainProfile,
-    ProfileColumns,
-    ProfileKind,
-    ProfilePoint,
-    component_column,
-    profile_from_lois_reference,
-)
-from .records import (
-    COMPONENT_KEYS,
-    DelayCalibration,
-    ExecutionTimings,
-    LogOfInterest,
-    PowerReading,
-    RunRecord,
-)
-from .timesync import (
-    extract_lois,
-    extract_lois_batch,
-    extract_lois_reference,
-    extract_lois_unsynchronized,
-    extract_lois_unsynchronized_reference,
-    match_execution_positions,
-    synchronizer_for_run,
-)
+from .profile import FineGrainProfile, ProfileColumns, ProfileKind
+from .records import COMPONENT_KEYS, DelayCalibration, LogOfInterest, RunRecord
+from .timesync import LOIBatch, extract_lois_batch, gather_powers, loi_object
+
+
+class _GrowableColumns:
+    """Parallel append-only columns of one dtype, amortised O(1) per row.
+
+    The buffer is ``(width, capacity)``, so every column is contiguous.  Rows
+    arrive as a ``(width, m)`` block; :meth:`column` is a read-only view of one
+    column's filled prefix, which later appends never change (they write past
+    it, or into a fresh buffer).
+    """
+
+    __slots__ = ("_buffer", "_size", "_views")
+
+    def __init__(self, dtype, width: int) -> None:
+        self._buffer = np.empty((width, 64), dtype=dtype)
+        self._size = 0
+        self._views: dict[int, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return self._size
+
+    @property
+    def width(self) -> int:
+        return self._buffer.shape[0]
+
+    def _reserve(self, width: int, size: int) -> None:
+        old = self._buffer
+        if width > old.shape[0] or size > old.shape[1]:
+            capacity = old.shape[1] if size <= old.shape[1] else max(size, 2 * old.shape[1])
+            self._buffer = np.empty((width, capacity), dtype=old.dtype)
+            self._buffer[: old.shape[0], : self._size] = old[:, : self._size]
+        self._views.clear()
+
+    def add_column(self, fill) -> int:
+        """Add a column holding ``fill`` in every existing row; its position."""
+        position = self.width
+        self._reserve(position + 1, self._size)
+        self._buffer[position, : self._size] = fill
+        return position
+
+    def extend(self, block: np.ndarray) -> None:
+        size = self._size + block.shape[1]
+        self._reserve(self.width, size)
+        self._buffer[:, self._size:size] = block
+        self._size = size
+
+    def column(self, position: int = 0) -> np.ndarray:
+        view = self._views.get(position)
+        if view is None:
+            view = self._views[position] = self._buffer[position, : self._size]
+            view.flags.writeable = False
+        return view
+
+
+# Columns of the per-LOI integer ledger.
+_ORDINAL, _RUN, _EXECUTION, _LAST, _EXECUTION_POSITION, _READING_POSITION = range(6)
+# Columns of the per-LOI float ledger.
+_WINDOW_END, _TOI = range(2)
 
 
 class StitchedRunSeries:
-    """All per-run LOI collections needed to assemble the standard profiles.
+    """The LOI ledger: every stitched run's logs of interest, as columns.
 
-    The series grows incrementally: :meth:`ProfileStitcher.extend` adds the
-    LOIs of newly collected runs without touching previously extracted ones.
-    Flat and per-execution views are maintained as runs are added, and a
-    columnar (run-index / execution-index array) view backs the O(1)-ish LOI
-    counting the profiler's top-up loop performs after every batch.
+    :meth:`ProfileStitcher.collect` / :meth:`ProfileStitcher.extend` append
+    one :class:`~repro.core.timesync.LOIBatch` at a time.  Each LOI is a row
+    of growable columns (run index, execution index, the run's last execution
+    index, record positions, window-end time, time of interest, per-component
+    watts with presence); each appended batch keeps its runs' records,
+    reading matches and execution tables.  Appending costs O(new LOIs)
+    amortised, and every count, mask and profile slice reads the columns.
+    :class:`LogOfInterest` objects are built only on request (then memoised),
+    from the row's record positions.
     """
 
-    def __init__(
-        self,
-        kernel_name: str,
-        lois_by_run: Mapping[int, tuple[LogOfInterest, ...]] | None = None,
-        runs: Mapping[int, RunRecord] | None = None,
-    ) -> None:
+    def __init__(self, kernel_name: str) -> None:
         self.kernel_name = kernel_name
-        self._lois_by_run: dict[int, tuple[LogOfInterest, ...]] = {}
         self._runs: dict[int, RunRecord] = {}
-        self._flat: list[LogOfInterest] = []
-        self._by_execution: dict[int, list[LogOfInterest]] = {}
-        self._last_execution: list[LogOfInterest] = []
-        self._reading_match: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # Plain-int mirrors of the LOIs' run/execution indices, appended as
-        # runs are added so the count arrays rebuild via a C-speed conversion
-        # instead of re-reading attributes of every LOI object.
-        self._run_index_list: list[int] = []
-        self._exec_index_list: list[int] = []
-        self._run_index_arr: np.ndarray | None = None
-        self._exec_index_arr: np.ndarray | None = None
-        # Columnar LOI storage backing the array-native profile builds: TOI
-        # per LOI, the reading behind each LOI, and the owning run's last
-        # execution index (so "SSP = last execution" masks are one compare).
-        self._toi_list: list[float] = []
-        self._flat_readings: list[PowerReading] = []
-        self._last_exec_list: list[int] = []
-        self._toi_arr: np.ndarray | None = None
-        self._last_exec_arr: np.ndarray | None = None
-        self._power_columns: dict[str, tuple[np.ndarray, np.ndarray | None] | None] = {}
+        self._records: list[RunRecord] = []
+        self._loi_ints = _GrowableColumns(np.int64, 6)
+        self._loi_floats = _GrowableColumns(float, 2)
+        self._powers = _GrowableColumns(float, 0)
+        self._presence = _GrowableColumns(bool, 0)
+        self._power_columns: dict[str, int] = {}
+        self._missing = np.zeros(0, dtype=np.int64)
+        self._objects: list[LogOfInterest | None] = []
+        self._lois_by_run: dict[int, tuple[LogOfInterest, ...]] | None = None
+        # The appended batches keep their per-run, per-reading and
+        # per-execution tables.
+        self._batches: list[tuple[Sequence[RunRecord], LOIBatch]] = []
         # Per-run durations of one execution ("last" or an index), extended
-        # as runs arrive: which -> [runs scanned, run indices, durations].
+        # as batches arrive: which -> [batches read, run indices, durations].
         self._durations: dict[int | str, list] = {}
-        for run_index, run in dict(runs or {}).items():
-            self.add_run(run, (lois_by_run or {}).get(run_index, ()))
 
     # ------------------------------------------------------------------ #
-    # Mapping-style views (kept for API compatibility).
+    # Mapping-style views.
     # ------------------------------------------------------------------ #
-    @property
-    def lois_by_run(self) -> Mapping[int, tuple[LogOfInterest, ...]]:
-        return self._lois_by_run
-
     @property
     def runs(self) -> Mapping[int, RunRecord]:
         return self._runs
 
     @property
+    def lois_by_run(self) -> Mapping[int, tuple[LogOfInterest, ...]]:
+        """Every run's LOIs (built on first request), keyed by run index."""
+        if self._lois_by_run is None:
+            lois = iter(self.all_lois())
+            self._lois_by_run = {}
+            for runs, batch in self._batches:
+                counts = np.bincount(batch.run_ordinal, minlength=len(runs)).tolist()
+                for run, count in zip(runs, counts):
+                    self._lois_by_run[run.run_index] = tuple(islice(lois, count))
+        return self._lois_by_run
+
+    @property
     def num_lois(self) -> int:
-        return len(self._flat)
+        return len(self._loi_ints)
 
     # ------------------------------------------------------------------ #
     # Incremental growth.
     # ------------------------------------------------------------------ #
-    def add_run(
-        self,
-        run: RunRecord,
-        lois: Iterable[LogOfInterest],
-        reading_match: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> None:
-        """Record one run's LOIs, updating every cached view incrementally.
+    def append(self, runs: Sequence[RunRecord], batch: LOIBatch) -> None:
+        """Append the runs of one extracted batch (in batch order)."""
+        new_indices = batch.run_index.tolist()
+        if len(set(new_indices)) != len(new_indices) or any(
+            run_index in self._runs for run_index in new_indices
+        ):
+            seen = set(self._runs)
+            for run_index in new_indices:
+                if run_index in seen:
+                    raise ValueError(f"run {run_index} already stitched into this series")
+                seen.add(run_index)
+        self._lois_by_run = None
+        base_ordinal = len(self._records)
+        self._records.extend(runs)
+        self._runs.update(zip(new_indices, runs))
 
-        ``reading_match`` optionally carries the (window-end times, matched
-        execution positions) arrays produced by the batched extractor, which
-        profile builders reuse instead of re-matching every reading.
-        """
-        if run.run_index in self._runs:
-            raise ValueError(f"run {run.run_index} already stitched into this series")
-        lois = tuple(lois)
-        self._runs[run.run_index] = run
-        self._lois_by_run[run.run_index] = lois
-        if reading_match is not None:
-            self._reading_match[run.run_index] = reading_match
-        self._flat.extend(lois)
-        last_index = run.last_execution.index if run.executions else None
-        for loi in lois:
-            self._run_index_list.append(loi.run_index)
-            self._exec_index_list.append(loi.execution_index)
-            self._toi_list.append(loi.toi_s)
-            self._flat_readings.append(loi.reading)
-            self._last_exec_list.append(last_index if last_index is not None else -1)
-            self._by_execution.setdefault(loi.execution_index, []).append(loi)
-            if last_index is not None and loi.execution_index == last_index:
-                self._last_execution.append(loi)
-        if lois:
-            self._run_index_arr = None
-            self._exec_index_arr = None
-            self._toi_arr = None
-            self._last_exec_arr = None
-            self._power_columns.clear()
+        size, count = self.num_lois, batch.num_lois
+        ordinal = batch.run_ordinal
+        self._loi_ints.extend(np.array((
+            ordinal + base_ordinal,
+            batch.run_index[ordinal],
+            batch.execution_index,
+            batch.last_execution,
+            batch.execution_position,
+            batch.reading_position,
+        )))
+        self._loi_floats.extend(np.array((batch.window_end_s, batch.toi_s)))
+        self._objects.extend([None] * count)
 
-    def reading_match(self, run_index: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """Cached (window-end times, execution positions) for one run, if any."""
-        return self._reading_match.get(run_index)
+        for name in batch.powers_w:
+            if name not in self._power_columns:
+                self._power_columns[name] = self._powers.add_column(np.nan)
+                self._presence.add_column(False)
+                self._missing = np.append(self._missing, size)
+        values = np.full((self._powers.width, count), np.nan)
+        present = np.zeros((self._powers.width, count), dtype=bool)
+        for name, column in batch.powers_w.items():
+            position = self._power_columns[name]
+            values[position] = column
+            present[position] = batch.masks.get(name, True)
+        self._powers.extend(values)
+        self._presence.extend(present)
+        self._missing += count - np.count_nonzero(present, axis=1)
+        self._batches.append((runs, batch))
 
     def execution_durations(self, which: int | str) -> tuple[list[int], list[float]]:
         """``(run indices, durations)`` of execution ``which`` in stitch order.
 
         ``which`` is ``"last"`` or an execution index; runs without that
-        execution are left out.  Only the runs added since the previous call
-        are scanned, so per-snapshot profile builds stay linear in the runs.
+        execution are left out.  Only the batches appended since the
+        previous call are read, so per-snapshot profile builds stay linear
+        in the runs.
         """
         entry = self._durations.setdefault(which, [0, [], []])
-        scanned, run_indices, durations = entry
-        for run in islice(self._runs.values(), scanned, None):
-            if not run.executions:
-                continue
-            try:
-                durations.append(run.execution_duration(which))
-            except KeyError:
-                continue
-            run_indices.append(run.run_index)
-        entry[0] = len(self._runs)
+        read, run_indices, durations = entry
+        for _, batch in self._batches[read:]:
+            indices, values = batch.execution_durations(which)
+            run_indices.extend(indices.tolist())
+            durations.extend(values.tolist())
+        entry[0] = len(self._batches)
         return run_indices, durations
 
     # ------------------------------------------------------------------ #
-    # LOI views.
+    # LOI objects, built on request.
     # ------------------------------------------------------------------ #
+    def _lois(self, rows: np.ndarray) -> list[LogOfInterest]:
+        ordinals = self._loi_ints.column(_ORDINAL)
+        reading_positions = self._loi_ints.column(_READING_POSITION)
+        execution_positions = self._loi_ints.column(_EXECUTION_POSITION)
+        window_ends = self._loi_floats.column(_WINDOW_END)
+        objects = self._objects
+        lois = []
+        for row in rows.tolist():
+            loi = objects[row]
+            if loi is None:
+                loi = objects[row] = loi_object(
+                    self._records[ordinals[row]],
+                    int(reading_positions[row]),
+                    int(execution_positions[row]),
+                    float(window_ends[row]),
+                )
+            lois.append(loi)
+        return lois
+
     def all_lois(self) -> list[LogOfInterest]:
-        return list(self._flat)
+        return self._lois(np.arange(self.num_lois))
 
     def lois_for_execution(self, execution_index: int) -> list[LogOfInterest]:
-        return list(self._by_execution.get(execution_index, ()))
+        _, exec_idx = self.loi_index_arrays()
+        return self._lois(np.flatnonzero(exec_idx == execution_index))
 
     def lois_for_last_execution(self) -> list[LogOfInterest]:
-        return list(self._last_execution)
+        return self._lois(np.flatnonzero(self._last_execution_mask()))
 
     def lois_from_execution(self, min_execution_index: int) -> list[LogOfInterest]:
         """All LOIs whose execution index is at or past ``min_execution_index``."""
-        return [loi for loi in self._flat if loi.execution_index >= min_execution_index]
+        _, exec_idx = self.loi_index_arrays()
+        return self._lois(np.flatnonzero(exec_idx >= min_execution_index))
 
     # ------------------------------------------------------------------ #
-    # Columnar counting (the profiler's shortfall checks).
+    # Columns and counts (the profile builds and the shortfall checks).
     # ------------------------------------------------------------------ #
-    def _loi_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._run_index_arr is None or self._exec_index_arr is None:
-            self._run_index_arr = np.asarray(self._run_index_list, dtype=np.int64)
-            self._exec_index_arr = np.asarray(self._exec_index_list, dtype=np.int64)
-        return self._run_index_arr, self._exec_index_arr
-
     def loi_index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(run_index, execution_index) arrays over all LOIs, in stitch order."""
-        return self._loi_arrays()
+        return self._loi_ints.column(_RUN), self._loi_ints.column(_EXECUTION)
 
     def loi_toi_array(self) -> np.ndarray:
         """Times of interest over all LOIs, in stitch order."""
-        if self._toi_arr is None:
-            self._toi_arr = np.asarray(self._toi_list, dtype=float)
-        return self._toi_arr
+        return self._loi_floats.column(_TOI)
 
     def loi_last_execution_array(self) -> np.ndarray:
         """Per-LOI last-execution index of the LOI's own run, in stitch order."""
-        if self._last_exec_arr is None:
-            self._last_exec_arr = np.asarray(self._last_exec_list, dtype=np.int64)
-        return self._last_exec_arr
+        return self._loi_ints.column(_LAST)
 
     def loi_power_column(
         self, component: str
     ) -> tuple[np.ndarray, np.ndarray | None] | None:
         """(values, presence-mask) of one component across all LOIs.
 
-        The mask is ``None`` when the component is present in every LOI's
-        reading; the whole return is ``None`` when it is present in none.
-        Columns are built once per component and invalidated when runs are
-        added, so repeated profile builds over the same series are array
-        slices, not per-LOI attribute walks.
+        Values are ``NaN`` where a reading lacks the component.  The mask is
+        ``None`` when the component is present in every LOI's reading; the
+        whole return is ``None`` when it is present in none.
         """
-        if component in self._power_columns:
-            return self._power_columns[component]
-        column = component_column(self._flat_readings, component)
-        self._power_columns[component] = column
-        return column
+        position = self._power_columns.get(component)
+        if position is None or self._missing[position] == self.num_lois:
+            return None
+        presence = self._presence.column(position) if self._missing[position] else None
+        return self._powers.column(position), presence
+
+    def _last_execution_mask(self) -> np.ndarray:
+        return self._loi_ints.column(_EXECUTION) == self._loi_ints.column(_LAST)
 
     def count_lois(
         self,
@@ -231,35 +276,96 @@ class StitchedRunSeries:
         execution_index: int | None = None,
         golden_runs: Iterable[int] | None = None,
     ) -> int:
-        """Count LOIs matching the given execution/run filters without
-        materialising intermediate lists."""
-        run_idx, exec_idx = self._loi_arrays()
+        """Count LOIs matching the given execution/run filters."""
+        run_idx, exec_idx = self.loi_index_arrays()
         mask = np.ones(run_idx.shape, dtype=bool)
         if min_execution_index is not None:
             mask &= exec_idx >= min_execution_index
         if execution_index is not None:
             mask &= exec_idx == execution_index
-        if golden_runs is not None:
-            wanted = np.fromiter((int(i) for i in golden_runs), dtype=np.int64)
-            mask &= np.isin(run_idx, wanted)
-        return int(np.count_nonzero(mask))
+        return int(np.count_nonzero(golden_mask(mask, run_idx, golden_runs)))
 
     def count_last_execution_lois(self, golden_runs: Iterable[int] | None = None) -> int:
         """Count LOIs of each run's last execution, optionally golden-only."""
-        if golden_runs is None:
-            return len(self._last_execution)
-        wanted = set(golden_runs)
-        return sum(1 for loi in self._last_execution if loi.run_index in wanted)
+        mask = golden_mask(
+            self._last_execution_mask(), self._loi_ints.column(_RUN), golden_runs
+        )
+        return int(np.count_nonzero(mask))
+
+    def run_columns(
+        self,
+        components: Sequence[str],
+        golden_runs: Iterable[int] | None,
+        include_idle: bool,
+    ) -> tuple[list[ProfileColumns], list[float]]:
+        """Whole-run profile rows, one column bundle per appended batch.
+
+        Every reading of a selected run becomes a row, its time measured from
+        the run's first execution start (with ``include_idle`` False only the
+        readings inside the first-start-to-last-end span).  The second return
+        is every selected run's span.  Runs without executions are left out.
+        """
+        chunks: list[ProfileColumns] = []
+        spans: list[float] = []
+        for runs, batch in self._batches:
+            exec_offsets = batch.execution_offsets
+            selected = np.flatnonzero(golden_mask(
+                exec_offsets[1:] > exec_offsets[:-1], batch.run_index, golden_runs
+            ))
+            if not selected.shape[0]:
+                continue
+            first_execution = exec_offsets[selected]
+            origin = batch.execution_starts_s[first_execution]
+            span_end = batch.execution_ends_s[exec_offsets[selected + 1] - 1]
+            spans.extend((span_end - origin).tolist())
+            # Reading rows of the selected runs, in run then reading order.
+            counts = np.diff(batch.reading_offsets)[selected]
+            owner = np.repeat(np.arange(selected.shape[0]), counts)
+            rows = batch.reading_offsets[selected][owner] + (
+                np.arange(owner.shape[0]) - (np.cumsum(counts) - counts)[owner]
+            )
+            times = batch.reading_times_s[rows]
+            if include_idle:
+                keep = np.arange(rows.shape[0])
+            else:
+                keep = np.flatnonzero((times >= origin[owner]) & (times <= span_end[owner]))
+            if not keep.shape[0]:
+                continue
+            owner = owner[keep]
+            positions = batch.reading_positions[rows[keep]]
+            powers, masks = gather_powers([runs[i].reading_columns() for i in selected], keep)
+            chunks.append(ProfileColumns(
+                time_s=times[keep] - origin[owner],
+                run_index=batch.run_index[selected][owner],
+                execution_index=np.where(
+                    positions >= 0,
+                    batch.execution_indices[first_execution[owner] + np.maximum(positions, 0)],
+                    -1,
+                ),
+                powers_w={name: powers[name] for name in components if name in powers},
+                masks={name: masks[name] for name in components if name in masks},
+            ))
+        return chunks, spans
+
+
+def golden_mask(
+    mask: np.ndarray, run_idx: np.ndarray, golden_runs: Iterable[int] | None
+) -> np.ndarray:
+    """``mask`` restricted to rows whose run is golden (unchanged for None)."""
+    if golden_runs is None:
+        return mask
+    return mask & np.isin(run_idx, np.fromiter(golden_runs, dtype=np.int64))
 
 
 class ProfileStitcher:
     """Builds fine-grain profiles from run records.
 
-    ``columnar=True`` (the default) assembles profiles directly from the
-    series' columnar LOI views -- one boolean mask plus array slices per
-    profile, no intermediate :class:`ProfilePoint` objects.  ``columnar=False``
-    retains the object-based construction; equivalence tests pin the two
-    bit-identical.
+    LOIs are extracted one batch at a time into a :class:`StitchedRunSeries`
+    ledger, and every profile is one boolean mask plus array slices of it --
+    no intermediate :class:`LogOfInterest` or point objects.  The equivalence
+    tests pin the profiles bit for bit against
+    :func:`~repro.core.timesync.extract_lois_reference` plus
+    :func:`~repro.core.profile.profile_from_lois_reference`.
     """
 
     def __init__(
@@ -267,26 +373,14 @@ class ProfileStitcher:
         components: Sequence[str] = COMPONENT_KEYS,
         calibration: DelayCalibration | None = None,
         synchronize: bool = True,
-        vectorized: bool = True,
-        columnar: bool = True,
     ) -> None:
         self._components = tuple(components)
         self._calibration = calibration
         self._synchronize = synchronize
-        self._vectorized = vectorized
-        self._columnar = columnar
 
     @property
     def synchronize(self) -> bool:
         return self._synchronize
-
-    @property
-    def vectorized(self) -> bool:
-        return self._vectorized
-
-    @property
-    def columnar(self) -> bool:
-        return self._columnar
 
     # ------------------------------------------------------------------ #
     # LOI extraction across runs.
@@ -304,38 +398,23 @@ class ProfileStitcher:
     ) -> StitchedRunSeries:
         """Stitch newly collected runs into an existing series.
 
-        Only the new records are extracted; everything already in the series
-        is reused untouched.  This keeps the profiler's step-8 top-up loop
-        linear in the total number of runs instead of re-extracting the whole
-        record list every batch.
+        Only the new records are extracted, in one batch, and appended to the
+        ledger; everything already in the series is reused untouched.  This
+        keeps the profiler's step-8 top-up loop linear in the total number of
+        runs.
         """
         self._stitch_into(series, new_records)
         return series
 
     def _stitch_into(self, series: StitchedRunSeries, runs: Sequence[RunRecord]) -> None:
-        if self._vectorized:
-            batch = extract_lois_batch(
-                list(runs),
-                calibration=self._calibration if self._synchronize else None,
-                synchronize=self._synchronize,
-            )
-            if batch is not None:
-                for run, (lois, match) in zip(runs, batch):
-                    series.add_run(run, lois, reading_match=match)
-                return
-        for run in runs:
-            series.add_run(run, self._extract(run))
-
-    def _extract(self, run: RunRecord) -> list[LogOfInterest]:
-        if self._synchronize:
-            synchronizer = synchronizer_for_run(run, self._calibration)
-            if self._vectorized:
-                return extract_lois(run, synchronizer)
-            return extract_lois_reference(run, synchronizer)
-        logger_start = float(run.metadata.get("logger_start_cpu_s", run.anchor.cpu_time_after_s))
-        if self._vectorized:
-            return extract_lois_unsynchronized(run, logger_start)
-        return extract_lois_unsynchronized_reference(run, logger_start)
+        if not runs:
+            return
+        batch = extract_lois_batch(
+            runs,
+            calibration=self._calibration if self._synchronize else None,
+            synchronize=self._synchronize,
+        )
+        series.append(runs, batch)
 
     # ------------------------------------------------------------------ #
     # Execution-level (SSP/SSE) profiles.
@@ -356,25 +435,13 @@ class ProfileStitcher:
         multiply the LOI yield of very short kernels.
         """
         which: int | str = "last" if min_execution_index is None else min_execution_index
-        execution_time = self._execution_time(series, golden_runs, which=which)
-        if self._columnar:
-            run_idx, exec_idx = series.loi_index_arrays()
-            if min_execution_index is None:
-                mask = exec_idx == series.loi_last_execution_array()
-            else:
-                mask = exec_idx >= min_execution_index
-            return self._profile_from_series(
-                series, self._golden_mask(mask, run_idx, golden_runs),
-                ProfileKind.SSP, execution_time, metadata,
-            )
+        _, exec_idx = series.loi_index_arrays()
         if min_execution_index is None:
-            lois = series.lois_for_last_execution()
+            mask = exec_idx == series.loi_last_execution_array()
         else:
-            lois = series.lois_from_execution(min_execution_index)
-        lois = self._filtered(lois, golden_runs)
-        return profile_from_lois_reference(
-            series.kernel_name, ProfileKind.SSP, lois, execution_time,
-            components=self._components, metadata=metadata,
+            mask = exec_idx >= min_execution_index
+        return self._profile_from_series(
+            series, mask, golden_runs, ProfileKind.SSP, which, metadata
         )
 
     def sse_profile(
@@ -385,17 +452,9 @@ class ProfileStitcher:
         metadata: Mapping[str, object] | None = None,
     ) -> FineGrainProfile:
         """Profile of the SSE execution (first post-warm-up) across runs."""
-        execution_time = self._execution_time(series, golden_runs, which=sse_index)
-        if self._columnar:
-            run_idx, exec_idx = series.loi_index_arrays()
-            mask = self._golden_mask(exec_idx == sse_index, run_idx, golden_runs)
-            return self._profile_from_series(
-                series, mask, ProfileKind.SSE, execution_time, metadata
-            )
-        lois = self._filtered(series.lois_for_execution(sse_index), golden_runs)
-        return profile_from_lois_reference(
-            series.kernel_name, ProfileKind.SSE, lois, execution_time,
-            components=self._components, metadata=metadata,
+        _, exec_idx = series.loi_index_arrays()
+        return self._profile_from_series(
+            series, exec_idx == sse_index, golden_runs, ProfileKind.SSE, sse_index, metadata
         )
 
     def execution_profile(
@@ -405,17 +464,10 @@ class ProfileStitcher:
         golden_runs: Sequence[int] | None = None,
     ) -> FineGrainProfile:
         """Profile of an arbitrary execution index (used for outlier studies)."""
-        execution_time = self._execution_time(series, golden_runs, which=execution_index)
-        if self._columnar:
-            run_idx, exec_idx = series.loi_index_arrays()
-            mask = self._golden_mask(exec_idx == execution_index, run_idx, golden_runs)
-            return self._profile_from_series(
-                series, mask, ProfileKind.CUSTOM, execution_time, None
-            )
-        lois = self._filtered(series.lois_for_execution(execution_index), golden_runs)
-        return profile_from_lois_reference(
-            series.kernel_name, ProfileKind.CUSTOM, lois, execution_time,
-            components=self._components,
+        _, exec_idx = series.loi_index_arrays()
+        return self._profile_from_series(
+            series, exec_idx == execution_index, golden_runs, ProfileKind.CUSTOM,
+            execution_index, None,
         )
 
     # ------------------------------------------------------------------ #
@@ -434,55 +486,15 @@ class ProfileStitcher:
         delay) are included by default so the warm-up ramp from idle is
         visible, exactly as in the paper's figures.
         """
-        selected = set(golden_runs) if golden_runs is not None else None
-        durations: list[float] = []
-        if self._columnar:
-            chunks: list[ProfileColumns] = []
-            for run_index, run in series.runs.items():
-                if selected is not None and run_index not in selected:
-                    continue
-                if not run.executions:
-                    continue
-                origin = run.first_execution.cpu_start_s
-                durations.append(run.last_execution.cpu_end_s - origin)
-                chunks.append(
-                    self._run_columns(
-                        run,
-                        origin,
-                        include_non_execution_readings,
-                        cached_match=series.reading_match(run_index),
-                    )
-                )
-            return FineGrainProfile(
-                kernel_name=series.kernel_name,
-                kind=ProfileKind.RUN,
-                execution_time_s=mean_duration_or_zero(durations),
-                metadata=dict(metadata or {}),
-                columns=ProfileColumns.concatenate(chunks),
-            )
-        points: list[ProfilePoint] = []
-        for run_index, run in series.runs.items():
-            if selected is not None and run_index not in selected:
-                continue
-            if not run.executions:
-                continue
-            origin = run.first_execution.cpu_start_s
-            durations.append(run.last_execution.cpu_end_s - origin)
-            points.extend(
-                self._run_points(
-                    run,
-                    origin,
-                    include_non_execution_readings,
-                    cached_match=series.reading_match(run_index),
-                )
-            )
-        execution_time = mean_duration_or_zero(durations)
+        chunks, spans = series.run_columns(
+            self._components, golden_runs, include_non_execution_readings
+        )
         return FineGrainProfile(
             kernel_name=series.kernel_name,
             kind=ProfileKind.RUN,
-            points=tuple(points),
-            execution_time_s=execution_time,
+            execution_time_s=mean_duration_or_zero(spans),
             metadata=dict(metadata or {}),
+            columns=ProfileColumns.concatenate(chunks),
         )
 
     def section_profiles(
@@ -525,144 +537,6 @@ class ProfileStitcher:
                 )
         return profiles
 
-    def _run_columns(
-        self,
-        run: RunRecord,
-        origin_cpu_s: float,
-        include_idle: bool,
-        cached_match: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> ProfileColumns:
-        """One run's whole-run profile rows as a column bundle (no points)."""
-        reading_columns = run.reading_columns()
-        if not reading_columns.uniform_components:
-            # Readings disagree on their component sets; per-reading presence
-            # needs the scalar path.  Columnise its points.
-            return ProfileColumns.from_points(
-                self._run_points(run, origin_cpu_s, include_idle, cached_match)
-            )
-        if cached_match is not None:
-            times, positions = cached_match
-        else:
-            times = self._window_end_times(run)
-            positions = match_execution_positions(run, times)
-        times = np.asarray(times, dtype=float)
-        if include_idle:
-            keep = np.arange(times.shape[0])
-        else:
-            span_start = run.first_execution.cpu_start_s
-            span_end = run.last_execution.cpu_end_s
-            keep = np.nonzero((times >= span_start) & (times <= span_end))[0]
-        available = reading_columns.powers_w
-        powers = {
-            component: available[component][keep]
-            for component in self._components
-            if component in available
-        }
-        if isinstance(run.executions, ExecutionTimings):
-            exec_index_by_pos = run.executions.indices
-        else:
-            exec_index_by_pos = np.fromiter(
-                (execution.index for execution in run.executions),
-                dtype=np.int64,
-                count=len(run.executions),
-            )
-        kept_positions = np.asarray(positions, dtype=np.int64)[keep]
-        execution_index = np.where(
-            kept_positions >= 0,
-            exec_index_by_pos[np.clip(kept_positions, 0, None)],
-            -1,
-        )
-        return ProfileColumns(
-            time_s=times[keep] - origin_cpu_s,
-            run_index=np.full(keep.shape[0], run.run_index, dtype=np.int64),
-            execution_index=execution_index,
-            powers_w=powers,
-        )
-
-    def _window_end_times(self, run: RunRecord) -> np.ndarray:
-        if self._synchronize:
-            synchronizer = synchronizer_for_run(run, self._calibration)
-            return synchronizer.cpu_times_of(run.reading_columns().gpu_timestamp_ticks)
-        logger_start = float(
-            run.metadata.get("logger_start_cpu_s", run.anchor.cpu_time_after_s)
-        )
-        return logger_start + np.arange(1, len(run.readings) + 1) * run.logger_period_s
-
-    def _run_points(
-        self,
-        run: RunRecord,
-        origin_cpu_s: float,
-        include_idle: bool,
-        cached_match: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> list[ProfilePoint]:
-        if cached_match is not None:
-            # Window-end times and execution matches were already computed by
-            # the batched extractor; reuse them.
-            times, positions = cached_match
-        elif self._vectorized:
-            times = self._window_end_times(run)
-            positions = match_execution_positions(run, times)
-        else:
-            # Legacy (pre-vectorization) behaviour: per-reading time mapping
-            # and a linear execution scan per reading, below.
-            if self._synchronize:
-                synchronizer = synchronizer_for_run(run, self._calibration)
-                times = [
-                    synchronizer.cpu_time_of(reading.gpu_timestamp_ticks)
-                    for reading in run.readings
-                ]
-            else:
-                logger_start = float(
-                    run.metadata.get("logger_start_cpu_s", run.anchor.cpu_time_after_s)
-                )
-                times = [
-                    logger_start + (i + 1) * run.logger_period_s
-                    for i in range(len(run.readings))
-                ]
-            positions = None
-        span_start = run.first_execution.cpu_start_s
-        span_end = run.last_execution.cpu_end_s
-        # Fast path for the common case where every reading carries exactly
-        # the configured components: one dict copy instead of per-component
-        # lookups, with values equal to the slow path's.
-        wanted_nontotal = None
-        if run.readings and "total" in self._components:
-            first = run.readings[0].components
-            if (len(first) == len(self._components) - 1
-                    and all(c == "total" or c in first for c in self._components)):
-                wanted_nontotal = set(self._components) - {"total"}
-        points: list[ProfilePoint] = []
-        for i, reading in enumerate(run.readings):
-            window_end = float(times[i])
-            inside = span_start <= window_end <= span_end
-            if not inside and not include_idle:
-                continue
-            if wanted_nontotal is not None and reading.components.keys() == wanted_nontotal:
-                powers: dict[str, float] = {"total": reading.total_w, **reading.components}
-            else:
-                powers = {}
-                for component in self._components:
-                    if reading.has_component(component):
-                        powers[component] = reading.component(component)
-            if positions is not None:
-                position = int(positions[i])
-                execution_index = run.executions[position].index if position >= 0 else -1
-            else:
-                execution_index = -1
-                for execution in run.executions:
-                    if execution.contains(window_end):
-                        execution_index = execution.index
-                        break
-            points.append(
-                ProfilePoint(
-                    time_s=window_end - origin_cpu_s,
-                    powers_w=powers,
-                    run_index=run.run_index,
-                    execution_index=execution_index,
-                )
-            )
-        return points
-
     # ------------------------------------------------------------------ #
     # Helpers.
     # ------------------------------------------------------------------ #
@@ -670,13 +544,14 @@ class ProfileStitcher:
         self,
         series: StitchedRunSeries,
         mask: np.ndarray,
+        golden_runs: Sequence[int] | None,
         kind: ProfileKind,
-        execution_time: float,
+        which: int | str,
         metadata: Mapping[str, object] | None,
     ) -> FineGrainProfile:
-        """Slice the series' columnar LOI views into a profile (no points)."""
-        keep = np.nonzero(mask)[0]
+        """Slice the ledger rows selected by ``mask`` into a profile."""
         run_idx, exec_idx = series.loi_index_arrays()
+        keep = np.flatnonzero(golden_mask(mask, run_idx, golden_runs))
         powers: dict[str, np.ndarray] = {}
         masks: dict[str, np.ndarray] = {}
         if keep.size:
@@ -698,28 +573,10 @@ class ProfileStitcher:
         return FineGrainProfile(
             kernel_name=series.kernel_name,
             kind=kind,
-            execution_time_s=execution_time,
+            execution_time_s=self._execution_time(series, golden_runs, which),
             metadata=dict(metadata or {}),
             columns=columns,
         )
-
-    @staticmethod
-    def _golden_mask(
-        mask: np.ndarray, run_idx: np.ndarray, golden_runs: Sequence[int] | None
-    ) -> np.ndarray:
-        if golden_runs is None:
-            return mask
-        wanted = np.fromiter((int(i) for i in golden_runs), dtype=np.int64)
-        return mask & np.isin(run_idx, wanted)
-
-    @staticmethod
-    def _filtered(
-        lois: Sequence[LogOfInterest], golden_runs: Sequence[int] | None
-    ) -> list[LogOfInterest]:
-        if golden_runs is None:
-            return list(lois)
-        wanted = set(golden_runs)
-        return [loi for loi in lois if loi.run_index in wanted]
 
     @staticmethod
     def _execution_time(
@@ -742,4 +599,4 @@ def mean_duration_or_zero(durations: Sequence[float]) -> float:
     return float(sum(durations) / len(durations))
 
 
-__all__ = ["StitchedRunSeries", "ProfileStitcher", "mean_duration_or_zero"]
+__all__ = ["StitchedRunSeries", "ProfileStitcher", "golden_mask", "mean_duration_or_zero"]

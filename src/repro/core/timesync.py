@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .records import (
     ExecutionTimings,
     LogOfInterest,
     PowerReading,
+    ReadingColumns,
     RunRecord,
     TimestampAnchor,
 )
@@ -152,8 +153,7 @@ def match_execution_positions(run: RunRecord, cpu_times_s: np.ndarray) -> np.nda
 
 
 def _first_containing_positions(
-    starts: np.ndarray, ends: np.ndarray, times: np.ndarray,
-    same_group: np.ndarray | None = None, group_of_time: np.ndarray | None = None,
+    starts: np.ndarray, ends: np.ndarray, times: np.ndarray
 ) -> np.ndarray:
     """Index of the first execution containing each time (-1 when none).
 
@@ -163,23 +163,17 @@ def _first_containing_positions(
     start at or before each time; a vectorized back-walk then shifts to the
     earliest execution still containing the time, which reproduces the scalar
     first-match exactly -- including shared-boundary and small-overlap cases.
-    ``same_group``/``group_of_time`` optionally restrict matches to executions
-    belonging to the same group (run) as the time being matched.
     """
     pos = np.searchsorted(starts, times, side="right") - 1
     if starts.shape[0] > 1:
         while True:
             prev = np.maximum(pos - 1, 0)
             can_shift = (pos > 0) & (times <= ends[prev])
-            if same_group is not None:
-                can_shift &= same_group[prev] == group_of_time
-            if not bool(np.any(can_shift)):
+            if not can_shift.any():
                 break
-            pos = np.where(can_shift, pos - 1, pos)
-    clipped = np.maximum(pos, 0)
-    valid = (pos >= 0) & (times >= starts[clipped]) & (times <= ends[clipped])
-    if same_group is not None:
-        valid &= same_group[clipped] == group_of_time
+            pos = pos - can_shift
+    # starts[pos] <= time holds by construction; only the end can exclude it.
+    valid = (pos >= 0) & (times <= ends[np.maximum(pos, 0)])
     return np.where(valid, pos, -1)
 
 
@@ -216,140 +210,308 @@ def _loi_from(
     )
 
 
-def _execution_starts(run: RunRecord) -> np.ndarray:
-    """Execution start times in record order, without materialising objects."""
+def _execution_table(run: RunRecord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indices, starts, ends)`` of a run's executions in record order.
+
+    Columnar timings are adopted as-is; a tuple of timing objects is read
+    attribute by attribute.
+    """
     executions = run.executions
     if isinstance(executions, ExecutionTimings):
-        return executions.starts_s
-    return np.fromiter(
-        map(attrgetter("cpu_start_s"), executions), dtype=float, count=len(executions)
+        return executions.indices, executions.starts_s, executions.ends_s
+    n = len(executions)
+    return (
+        np.fromiter(map(attrgetter("index"), executions), dtype=np.int64, count=n),
+        np.fromiter(map(attrgetter("cpu_start_s"), executions), dtype=float, count=n),
+        np.fromiter(map(attrgetter("cpu_end_s"), executions), dtype=float, count=n),
     )
 
 
-def _execution_ends(run: RunRecord) -> np.ndarray:
-    """Execution end times in record order, without materialising objects."""
-    executions = run.executions
-    if isinstance(executions, ExecutionTimings):
-        return executions.ends_s
-    return np.fromiter(
-        map(attrgetter("cpu_end_s"), executions), dtype=float, count=len(executions)
-    )
+def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
 
-#: Per-run result of a batched extraction: the LOIs plus the reading-match
-#: cache (window-end CPU times and matched execution positions, -1 for idle)
-#: that profile builders reuse to avoid re-matching readings.
-BatchExtraction = tuple[list[LogOfInterest], tuple[np.ndarray, np.ndarray]]
+@dataclass(eq=False)
+class LOIBatch:
+    """The logs of interest of a batch of runs, as parallel arrays.
+
+    Per LOI (one row each, in run order and then reading order):
+    ``run_ordinal`` is the run's position in the batch, ``execution_index``
+    and ``execution_position`` the matched execution's index and its
+    position in ``run.executions``, ``last_execution`` the index of the run's
+    last execution, ``reading_position`` the reading's position in
+    ``run.readings``, ``window_end_s`` the window-end CPU time and ``toi_s``
+    the time of interest.  ``powers_w`` maps every component carried by the
+    batch's readings to its per-LOI watts; ``masks`` marks presence for a
+    component some LOI readings lack (their value is ``NaN``).
+
+    Per run: ``run_index`` and the ``reading_offsets`` /
+    ``execution_offsets`` into the per-reading and per-execution columns.
+    Per reading: the window-end time and the matched execution position
+    (``-1`` for idle), which whole-run profiles reuse.  Per execution: index,
+    start and end, in record order.
+    """
+
+    run_ordinal: np.ndarray
+    execution_index: np.ndarray
+    execution_position: np.ndarray
+    last_execution: np.ndarray
+    reading_position: np.ndarray
+    window_end_s: np.ndarray
+    toi_s: np.ndarray
+    powers_w: Mapping[str, np.ndarray]
+    masks: Mapping[str, np.ndarray]
+    run_index: np.ndarray
+    reading_offsets: np.ndarray
+    reading_times_s: np.ndarray
+    reading_positions: np.ndarray
+    execution_offsets: np.ndarray
+    execution_indices: np.ndarray
+    execution_starts_s: np.ndarray
+    execution_ends_s: np.ndarray
+
+    @property
+    def num_lois(self) -> int:
+        return int(self.run_ordinal.shape[0])
+
+    def reading_match(self, ordinal: int) -> tuple[np.ndarray, np.ndarray]:
+        """(window-end times, matched execution positions) of one run."""
+        lo, hi = self.reading_offsets[ordinal], self.reading_offsets[ordinal + 1]
+        return self.reading_times_s[lo:hi], self.reading_positions[lo:hi]
+
+    def execution_durations(self, which: int | str) -> tuple[np.ndarray, np.ndarray]:
+        """``(run indices, durations)`` of execution ``which`` per run.
+
+        ``which`` is ``"last"`` or an execution index (its first occurrence
+        in a run counts, as :meth:`RunRecord.execution_duration` finds it);
+        runs without that execution are left out.  A duration is the float
+        subtraction of :attr:`ExecutionTiming.duration_s`.
+        """
+        offsets = self.execution_offsets
+        if which == "last":
+            ordinals = np.flatnonzero(offsets[1:] > offsets[:-1])
+            rows = offsets[ordinals + 1] - 1
+        else:
+            rows = np.flatnonzero(self.execution_indices == int(which))
+            owners = np.searchsorted(offsets, rows, side="right") - 1
+            first = np.ones(owners.shape[0], dtype=bool)
+            first[1:] = owners[1:] != owners[:-1]
+            ordinals, rows = owners[first], rows[first]
+        return (
+            self.run_index[ordinals],
+            self.execution_ends_s[rows] - self.execution_starts_s[rows],
+        )
+
+
+def _window_end_times(
+    runs: Sequence[RunRecord],
+    ticks: np.ndarray,
+    anchor_ticks: np.ndarray,
+    owner: np.ndarray,
+    reading_offsets: np.ndarray,
+    calibration: DelayCalibration | None,
+    synchronize: bool,
+) -> np.ndarray:
+    """Every reading's window-end CPU time, for all runs at once.
+
+    ``owner`` maps each reading to its run.  Synchronised, this is
+    :meth:`ClockSynchronizer.cpu_times_of` with the float operations of
+    :attr:`ClockSynchronizer.anchor_capture_cpu_s` done element-wise over the
+    runs' anchors; unsynchronised, the :class:`NaiveIndexSynchronizer` grid.
+    Both are bit-identical to the per-run mappings.
+    """
+    n = len(runs)
+    if synchronize:
+        anchors = np.array(
+            [
+                (run.anchor.cpu_time_after_s, run.anchor.round_trip_s, run.counter_frequency_hz)
+                for run in runs
+            ],
+            dtype=float,
+        ).reshape(n, 3)
+        after, round_trip, frequency = anchors.T
+        issue_time = after - round_trip
+        if calibration is not None:
+            capture = issue_time + calibration.one_way_delay_s
+        else:
+            capture = issue_time + round_trip / 2.0
+        return capture[owner] + (ticks - anchor_ticks[owner]) / frequency[owner]
+    grid = np.array(
+        [
+            (
+                float(run.metadata.get("logger_start_cpu_s", run.anchor.cpu_time_after_s)),
+                run.logger_period_s,
+            )
+            for run in runs
+        ],
+        dtype=float,
+    ).reshape(n, 2)
+    sample_index = np.arange(owner.shape[0]) - reading_offsets[owner]
+    return grid[owner, 0] + (sample_index + 1) * grid[owner, 1]
+
+
+def _match_batch(
+    starts: np.ndarray,
+    ends: np.ndarray,
+    exec_counts: np.ndarray,
+    exec_offsets: np.ndarray,
+    times: np.ndarray,
+    owner: np.ndarray,
+) -> np.ndarray | None:
+    """Match every reading of a batch against one concatenated execution table.
+
+    Returns each reading's execution position within its own run (``-1`` for
+    idle), or ``None`` when the batch does not meet the preconditions of one
+    binary search: every run has executions, the concatenated starts *and*
+    ends are non-decreasing (true for backend records even when observation
+    jitter makes back-to-back executions overlap slightly), and the runs'
+    execution spans are strictly disjoint, so the back-walk never leaves a
+    run.  A run-ownership check keeps a reading from ever matching another
+    run's execution.
+    """
+    n = exec_counts.shape[0]
+    if n == 0 or not exec_counts.all():
+        return None
+    if starts.shape[0] > 1 and bool(
+        (np.diff(starts) < 0).any() or (np.diff(ends) < 0).any()
+    ):
+        return None
+    boundaries = exec_offsets[1:-1]
+    if n > 1 and bool((ends[boundaries - 1] >= starts[boundaries]).any()):
+        return None
+    pos = _first_containing_positions(starts, ends, times)
+    local = pos - exec_offsets[owner]
+    return np.where((pos >= 0) & (local >= 0) & (local < exec_counts[owner]), local, -1)
+
+
+def gather_powers(
+    columns: Sequence[ReadingColumns], rows: np.ndarray
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Per-component powers (and presence masks) of the readings at ``rows``.
+
+    ``rows`` index the concatenation of the runs' readings.  Runs whose readings
+    share one component set -- every compiled-engine record -- are gathered
+    one concatenation per component; otherwise each run contributes its
+    :meth:`ReadingColumns.component` column, NaN-filled where absent.
+    """
+    names = tuple(columns[0].powers_w) if columns else ("total",)
+    if all(c.uniform_components and tuple(c.powers_w) == names for c in columns):
+        return {
+            name: _concat([c.powers_w[name] for c in columns], float)[rows] for name in names
+        }, {}
+    found = {name for c in columns for name in c.component_names()}
+    powers: dict[str, np.ndarray] = {}
+    masks: dict[str, np.ndarray] = {}
+    for name in ("total", *sorted(found - {"total"})):
+        values, present = [], []
+        for c in columns:
+            column = c.component(name)
+            if column is None:
+                values.append(np.full(c.num_readings, np.nan))
+                present.append(np.zeros(c.num_readings, dtype=bool))
+            else:
+                values.append(column[0])
+                present.append(
+                    np.ones(c.num_readings, dtype=bool) if column[1] is None else column[1]
+                )
+        powers[name] = _concat(values, float)[rows]
+        mask = _concat(present, bool)[rows]
+        if not mask.all():
+            masks[name] = mask
+    return powers, masks
 
 
 def extract_lois_batch(
     runs: Sequence[RunRecord],
     calibration: DelayCalibration | None = None,
     synchronize: bool = True,
-) -> list[BatchExtraction] | None:
-    """Extract the LOIs of many runs in one vectorized pass.
+) -> LOIBatch:
+    """Extract the LOIs of many runs in one vectorized pass (step 7).
 
-    All runs' readings are mapped to CPU time and matched against a single
-    concatenated execution table with one binary search; a run-ownership check
-    keeps a reading from ever matching another run's execution, so results
-    are bit-identical to per-run extraction.  Requires every run to have
-    executions, the concatenated execution starts *and* ends to be
-    non-decreasing (true for records produced by a backend even when
-    host-observation jitter makes back-to-back executions overlap slightly),
-    and the runs' overall execution spans to be disjoint.  Returns ``None``
-    when a precondition fails so callers can fall back to the per-run path.
+    All runs' readings are mapped to CPU time in one array expression and,
+    when the batch allows it, matched against a single concatenated execution
+    table with one binary search.  A batch that does not (overlapping run
+    spans, nested executions, runs without executions) is matched run by run
+    with :func:`match_execution_positions`.  No per-LOI object is built: the
+    TOI is the same float subtraction :func:`extract_lois_reference`
+    performs, so every value -- and every :class:`LogOfInterest` later built
+    from the arrays -- is bit-identical to per-run extraction.
     """
-    if not runs:
-        return []
-    exec_counts = [run.num_executions for run in runs]
-    if min(exec_counts) == 0:
-        return None
-    starts = np.concatenate([_execution_starts(run) for run in runs])
-    ends = np.concatenate([_execution_ends(run) for run in runs])
-    if starts.shape[0] > 1 and bool(
-        np.any(np.diff(starts) < 0) or np.any(np.diff(ends) < 0)
-    ):
-        return None
-    reading_counts = [len(run.readings) for run in runs]
-    reading_offsets = np.concatenate([[0], np.cumsum(reading_counts)])
-    exec_offsets = np.concatenate([[0], np.cumsum(exec_counts)])
-    if len(runs) > 1:
-        # Runs' execution spans must be disjoint: an execution of one run
-        # overlapping another run's span would block the same-group back-walk
-        # and silently diverge from per-run extraction.
-        run_first_starts = starts[exec_offsets[:-1]]
-        run_last_ends = ends[exec_offsets[1:] - 1]
-        if bool(np.any(run_last_ends[:-1] > run_first_starts[1:])):
-            return None
-    run_ordinals = np.arange(len(runs))
-    reading_owner = np.repeat(run_ordinals, reading_counts)
-    exec_owner = np.repeat(run_ordinals, exec_counts)
-
-    # The per-run columnar views (cached on the records and reused by every
-    # later profile build) supply the ticks; reading *objects* are touched
-    # only for the few matched LOIs below.
-    ticks = np.concatenate(
-        [run.reading_columns().gpu_timestamp_ticks for run in runs]
+    n = len(runs)
+    columns = [run.reading_columns() for run in runs]
+    tables = [_execution_table(run) for run in runs]
+    per_run = np.array(
+        [
+            (c.gpu_timestamp_ticks.shape[0], t[0].shape[0], run.run_index, run.anchor.gpu_ticks)
+            for c, t, run in zip(columns, tables, runs)
+        ],
+        dtype=np.int64,
+    ).reshape(n, 4)
+    reading_counts, exec_counts = per_run[:, 0], per_run[:, 1]
+    offsets = np.zeros((n + 1, 2), dtype=np.int64)
+    np.cumsum(per_run[:, :2], axis=0, out=offsets[1:])
+    reading_offsets, exec_offsets = offsets[:, 0], offsets[:, 1]
+    exec_indices = _concat([t[0] for t in tables], np.int64)
+    starts = _concat([t[1] for t in tables], float)
+    ends = _concat([t[2] for t in tables], float)
+    owner = np.repeat(np.arange(n), reading_counts)
+    times = _window_end_times(
+        runs,
+        _concat([c.gpu_timestamp_ticks for c in columns], np.int64),
+        per_run[:, 3],
+        owner,
+        reading_offsets,
+        calibration,
+        synchronize,
     )
-    if synchronize:
-        capture = np.asarray(
+    positions = _match_batch(starts, ends, exec_counts, exec_offsets, times, owner)
+    if positions is None:
+        positions = _concat(
             [
-                synchronizer_for_run(run, calibration).anchor_capture_cpu_s
-                for run in runs
+                match_execution_positions(run, times[reading_offsets[i]:reading_offsets[i + 1]])
+                for i, run in enumerate(runs)
             ],
-            dtype=float,
+            np.int64,
         )
-        anchor_ticks = np.asarray([run.anchor.gpu_ticks for run in runs], dtype=np.int64)
-        frequency = np.asarray([run.counter_frequency_hz for run in runs], dtype=float)
-        delta = ticks - np.repeat(anchor_ticks, reading_counts)
-        times = np.repeat(capture, reading_counts) + delta / np.repeat(
-            frequency, reading_counts
-        )
-    else:
-        logger_start = np.asarray(
-            [
-                float(run.metadata.get("logger_start_cpu_s", run.anchor.cpu_time_after_s))
-                for run in runs
-            ],
-            dtype=float,
-        )
-        period = np.asarray([run.logger_period_s for run in runs], dtype=float)
-        sample_index = np.arange(ticks.shape[0]) - np.repeat(
-            reading_offsets[:-1], reading_counts
-        )
-        times = np.repeat(logger_start, reading_counts) + (
-            sample_index + 1
-        ) * np.repeat(period, reading_counts)
-
-    pos = _first_containing_positions(
-        starts, ends, times, same_group=exec_owner, group_of_time=reading_owner
+    rows = np.flatnonzero(positions >= 0)
+    loi_owner = owner[rows]
+    execution_position = positions[rows]
+    execution_rows = exec_offsets[loi_owner] + execution_position
+    window_end = times[rows]
+    powers, masks = gather_powers(columns, rows)
+    return LOIBatch(
+        run_ordinal=loi_owner,
+        execution_index=exec_indices[execution_rows],
+        execution_position=execution_position,
+        last_execution=exec_indices[exec_offsets[loi_owner + 1] - 1],
+        reading_position=rows - reading_offsets[loi_owner],
+        window_end_s=window_end,
+        toi_s=window_end - starts[execution_rows],
+        powers_w=powers,
+        masks=masks,
+        run_index=per_run[:, 2],
+        reading_offsets=reading_offsets,
+        reading_times_s=times,
+        reading_positions=positions,
+        execution_offsets=exec_offsets,
+        execution_indices=exec_indices,
+        execution_starts_s=starts,
+        execution_ends_s=ends,
     )
-    local_positions = np.where(pos >= 0, pos - exec_offsets[reading_owner], -1)
 
-    # Build the (few) LOI objects in one global pass, then slice the
-    # reading-match arrays per run.
-    lois_per_run: list[list[LogOfInterest]] = [[] for _ in runs]
-    for i in np.nonzero(pos >= 0)[0]:
-        ordinal = reading_owner[i]
-        run = runs[ordinal]
-        lois_per_run[ordinal].append(
-            _loi_from(
-                run.run_index,
-                run.readings[i - reading_offsets[ordinal]],
-                float(times[i]),
-                run.executions[local_positions[i]],
-            )
-        )
-    return [
-        (
-            lois_per_run[ordinal],
-            (
-                times[reading_offsets[ordinal]:reading_offsets[ordinal + 1]],
-                local_positions[reading_offsets[ordinal]:reading_offsets[ordinal + 1]],
-            ),
-        )
-        for ordinal in range(len(runs))
-    ]
+
+def loi_object(
+    run: RunRecord, reading_position: int, execution_position: int, window_end_s: float
+) -> LogOfInterest:
+    """The :class:`LogOfInterest` of one ledger row, built on request."""
+    return _loi_from(
+        run.run_index,
+        run.readings[reading_position],
+        window_end_s,
+        run.executions[execution_position],
+    )
 
 
 def extract_lois(
@@ -383,9 +545,9 @@ def extract_lois_reference(
 ) -> list[LogOfInterest]:
     """Pure-Python reference implementation of :func:`extract_lois`.
 
-    One reading at a time, one linear execution scan per reading.  Kept for
-    equivalence tests and for benchmarking the vectorized path against the
-    original implementation.
+    One reading at a time, one linear execution scan per reading.  The
+    executable specification the equivalence tests pin the batch extractor
+    and the stitched LOI ledger against.
     """
     wanted = set(execution_indices) if execution_indices is not None else None
     lois: list[LogOfInterest] = []
@@ -456,6 +618,8 @@ __all__ = [
     "match_execution_positions",
     "extract_lois",
     "extract_lois_batch",
+    "LOIBatch",
+    "loi_object",
     "extract_lois_reference",
     "extract_lois_unsynchronized",
     "extract_lois_unsynchronized_reference",

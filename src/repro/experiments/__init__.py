@@ -10,100 +10,74 @@ matching benchmark under ``benchmarks/`` calls the driver and prints the
 regenerated table/figure data.
 """
 
-from .ablations import (
-    BinningMarginSweep,
-    CoarseCoverageResult,
-    DriftSensitivityResult,
-    SamplerAblationResult,
-    run_binning_margin_sweep,
-    run_coarse_coverage,
-    run_drift_sensitivity,
-    run_sampler_ablation,
-)
-from .common import (
-    FAST_SCALE,
-    PAPER_SCALE,
-    TINY_SCALE,
-    ExperimentScale,
-    default_scale,
-    make_backend,
-    make_profiler,
-    power_sample_period_s,
-    scale_by_name,
-)
-from .fig5 import Fig5Result, run_fig5
-from .fig6 import Fig6Result, run_fig6
-from .fig7 import Fig7Result, run_fig7
-from .fig8 import Fig8Result, run_fig8
-from .fig9 import Fig9Result, run_fig9
-from .fig10 import Fig10Result, run_fig10
-from .sweep import (
-    EXPERIMENT_NAMES,
-    JobFailure,
-    KernelSpec,
-    ProfileJob,
-    SweepConfig,
-    SweepJobError,
-    SweepManifest,
-    SweepRunner,
-    configured_adaptive,
-    configured_result_mode,
-    default_runner,
-    execute_job,
-    kernel_spec,
-    run_jobs,
-    run_sweep,
-)
-from .table1 import Table1Result, run_table1
-from .table2 import Table2Result, run_table2
+from importlib import import_module
 
-__all__ = [
-    "BinningMarginSweep",
-    "CoarseCoverageResult",
-    "DriftSensitivityResult",
-    "SamplerAblationResult",
-    "run_binning_margin_sweep",
-    "run_coarse_coverage",
-    "run_drift_sensitivity",
-    "run_sampler_ablation",
-    "FAST_SCALE",
-    "PAPER_SCALE",
-    "TINY_SCALE",
-    "ExperimentScale",
-    "default_scale",
-    "scale_by_name",
-    "power_sample_period_s",
-    "make_backend",
-    "make_profiler",
-    "Fig5Result",
-    "run_fig5",
-    "Fig6Result",
-    "run_fig6",
-    "Fig7Result",
-    "run_fig7",
-    "Fig8Result",
-    "run_fig8",
-    "Fig9Result",
-    "run_fig9",
-    "Fig10Result",
-    "run_fig10",
-    "EXPERIMENT_NAMES",
-    "JobFailure",
-    "KernelSpec",
-    "ProfileJob",
-    "SweepConfig",
-    "SweepJobError",
-    "SweepManifest",
-    "SweepRunner",
-    "configured_adaptive",
-    "configured_result_mode",
-    "default_runner",
-    "execute_job",
-    "kernel_spec",
-    "run_jobs",
-    "run_sweep",
-    "Table1Result",
-    "run_table1",
-    "Table2Result",
-    "run_table2",
-]
+#: Re-exported name -> the submodule that defines it.  Names resolve on first
+#: access (PEP 562), so importing the package loads no experiment module -- in
+#: particular not ``sweep``, which ``python -m repro.experiments.sweep`` runs as
+#: ``__main__``.
+_EXPORTS: dict[str, str] = {
+    "BinningMarginSweep": "ablations",
+    "CoarseCoverageResult": "ablations",
+    "DriftSensitivityResult": "ablations",
+    "SamplerAblationResult": "ablations",
+    "run_binning_margin_sweep": "ablations",
+    "run_coarse_coverage": "ablations",
+    "run_drift_sensitivity": "ablations",
+    "run_sampler_ablation": "ablations",
+    "FAST_SCALE": "common",
+    "PAPER_SCALE": "common",
+    "TINY_SCALE": "common",
+    "ExperimentScale": "common",
+    "default_scale": "common",
+    "scale_by_name": "common",
+    "power_sample_period_s": "common",
+    "make_backend": "common",
+    "make_profiler": "common",
+    "Fig5Result": "fig5",
+    "run_fig5": "fig5",
+    "Fig6Result": "fig6",
+    "run_fig6": "fig6",
+    "Fig7Result": "fig7",
+    "run_fig7": "fig7",
+    "Fig8Result": "fig8",
+    "run_fig8": "fig8",
+    "Fig9Result": "fig9",
+    "run_fig9": "fig9",
+    "Fig10Result": "fig10",
+    "run_fig10": "fig10",
+    "EXPERIMENT_NAMES": "sweep",
+    "JobFailure": "sweep",
+    "KernelSpec": "sweep",
+    "ProfileJob": "sweep",
+    "SweepConfig": "sweep",
+    "SweepJobError": "sweep",
+    "SweepManifest": "sweep",
+    "SweepRunner": "sweep",
+    "configured_adaptive": "sweep",
+    "configured_result_mode": "sweep",
+    "default_runner": "sweep",
+    "execute_job": "sweep",
+    "kernel_spec": "sweep",
+    "run_jobs": "sweep",
+    "run_sweep": "sweep",
+    "Table1Result": "table1",
+    "run_table1": "table1",
+    "Table2Result": "table2",
+    "run_table2": "table2",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

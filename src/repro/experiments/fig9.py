@@ -166,12 +166,9 @@ def fig9_from_results(
     for label, spec, preceding in _SCENARIOS:
         kernel_name = spec.build().name
         reference: FinGraVResult = results[f"fig9/isolated/{kernel_name}"]
+        # An empty interleaved profile (no run captured a log of interest)
+        # reports NaN power and zero LOIs; its expectation then fails.
         interleaved: FineGrainProfile = results[f"fig9/interleaved/{label}"]
-        if interleaved.is_empty:
-            raise ValueError(
-                f"scenario {label}: no logs of interest were captured; "
-                "increase the number of runs"
-            )
         measurements.append(
             InterleavedMeasurement(
                 label=label,

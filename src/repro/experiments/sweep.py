@@ -114,8 +114,9 @@ from .common import (
 #: Bump when job execution semantics change, to invalidate on-disk caches.
 #: Schema 4: adaptive-collection-aware jobs (``ProfileJob.adaptive`` enters
 #: the key; results carry the collection audit in their metadata/summary).
-#: Schema-3 entries recompute cleanly.
-_CACHE_SCHEMA = 4
+#: Schema 5: cached results pickle a ``ProfilerConfig`` without the
+#: ``vectorized``/``columnar`` switches.  Older entries recompute cleanly.
+_CACHE_SCHEMA = 5
 
 #: Staging files older than this are considered orphaned by a dead writer.
 _STALE_STAGING_S = 3600.0

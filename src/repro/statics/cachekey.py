@@ -112,14 +112,6 @@ EXEMPTIONS: dict[str, dict[str, str]] = {
             "pinned at its default by make_profiler; changing the default "
             "requires a _CACHE_SCHEMA bump"
         ),
-        "vectorized": (
-            "engine selection: the vectorized and reference stitching "
-            "pipelines are pinned bit-identical by the equivalence tests"
-        ),
-        "columnar": (
-            "profile construction layout: columnar and object-based profiles "
-            "are pinned bit-identical by the equivalence tests"
-        ),
         "convergence_rtol": (
             "adaptive-stopping knob pinned at its default by make_profiler "
             "(only the keyed 'adaptive' switch varies under the sweep); "

@@ -24,8 +24,10 @@ from repro.analysis.proportionality import (
     assess_proportionality,
 )
 from repro.analysis.trends import fit_trend, linear_trend, profile_spread, trend_agreement
-from repro.core.profile import FineGrainProfile, ProfileKind, ProfilePoint
-from repro.kernels.workloads import cb_gemm, cb_gemms, mb_gemv
+from repro.core.profile import FineGrainProfile, ProfileKind, ProfilePoint, profile_from_lois
+from repro.core.stitching import ProfileStitcher
+from repro.gpu.backend import SimulatedDeviceBackend
+from repro.kernels.workloads import InterleavingScenario, cb_gemm, cb_gemms, mb_gemv
 
 
 def summary(name, total, xcd, iod, hbm, exec_time=100e-6, error=None):
@@ -225,3 +227,65 @@ class TestInterleavedMeasurement:
         # Measured power should sit near the preceding GEMV level, i.e. far
         # below the CB-2K boost-level power.
         assert profile.mean_power_w("total") < 420
+
+    def test_empty_interleaved_profile_reports_nan(self, backend, small_profiler, monkeypatch):
+        study = InterleavingStudy(backend, profiler=small_profiler, runs=5, seed=3)
+        empty = profile_from_lois("CB-2K-GEMM", ProfileKind.CUSTOM, [], 1e-4)
+        monkeypatch.setattr(study, "interleaved_profile", lambda *args, **kwargs: empty)
+        isolated = {"CB-2K-GEMM": make_measurement("x", "CB-2K-GEMM", 1.0).interleaved_profile}
+        scenario = InterleavingScenario("MB->2K", cb_gemm(2048), ((mb_gemv(4096), 20),))
+        measurement = study.measure_scenario(scenario, isolated=isolated)
+        assert np.isnan(measurement.interleaved_w) and measurement.lois == 0
+        assert np.isnan(measurement.ratio) and not measurement.affected
+        assert measurement.direction() == "unmeasured"
+
+
+def per_run_interleaved_profile(backend, rng, kernel, preceding, runs, min_lois, max_runs):
+    """The interleaved collection loop that stitched one run per ``extend``."""
+    period = backend.power_sample_period_s
+    stitcher = ProfileStitcher()
+    series, durations, run_index = None, [], 0
+    while run_index < runs or (
+        series.count_last_execution_lois() < min_lois and run_index < max_runs
+    ):
+        pre_delay = float(rng.uniform(0.0, 2.0 * period))
+        record = backend.run(
+            kernel, executions=1, pre_delay_s=pre_delay, run_index=run_index,
+            preceding=tuple(preceding),
+        )
+        durations.append(record.last_execution.duration_s)
+        if series is None:
+            series = stitcher.collect([record])
+        else:
+            stitcher.extend(series, [record])
+        run_index += 1
+    return profile_from_lois(
+        backend.kernel_name(kernel), ProfileKind.CUSTOM, series.lois_for_last_execution(),
+        float(np.mean(durations)), metadata={"interleaved": True, "runs": runs},
+    ), run_index
+
+
+class TestInterleavedBatching:
+    """One batched stitch of the first runs, then a per-run top-up, changes
+    neither the RNG order nor the profile."""
+
+    @pytest.mark.parametrize("runs, min_lois", [(12, 3), (40, 2), (6, 6)])
+    def test_matches_per_run_stitching(self, runs, min_lois):
+        kernel, preceding = mb_gemv(4096), [(cb_gemm(8192), 2), (cb_gemm(4096), 4)]
+        study = InterleavingStudy(SimulatedDeviceBackend(seed=17), runs=runs, seed=23)
+        batched = study.interleaved_profile(kernel, preceding, min_lois=min_lois, max_runs=200)
+        reference_backend = SimulatedDeviceBackend(seed=17)
+        reference_rng = np.random.default_rng(23)
+        reference, collected = per_run_interleaved_profile(
+            reference_backend, reference_rng, kernel, preceding, runs, min_lois, 200
+        )
+        assert len(batched) == len(reference) and batched.execution_time_s == reference.execution_time_s
+        assert np.array_equal(batched.times(), reference.times())
+        assert batched.components == reference.components
+        for component in batched.components:
+            assert np.array_equal(batched.series(component), reference.series(component))
+        assert batched.run_indices() == reference.run_indices()
+        assert batched.metadata == reference.metadata
+        # Same number of draws from the study's stream and the same runs.
+        assert study._rng.uniform() == reference_rng.uniform()
+        assert collected >= runs

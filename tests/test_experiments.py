@@ -5,11 +5,18 @@ qualitative claims (who wins, which direction, where the crossovers are) are
 asserted.  The benchmark harnesses run the same drivers at the paper's scale.
 """
 
+import hashlib
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.experiments import (
+    FAST_SCALE,
     ExperimentScale,
     default_scale,
+    execute_job,
+    fig9,
     run_fig5,
     run_fig6,
     run_fig7,
@@ -115,6 +122,35 @@ class TestFig9:
         assert fig9_result.measurement("MB->2K").direction() == "lower"
         assert fig9_result.measurement("CB->2K").direction() == "higher"
         assert fig9_result.measurement("CB->4K gemv").direction() == "higher"
+
+
+class TestFig9EmptyScenario:
+    """At sweep offset candidate 35 the 'CB->4K gemv' scenario captures no LOI."""
+
+    OFFSET = int.from_bytes(
+        hashlib.sha256(repr((2024, "sweep-pool", 35)).encode()).digest()[:4], "big"
+    ) >> 1
+
+    def test_reports_nan_and_failed_expectation(self):
+        results = {}
+        for job in fig9.fig9_jobs(scale=FAST_SCALE):
+            job = replace(
+                job,
+                backend_seed=job.backend_seed + self.OFFSET,
+                profiler_seed=job.profiler_seed + self.OFFSET,
+            )
+            results[job.job_id] = execute_job(job)
+        assert results["fig9/interleaved/CB->4K gemv"].is_empty
+
+        result = fig9.fig9_from_results(results)
+        measurement = result.measurement("CB->4K gemv")
+        assert np.isnan(measurement.interleaved_w) and measurement.lois == 0
+        assert measurement.direction() == "unmeasured"
+        expectations = result.expectations()
+        assert expectations["CB->4K gemv higher than SSP"] is False
+        assert result.summary()["all_expectations_hold"] is False
+        row = next(row for row in result.rows() if row["scenario"] == "CB->4K gemv")
+        assert row["lois"] == 0 and np.isnan(row["interleaved_w"])
 
 
 class TestFig10:

@@ -4,7 +4,7 @@ The columnar rebuild's contract is that nothing about the numbers changes:
 statistics, smoothing, restriction, subsampling and export rows must be
 bit-identical whether a profile is built from LOI columns
 (``profile_from_lois``), from frozen points (``profile_from_lois_reference``),
-or assembled by the columnar vs object-based stitcher.
+or sliced by the stitcher out of its LOI ledger.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from repro.core.stitching import ProfileStitcher
 from repro.gpu.backend import SimulatedDeviceBackend
 from repro.gpu.spec import mi300x_spec
 from repro.kernels.workloads import cb_gemm
+from stitching_spec import assert_profiles_identical, reference_run_profile
 
 
 def synthetic_lois(n: int = 400, seed: int = 3, components=True) -> list[LogOfInterest]:
@@ -50,18 +51,6 @@ def synthetic_lois(n: int = 400, seed: int = 3, components=True) -> list[LogOfIn
             )
         )
     return lois
-
-
-def assert_profiles_identical(a: FineGrainProfile, b: FineGrainProfile) -> None:
-    assert len(a) == len(b)
-    assert a.kind == b.kind
-    assert a.execution_time_s == b.execution_time_s
-    assert np.array_equal(a.times(), b.times())
-    assert a.components == b.components
-    for component in a.components:
-        assert np.array_equal(a.series(component), b.series(component))
-    assert a.run_indices() == b.run_indices()
-    assert a.to_rows() == b.to_rows()
 
 
 class TestColumnarVsObjectConstruction:
@@ -126,27 +115,47 @@ class TestColumnarVsObjectConstruction:
 
 
 class TestStitcherEquivalence:
-    @pytest.fixture(scope="class")
-    def results(self):
-        def run_one(columnar: bool):
-            backend = SimulatedDeviceBackend(spec=mi300x_spec(), seed=41)
-            profiler = FinGraVProfiler(
-                backend,
-                ProfilerConfig(seed=411, max_additional_runs=80, columnar=columnar),
-            )
-            return profiler.profile(cb_gemm(2048), runs=12)
+    """Ledger-sliced profiles vs object construction over the ledger's own LOIs."""
 
-        return run_one(True), run_one(False)
+    @pytest.fixture(scope="class")
+    def session(self):
+        backend = SimulatedDeviceBackend(spec=mi300x_spec(), seed=41)
+        profiler = FinGraVProfiler(
+            backend, ProfilerConfig(seed=411, max_additional_runs=80)
+        )
+        session = profiler.session(cb_gemm(2048), runs=12).run_to_completion()
+        return session, session.result()
 
     @pytest.mark.parametrize("attribute", ["ssp_profile", "sse_profile", "run_profile"])
-    def test_profiles_bit_identical(self, results, attribute):
-        columnar, objects = results
-        assert_profiles_identical(getattr(columnar, attribute), getattr(objects, attribute))
+    def test_profiles_bit_identical(self, session, attribute):
+        session, result = session
+        series, golden = session.series, set(result.golden_run_indices)
+        if attribute == "run_profile":
+            expected = reference_run_profile(
+                list(result.runs), golden_runs=golden, calibration=result.calibration
+            )
+        else:
+            if attribute == "ssp_profile":
+                kind, which = ProfileKind.SSP, result.plan.ssp_index
+                lois = series.lois_from_execution(which)
+            else:
+                kind, which = ProfileKind.SSE, result.plan.sse_index
+                lois = series.lois_for_execution(which)
+            expected = profile_from_lois_reference(
+                result.kernel_name, kind,
+                [loi for loi in lois if loi.run_index in golden],
+                ProfileStitcher._execution_time(series, golden, which),
+            )
+        assert_profiles_identical(getattr(result, attribute), expected)
 
-    def test_same_runs_and_golden_selection(self, results):
-        columnar, objects = results
-        assert columnar.num_runs == objects.num_runs
-        assert columnar.golden_run_indices == objects.golden_run_indices
+    def test_same_runs_and_golden_selection(self, session):
+        session, result = session
+        assert result.num_runs == len(session.series.runs) == session.runs_collected
+        golden = set(result.golden_run_indices)
+        assert result.ssp_loi_count == sum(
+            1 for loi in session.series.lois_from_execution(result.plan.ssp_index)
+            if loi.run_index in golden
+        )
 
 
 class TestComponentsUnionFix:

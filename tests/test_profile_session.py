@@ -90,10 +90,7 @@ def legacy_profile(profiler: FinGraVProfiler, kernel, runs=None):
     binner = ExecutionTimeBinner(margin) if config.apply_binning else None
     ssp_durations = [record.ssp_execution.duration_s for record in records]
     if binner is not None:
-        if config.vectorized:
-            binning = binner.extend(ssp_durations)
-        else:
-            binning = binner.bin(ssp_durations)
+        binning = binner.extend(ssp_durations)
         golden_indices = [records[i].run_index for i in binning.selected_indices]
 
     # Step 7: sync and LOI extraction (via the stitcher).
@@ -101,8 +98,6 @@ def legacy_profile(profiler: FinGraVProfiler, kernel, runs=None):
         components=config.components,
         calibration=calibration if config.synchronize else None,
         synchronize=config.synchronize,
-        vectorized=config.vectorized,
-        columnar=config.columnar,
     )
     series = stitcher.collect(records)
 
@@ -113,29 +108,16 @@ def legacy_profile(profiler: FinGraVProfiler, kernel, runs=None):
     ssp_start = profiler._ssp_start_index(plan) if config.differentiate else None
 
     def ssp_have():
-        if config.vectorized:
-            if ssp_start is None:
-                return series.count_last_execution_lois(golden_indices)
-            return series.count_lois(
-                min_execution_index=ssp_start, golden_runs=golden_indices
-            )
         if ssp_start is None:
-            lois = series.lois_for_last_execution()
-        else:
-            lois = [
-                loi for loi in series.all_lois() if loi.execution_index >= ssp_start
-            ]
-        return profiler._count_golden(lois, golden_indices)
+            return series.count_last_execution_lois(golden_indices)
+        return series.count_lois(
+            min_execution_index=ssp_start, golden_runs=golden_indices
+        )
 
     def shortfall():
-        if config.vectorized:
-            sse_have = series.count_lois(
-                execution_index=plan.sse_index, golden_runs=golden_indices
-            )
-        else:
-            sse_have = profiler._count_golden(
-                series.lois_for_execution(plan.sse_index), golden_indices
-            )
+        sse_have = series.count_lois(
+            execution_index=plan.sse_index, golden_runs=golden_indices
+        )
         return max(target_lois - ssp_have(), sse_target - sse_have)
 
     while shortfall() > 0 and extra_budget > 0:
@@ -150,21 +132,11 @@ def legacy_profile(profiler: FinGraVProfiler, kernel, runs=None):
         records = records + extra_records
         extra_budget -= batch
         if binner is not None and extra_records:
-            if config.vectorized:
-                binning = binner.extend(
-                    record.ssp_execution.duration_s for record in extra_records
-                )
-            else:
-                binner = ExecutionTimeBinner(margin)
-                ssp_durations = [
-                    record.ssp_execution.duration_s for record in records
-                ]
-                binning = binner.bin(ssp_durations)
+            binning = binner.extend(
+                record.ssp_execution.duration_s for record in extra_records
+            )
             golden_indices = [records[i].run_index for i in binning.selected_indices]
-        if config.vectorized:
-            series = stitcher.extend(series, extra_records)
-        else:
-            series = stitcher.collect(records)
+        series = stitcher.extend(series, extra_records)
 
     # Step 9: stitch the profiles.
     base_metadata = {"preceding": []}
@@ -265,9 +237,6 @@ SCENARIOS = {
     "sse-only": dict(kernel_size=2048, backend_seed=23,
                      config=dict(seed=223, differentiate=False,
                                  max_additional_runs=80), runs=20),
-    "legacy-engine": dict(kernel_size=2048, backend_seed=24,
-                          config=dict(seed=224, vectorized=False,
-                                      max_additional_runs=80), runs=20),
     "slim": dict(kernel_size=2048, backend_seed=25,
                  config=dict(seed=225, result_mode="slim",
                              max_additional_runs=80), runs=20),

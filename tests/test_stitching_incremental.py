@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from repro.core.records import ExecutionTimings, ReadingColumns
-from repro.core.stitching import ProfileStitcher, StitchedRunSeries, mean_duration_or_zero
+from repro.core.stitching import ProfileStitcher, StitchedRunSeries
 from repro.gpu.backend import SimulatedDeviceBackend
 from repro.kernels.workloads import cb_gemm
+from stitching_spec import object_walk_execution_time
 
 
 @pytest.fixture(scope="module")
@@ -33,29 +34,6 @@ def series_state(series: StitchedRunSeries):
             for loi in series.all_lois()
         ],
     )
-
-
-def object_walk_execution_time(series, golden_runs, which):
-    """Mean execution duration by walking every run's timing objects.
-
-    The per-snapshot loop ``ProfileStitcher._execution_time`` used before it
-    read columnar timings incrementally; kept here as its specification.
-    """
-    selected = set(golden_runs) if golden_runs is not None else None
-    durations = []
-    for run_index, run in series.runs.items():
-        if selected is not None and run_index not in selected:
-            continue
-        if not run.executions:
-            continue
-        if which == "last":
-            durations.append(run.last_execution.duration_s)
-        else:
-            try:
-                durations.append(run.execution(int(which)).duration_s)
-            except KeyError:
-                continue
-    return mean_duration_or_zero(durations)
 
 
 class TestExecutionTime:
@@ -91,7 +69,7 @@ class TestExecutionTime:
                 for golden in (None, [0, 2, 3, 7, 11], []):
                     assert ProfileStitcher._execution_time(
                         series, golden, which
-                    ) == object_walk_execution_time(series, golden, which)
+                    ) == object_walk_execution_time(series.runs.values(), golden, which)
 
     def test_run_record_execution_duration(self, mixed_records):
         run = mixed_records[2]
@@ -145,14 +123,7 @@ class TestExtend:
             extracted.extend(run.run_index for run in runs)
             return original_batch(runs, **kwargs)
 
-        original_extract = ProfileStitcher._extract
-
-        def counting_extract(self, run):
-            extracted.append(run.run_index)
-            return original_extract(self, run)
-
         monkeypatch.setattr(stitching_module, "extract_lois_batch", counting_batch)
-        monkeypatch.setattr(ProfileStitcher, "_extract", counting_extract)
         stitcher.extend(series, records[5:])
         assert extracted == [run.run_index for run in records[5:]]
 

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import os
 import pickle
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -385,3 +388,27 @@ class TestFig9ScenarioTable:
             assert [(p.build().name, count) for p, count in preceding] == [
                 (kernel.name, count) for kernel, count in scenario.preceding
             ]
+
+
+class TestCommandLine:
+    def test_module_entry_point_runs_without_warnings(self):
+        # The package re-exports resolve lazily, so running the sweep module
+        # with -m does not find it already imported (runpy's RuntimeWarning).
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        completed = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "repro.experiments.sweep", "--help"],
+            env=env, capture_output=True, text=True,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "usage" in completed.stdout
+
+    def test_package_import_loads_no_experiment_module(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        script = (
+            "import sys, repro.experiments as e; "
+            "assert 'repro.experiments.sweep' not in sys.modules; "
+            "assert e.run_sweep is sys.modules['repro.experiments.sweep'].run_sweep"
+        )
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)

@@ -1,20 +1,37 @@
-"""Equivalence tests: the vectorized stitching engine vs the legacy pipeline.
+"""Equivalence tests: the columnar LOI path vs the pure-Python specification.
 
-The PR's contract is that vectorization changes *nothing* about the numbers:
-LOI extraction, profile stitching and the full nine-step profiler must produce
-bit-identical results whether the NumPy path or the pure-Python reference path
-is used.
+Vectorization changes *nothing* about the numbers: LOI extraction, the
+stitched LOI ledger (its counts, its lazily built LOI objects and every
+profile sliced from it) and the full nine-step profiler must be bit-identical
+to one-reading-at-a-time extraction (:func:`extract_lois_reference`) and
+object-based profile construction (:func:`profile_from_lois_reference`),
+collected in ``tests/stitching_spec.py``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.binning import ExecutionTimeBinner
+from repro.core.profile import ProfileKind
 from repro.core.profiler import FinGraVProfiler, ProfilerConfig
-from repro.core.records import ExecutionTiming, PowerReading, RunRecord, TimestampAnchor
+from repro.core.records import (
+    DelayCalibration,
+    ExecutionTiming,
+    PowerReading,
+    RunRecord,
+    TimestampAnchor,
+)
+from repro.core.stitching import ProfileStitcher
 from repro.core.timesync import (
+    _match_batch,
     extract_lois,
+    extract_lois_batch,
     extract_lois_reference,
     extract_lois_unsynchronized,
     extract_lois_unsynchronized_reference,
@@ -22,9 +39,16 @@ from repro.core.timesync import (
     match_execution_positions,
     synchronizer_for_run,
 )
-from repro.gpu.backend import SimulatedDeviceBackend
+from repro.gpu.backend import BackendConfig, SimulatedDeviceBackend
 from repro.gpu.spec import mi300x_spec
 from repro.kernels.workloads import cb_gemm
+from stitching_spec import (
+    assert_identical_lois,
+    assert_profiles_identical,
+    reference_lois,
+    reference_profile,
+    reference_run_profile,
+)
 
 COUNTER_HZ = 100e6
 EPOCH_OFFSET = 7.25
@@ -34,11 +58,14 @@ def ticks(cpu_time_s: float) -> int:
     return int(round((cpu_time_s + EPOCH_OFFSET) * COUNTER_HZ))
 
 
-def synthetic_run(readings_at, executions_spec, run_index=0, gapless=False):
+def synthetic_run(
+    readings_at, executions_spec, run_index=0, gapless=False, components=None
+):
     """Build a run with readings at chosen CPU times and explicit executions.
 
     ``executions_spec`` is a list of (start, end) tuples; ``gapless`` asserts
-    they are back-to-back so boundary ties are exercised.
+    they are back-to-back so boundary ties are exercised.  ``components``
+    optionally gives each reading its own component dictionary.
     """
     timing = tuple(
         ExecutionTiming(index=i, cpu_start_s=start, cpu_end_s=end)
@@ -52,7 +79,10 @@ def synthetic_run(readings_at, executions_spec, run_index=0, gapless=False):
             gpu_timestamp_ticks=ticks(t),
             window_s=1e-3,
             total_w=300.0 + i,
-            components={"xcd": 200.0 + i, "iod": 60.0, "hbm": 40.0},
+            components=(
+                {"xcd": 200.0 + i, "iod": 60.0, "hbm": 40.0}
+                if components is None else components[i]
+            ),
         )
         for i, t in enumerate(readings_at)
     )
@@ -73,17 +103,6 @@ def synthetic_run(readings_at, executions_spec, run_index=0, gapless=False):
         pre_delay_s=0.0,
         metadata={"logger_start_cpu_s": first_start - 3e-3},
     )
-
-
-def assert_identical_lois(left, right):
-    assert len(left) == len(right)
-    for a, b in zip(left, right):
-        assert a.run_index == b.run_index
-        assert a.execution_index == b.execution_index
-        assert a.window_end_cpu_s == b.window_end_cpu_s
-        assert a.toi_s == b.toi_s
-        assert a.toi_fraction == b.toi_fraction
-        assert a.reading is b.reading
 
 
 class TestExtractionEquivalence:
@@ -185,46 +204,62 @@ class TestBoundaryMatching:
                 assert run.executions[position] is scalar
 
 
+def sequential_runs(count=3, base=2.0):
+    return [
+        synthetic_run(
+            readings_at=(t + 0.00003, t + 0.00017, t + 0.0005),
+            executions_spec=[(t, t + 0.0002), (t + 0.00025, t + 0.00045)],
+            run_index=i,
+        )
+        for i, t in enumerate(base + np.arange(count))
+    ]
+
+
+def overlapping_runs():
+    # Run 0's execution span covers run 1's entirely; concatenated starts
+    # and ends are still sorted, but one binary search over both runs could
+    # not reproduce per-run semantics.
+    return [
+        synthetic_run(readings_at=(2.007,), executions_spec=[(2.0, 2.010)], run_index=0),
+        synthetic_run(readings_at=(2.003,), executions_spec=[(2.002, 2.0105)], run_index=1),
+        synthetic_run(readings_at=(), executions_spec=[(2.005, 2.012)], run_index=2),
+    ]
+
+
+def batch_positions(runs):
+    """The concatenated-table match of a batch, or None when it declines."""
+    batch = extract_lois_batch(runs)
+    owner = np.repeat(np.arange(len(runs)), np.diff(batch.reading_offsets))
+    counts = np.diff(batch.execution_offsets)
+    return _match_batch(
+        batch.execution_starts_s, batch.execution_ends_s, counts,
+        batch.execution_offsets, batch.reading_times_s, owner,
+    )
+
+
 class TestBatchExtraction:
     def test_batch_matches_per_run_on_sequential_runs(self):
-        from repro.core.timesync import extract_lois_batch
-
-        runs = [
-            synthetic_run(
-                readings_at=(base + 0.00003, base + 0.00017, base + 0.0005),
-                executions_spec=[(base, base + 0.0002), (base + 0.00025, base + 0.00045)],
-                run_index=i,
-            )
-            for i, base in enumerate((2.0, 3.0, 4.0))
-        ]
+        runs = sequential_runs()
+        assert batch_positions(runs) is not None
         batch = extract_lois_batch(runs)
-        assert batch is not None
-        for run, (lois, (times, positions)) in zip(runs, batch):
+        series = ProfileStitcher().collect(runs)
+        for ordinal, run in enumerate(runs):
             sync = synchronizer_for_run(run)
-            assert_identical_lois(lois, extract_lois(run, sync))
-            assert times.shape[0] == len(run.readings)
-            assert positions.shape[0] == len(run.readings)
+            assert_identical_lois(series.lois_by_run[run.run_index], extract_lois(run, sync))
+            times, positions = batch.reading_match(ordinal)
+            assert np.array_equal(times, sync.cpu_times_of(run.reading_columns().gpu_timestamp_ticks))
+            assert np.array_equal(positions, match_execution_positions(run, times))
 
     def test_overlapping_run_spans_rejected(self):
-        # Run 0's execution span covers run 1's entirely; concatenated starts
-        # and ends are still sorted, but batched matching cannot reproduce
-        # per-run semantics, so the batch extractor must decline.
-        from repro.core.timesync import extract_lois_batch
-
-        overlapping = [
-            synthetic_run(readings_at=(2.007,), executions_spec=[(2.0, 2.010)], run_index=0),
-            synthetic_run(readings_at=(), executions_spec=[(2.002, 2.0105)], run_index=1),
-            synthetic_run(readings_at=(), executions_spec=[(2.005, 2.012)], run_index=2),
-        ]
-        assert extract_lois_batch(overlapping) is None
+        runs = overlapping_runs()
+        assert batch_positions(runs) is None
+        # The batch is then matched run by run, with the same result.
+        series = ProfileStitcher().collect(runs)
+        assert_identical_lois(series.all_lois(), reference_lois(runs))
+        assert series.num_lois == 2
 
     def test_stitcher_falls_back_for_overlapping_runs(self):
-        from repro.core.stitching import ProfileStitcher
-
-        overlapping = [
-            synthetic_run(readings_at=(2.007,), executions_spec=[(2.0, 2.010)], run_index=0),
-            synthetic_run(readings_at=(), executions_spec=[(2.002, 2.0105)], run_index=1),
-        ]
+        overlapping = overlapping_runs()[:2]
         series = ProfileStitcher().collect(overlapping)
         sync = synchronizer_for_run(overlapping[0])
         assert_identical_lois(
@@ -232,36 +267,218 @@ class TestBatchExtraction:
         )
 
 
+SECTIONS = ("ssp", "sse", "execution", "tail", "run")
+
+
+def assert_ledger_matches_spec(
+    runs, golden_runs=None, components=("total", "xcd", "iod", "hbm"),
+    calibration=None, synchronize=True,
+):
+    """Every ledger view of ``runs`` equals the object-walk specification."""
+    stitcher = ProfileStitcher(
+        components=components, calibration=calibration, synchronize=synchronize
+    )
+    series = stitcher.collect(runs[:1])
+    for start in range(1, len(runs), 2):
+        stitcher.extend(series, runs[start:start + 2])
+    spec = dict(components=components, calibration=calibration, synchronize=synchronize)
+    lois = reference_lois(runs, calibration, synchronize)
+    assert_identical_lois(series.all_lois(), lois)
+    assert series.num_lois == len(lois)
+    for run in runs:
+        expected = [loi for loi in lois if loi.run_index == run.run_index]
+        assert_identical_lois(series.lois_by_run[run.run_index], expected)
+    last = {run.run_index: run.executions[-1].index for run in runs if run.executions}
+    assert_identical_lois(
+        series.lois_for_last_execution(),
+        [loi for loi in lois if loi.execution_index == last[loi.run_index]],
+    )
+    golden = set(golden_runs) if golden_runs is not None else None
+    for index in (0, 1, 2):
+        assert_identical_lois(
+            series.lois_for_execution(index), [l for l in lois if l.execution_index == index]
+        )
+        assert_identical_lois(
+            series.lois_from_execution(index), [l for l in lois if l.execution_index >= index]
+        )
+        assert series.count_lois(execution_index=index, golden_runs=golden_runs) == sum(
+            1 for l in lois
+            if l.execution_index == index and (golden is None or l.run_index in golden)
+        )
+    assert series.count_last_execution_lois(golden_runs) == sum(
+        1 for l in lois
+        if l.execution_index == last[l.run_index] and (golden is None or l.run_index in golden)
+    )
+    assert_profiles_identical(
+        stitcher.ssp_profile(series, golden_runs),
+        reference_profile(runs, ProfileKind.SSP, golden_runs=golden_runs, **spec),
+    )
+    assert_profiles_identical(
+        stitcher.ssp_profile(series, golden_runs, min_execution_index=1),
+        reference_profile(
+            runs, ProfileKind.SSP, golden_runs=golden_runs, min_execution_index=1, **spec
+        ),
+    )
+    assert_profiles_identical(
+        stitcher.sse_profile(series, 0, golden_runs),
+        reference_profile(
+            runs, ProfileKind.SSE, golden_runs=golden_runs, execution_index=0, **spec
+        ),
+    )
+    assert_profiles_identical(
+        stitcher.execution_profile(series, 1, golden_runs),
+        reference_profile(
+            runs, ProfileKind.CUSTOM, golden_runs=golden_runs, execution_index=1, **spec
+        ),
+    )
+    for include_idle in (True, False):
+        assert_profiles_identical(
+            stitcher.run_profile(series, golden_runs, include_idle),
+            reference_run_profile(
+                runs, golden_runs=golden_runs, include_idle=include_idle, **spec
+            ),
+        )
+
+
+@pytest.fixture(scope="module")
+def calibrated_records():
+    backend = SimulatedDeviceBackend(seed=91)
+    kernel = cb_gemm(2048)
+    runs = [
+        backend.run(kernel, executions=12, pre_delay_s=(i % 5) * 2.1e-4, run_index=i)
+        for i in range(9)
+    ]
+    return runs, backend.calibrate_read_delay(8)
+
+
+class TestLedgerEquivalence:
+    def test_compiled_records(self, calibrated_records):
+        runs, calibration = calibrated_records
+        assert_ledger_matches_spec(runs, calibration=calibration)
+        assert_ledger_matches_spec(runs, golden_runs=[0, 3, 4, 8], calibration=calibration)
+
+    def test_reference_engine_records(self):
+        backend = SimulatedDeviceBackend(seed=92, config=BackendConfig(engine="reference"))
+        runs = [
+            backend.run(cb_gemm(2048), executions=8, pre_delay_s=i * 1.7e-4, run_index=i)
+            for i in range(5)
+        ]
+        assert isinstance(runs[0].readings, tuple) and isinstance(runs[0].executions, tuple)
+        assert_ledger_matches_spec(runs, golden_runs=[1, 2, 4])
+
+    def test_unsynchronized_mapping(self, calibrated_records):
+        runs, _ = calibrated_records
+        assert_ledger_matches_spec(runs, synchronize=False)
+        assert_ledger_matches_spec(runs, golden_runs=[2, 5], synchronize=False)
+
+    def test_overlapping_runs(self):
+        assert_ledger_matches_spec(overlapping_runs())
+        nested = synthetic_run(
+            readings_at=(2.00005, 2.00012, 2.0003),
+            executions_spec=[(2.0, 2.0004), (2.0001, 2.0002), (2.00035, 2.0005)],
+            run_index=7,
+        )
+        assert_ledger_matches_spec(sequential_runs(2) + [nested])
+
+    def test_mixed_component_sets(self):
+        components = [
+            {"xcd": 210.0, "iod": 60.0},
+            {"xcd": 211.0, "hbm": 41.0, "soc": 9.0},
+            {},
+            {"xcd": 212.0, "iod": 61.0, "hbm": 42.0},
+        ]
+        runs = [
+            synthetic_run(
+                readings_at=(t + 0.00003, t + 0.00017, t + 0.0003, t + 0.0005),
+                executions_spec=[(t, t + 0.0002), (t + 0.00025, t + 0.00045)],
+                run_index=i,
+                components=components[i % 2:] + components[: i % 2],
+            )
+            for i, t in enumerate((2.0, 3.0, 4.0))
+        ]
+        uniform = sequential_runs(2, base=5.0)
+        uniform = [dataclasses.replace(run, run_index=10 + run.run_index) for run in uniform]
+        for components_kept in (("total", "xcd", "iod", "hbm"), ("total", "hbm", "soc")):
+            assert_ledger_matches_spec(runs + uniform, components=components_kept)
+            assert_ledger_matches_spec(uniform + runs, components=components_kept)
+
+
+@st.composite
+def run_batches(draw):
+    """Sequential runs with random readings, executions and component sets."""
+    runs, t = [], 2.0
+    for run_index in range(draw(st.integers(1, 5))):
+        executions, cursor = [], t
+        for _ in range(draw(st.integers(0, 4))):
+            cursor += draw(st.sampled_from((0.0, 1e-5, 4e-5)))
+            length = draw(st.sampled_from((0.0, 3e-5, 1.1e-4, 2e-4)))
+            executions.append((cursor, cursor + length))
+            cursor += length
+        readings = sorted(
+            draw(st.lists(st.floats(t - 1e-4, cursor + 1e-4), max_size=8))
+        )
+        keys = ("xcd", "iod", "hbm")
+        components = [
+            {key: 100.0 + i for key in draw(st.sets(st.sampled_from(keys)))}
+            for i in range(len(readings))
+        ]
+        if executions:
+            runs.append(synthetic_run(
+                readings_at=readings, executions_spec=executions,
+                run_index=run_index, components=components,
+            ))
+        t = cursor + draw(st.sampled_from((0.0, 1e-3)))
+    return runs
+
+
+class TestLedgerProperties:
+    @given(runs=run_batches(), synchronize=st.booleans(), golden=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_ledger_matches_spec_on_generated_runs(self, runs, synchronize, golden):
+        if not runs:
+            return
+        golden_runs = [run.run_index for run in runs[::2]] if golden else None
+        calibration = DelayCalibration(
+            mean_round_trip_s=20e-6, std_round_trip_s=1e-6, samples=4
+        )
+        assert_ledger_matches_spec(
+            runs, golden_runs=golden_runs, synchronize=synchronize,
+            calibration=calibration if synchronize else None,
+        )
+
+
 class TestProfilerEquivalence:
     @pytest.fixture(scope="class")
-    def results(self):
-        def run_one(vectorized):
-            backend = SimulatedDeviceBackend(spec=mi300x_spec(), seed=31)
-            profiler = FinGraVProfiler(
-                backend,
-                ProfilerConfig(seed=311, max_additional_runs=80, vectorized=vectorized),
-            )
-            return profiler.profile(cb_gemm(2048), runs=12)
-
-        return run_one(True), run_one(False)
+    def result(self):
+        backend = SimulatedDeviceBackend(spec=mi300x_spec(), seed=31)
+        profiler = FinGraVProfiler(
+            backend, ProfilerConfig(seed=311, max_additional_runs=80)
+        )
+        return profiler.profile(cb_gemm(2048), runs=12)
 
     @pytest.mark.parametrize("attribute", ["ssp_profile", "sse_profile", "run_profile"])
-    def test_profiles_bit_identical(self, results, attribute):
-        vectorized, legacy = results
-        pv, pl = getattr(vectorized, attribute), getattr(legacy, attribute)
-        assert len(pv) == len(pl)
-        assert pv.execution_time_s == pl.execution_time_s
-        assert np.array_equal(pv.times(), pl.times())
-        assert pv.components == pl.components
-        for component in pv.components:
-            assert np.array_equal(pv.series(component), pl.series(component))
-        assert pv.run_indices() == pl.run_indices()
+    def test_profiles_bit_identical(self, result, attribute):
+        runs, golden = list(result.runs), list(result.golden_run_indices)
+        spec = dict(golden_runs=golden, calibration=result.calibration)
+        expected = {
+            "ssp_profile": lambda: reference_profile(
+                runs, ProfileKind.SSP, min_execution_index=result.plan.ssp_index, **spec
+            ),
+            "sse_profile": lambda: reference_profile(
+                runs, ProfileKind.SSE, execution_index=result.plan.sse_index, **spec
+            ),
+            "run_profile": lambda: reference_run_profile(runs, **spec),
+        }[attribute]()
+        assert_profiles_identical(getattr(result, attribute), expected)
 
-    def test_same_runs_and_golden_selection(self, results):
-        vectorized, legacy = results
-        assert vectorized.num_runs == legacy.num_runs
-        assert vectorized.golden_run_indices == legacy.golden_run_indices
-        assert vectorized.ssp_loi_count == legacy.ssp_loi_count
+    def test_same_runs_and_golden_selection(self, result):
+        durations = [run.ssp_execution.duration_s for run in result.runs]
+        binning = ExecutionTimeBinner(result.binning.margin).bin(durations)
+        assert result.golden_run_indices == tuple(
+            result.runs[i].run_index for i in binning.selected_indices
+        )
+        assert result.num_runs == len(result.runs) >= 12
+        assert result.ssp_loi_count == len(result.ssp_profile) > 0
 
 
 class TestConfigOverrides:
