@@ -72,10 +72,6 @@ from .stitching import ProfileStitcher, StitchedRunSeries
 from .timesync import (
     ClockSynchronizer,
     NaiveIndexSynchronizer,
-    extract_lois,
-    extract_lois_reference,
-    extract_lois_unsynchronized,
-    extract_lois_unsynchronized_reference,
     match_execution,
     match_execution_positions,
     synchronizer_for_run,
@@ -143,10 +139,6 @@ __all__ = [
     "StitchedRunSeries",
     "ClockSynchronizer",
     "NaiveIndexSynchronizer",
-    "extract_lois",
-    "extract_lois_reference",
-    "extract_lois_unsynchronized",
-    "extract_lois_unsynchronized_reference",
     "match_execution",
     "match_execution_positions",
     "synchronizer_for_run",

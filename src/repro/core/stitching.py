@@ -363,8 +363,8 @@ class ProfileStitcher:
     LOIs are extracted one batch at a time into a :class:`StitchedRunSeries`
     ledger, and every profile is one boolean mask plus array slices of it --
     no intermediate :class:`LogOfInterest` or point objects.  The equivalence
-    tests pin the profiles bit for bit against
-    :func:`~repro.core.timesync.extract_lois_reference` plus
+    tests pin the profiles bit for bit against one-reading-at-a-time LOI
+    extraction (``tests/stitching_spec.py``) plus
     :func:`~repro.core.profile.profile_from_lois_reference`.
     """
 

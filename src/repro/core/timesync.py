@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -66,16 +66,6 @@ class ClockSynchronizer:
         delta_ticks = gpu_ticks - self.anchor.gpu_ticks
         return self.anchor_capture_cpu_s + delta_ticks / self.counter_frequency_hz
 
-    def cpu_times_of(self, gpu_ticks: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`cpu_time_of` over an array of counter values.
-
-        Performs the same float64 operations element-wise, so results are
-        bit-identical to the scalar mapping.
-        """
-        ticks = np.asarray(gpu_ticks, dtype=np.int64)
-        delta_ticks = ticks - self.anchor.gpu_ticks
-        return self.anchor_capture_cpu_s + delta_ticks / self.counter_frequency_hz
-
     def gpu_ticks_of(self, cpu_time_s: float) -> int:
         """Inverse mapping (useful for tests and for window placement)."""
         delta_s = cpu_time_s - self.anchor_capture_cpu_s
@@ -100,12 +90,6 @@ class NaiveIndexSynchronizer:
         if sample_index < 0:
             raise ValueError("sample index must be non-negative")
         return self.logger_start_cpu_s + (sample_index + 1) * self.period_s
-
-    def cpu_times_of_indices(self, num_samples: int) -> np.ndarray:
-        """Vectorized window-end times of samples ``0..num_samples-1``."""
-        if num_samples < 0:
-            raise ValueError("sample count must be non-negative")
-        return self.logger_start_cpu_s + np.arange(1, num_samples + 1) * self.period_s
 
 
 def match_execution(
@@ -175,20 +159,6 @@ def _first_containing_positions(
     # starts[pos] <= time holds by construction; only the end can exclude it.
     valid = (pos >= 0) & (times <= ends[np.maximum(pos, 0)])
     return np.where(valid, pos, -1)
-
-
-def _lois_from_window_ends(
-    run: RunRecord, window_ends: np.ndarray, wanted: set[int] | None
-) -> list[LogOfInterest]:
-    """Turn matched window-end times into :class:`LogOfInterest` objects."""
-    positions = match_execution_positions(run, window_ends)
-    lois: list[LogOfInterest] = []
-    for i in np.nonzero(positions >= 0)[0]:
-        execution = run.executions[positions[i]]
-        if wanted is not None and execution.index not in wanted:
-            continue
-        lois.append(_loi_from(run.run_index, run.readings[i], float(window_ends[i]), execution))
-    return lois
 
 
 def _loi_from(
@@ -317,7 +287,7 @@ def _window_end_times(
     """Every reading's window-end CPU time, for all runs at once.
 
     ``owner`` maps each reading to its run.  Synchronised, this is
-    :meth:`ClockSynchronizer.cpu_times_of` with the float operations of
+    :meth:`ClockSynchronizer.cpu_time_of` with the float operations of
     :attr:`ClockSynchronizer.anchor_capture_cpu_s` done element-wise over the
     runs' anchors; unsynchronised, the :class:`NaiveIndexSynchronizer` grid.
     Both are bit-identical to the per-run mappings.
@@ -435,9 +405,10 @@ def extract_lois_batch(
     table with one binary search.  A batch that does not (overlapping run
     spans, nested executions, runs without executions) is matched run by run
     with :func:`match_execution_positions`.  No per-LOI object is built: the
-    TOI is the same float subtraction :func:`extract_lois_reference`
-    performs, so every value -- and every :class:`LogOfInterest` later built
-    from the arrays -- is bit-identical to per-run extraction.
+    window-end mapping and the TOI are the float operations of
+    :meth:`ClockSynchronizer.cpu_time_of` and a one-reading-at-a-time walk,
+    so every value -- and every :class:`LogOfInterest` later built from the
+    arrays by :func:`loi_object` -- is bit-identical to that walk.
     """
     n = len(runs)
     columns = [run.reading_columns() for run in runs]
@@ -514,92 +485,6 @@ def loi_object(
     )
 
 
-def extract_lois(
-    run: RunRecord,
-    synchronizer: ClockSynchronizer,
-    execution_indices: Iterable[int] | None = None,
-) -> list[LogOfInterest]:
-    """Identify the logs of interest of one run (methodology step 7).
-
-    A reading becomes an LOI when, after mapping its GPU timestamp into CPU
-    time, its averaging-window end falls inside one of the run's executions.
-    ``execution_indices`` optionally restricts the match to specific
-    executions (e.g. only the SSP execution).
-
-    All readings are mapped to CPU time in one array operation and matched
-    against the sorted execution spans with a single binary search; the result
-    is bit-identical to :func:`extract_lois_reference`.
-    """
-    wanted = set(execution_indices) if execution_indices is not None else None
-    columns = run.reading_columns()
-    if columns.num_readings == 0:
-        return []
-    window_ends = synchronizer.cpu_times_of(columns.gpu_timestamp_ticks)
-    return _lois_from_window_ends(run, window_ends, wanted)
-
-
-def extract_lois_reference(
-    run: RunRecord,
-    synchronizer: ClockSynchronizer,
-    execution_indices: Iterable[int] | None = None,
-) -> list[LogOfInterest]:
-    """Pure-Python reference implementation of :func:`extract_lois`.
-
-    One reading at a time, one linear execution scan per reading.  The
-    executable specification the equivalence tests pin the batch extractor
-    and the stitched LOI ledger against.
-    """
-    wanted = set(execution_indices) if execution_indices is not None else None
-    lois: list[LogOfInterest] = []
-    for reading in run.readings:
-        window_end = synchronizer.cpu_time_of(reading.gpu_timestamp_ticks)
-        execution = match_execution(run.executions, window_end)
-        if execution is None:
-            continue
-        if wanted is not None and execution.index not in wanted:
-            continue
-        lois.append(_loi_from(run.run_index, reading, window_end, execution))
-    return lois
-
-
-def extract_lois_unsynchronized(
-    run: RunRecord,
-    logger_start_cpu_s: float,
-    execution_indices: Iterable[int] | None = None,
-) -> list[LogOfInterest]:
-    """LOI extraction using the naive index-based mapping (baseline)."""
-    wanted = set(execution_indices) if execution_indices is not None else None
-    if not run.readings:
-        return []
-    naive = NaiveIndexSynchronizer(
-        logger_start_cpu_s=logger_start_cpu_s, period_s=run.logger_period_s
-    )
-    window_ends = naive.cpu_times_of_indices(len(run.readings))
-    return _lois_from_window_ends(run, window_ends, wanted)
-
-
-def extract_lois_unsynchronized_reference(
-    run: RunRecord,
-    logger_start_cpu_s: float,
-    execution_indices: Iterable[int] | None = None,
-) -> list[LogOfInterest]:
-    """Pure-Python reference implementation of :func:`extract_lois_unsynchronized`."""
-    naive = NaiveIndexSynchronizer(
-        logger_start_cpu_s=logger_start_cpu_s, period_s=run.logger_period_s
-    )
-    wanted = set(execution_indices) if execution_indices is not None else None
-    lois: list[LogOfInterest] = []
-    for sample_index, reading in enumerate(run.readings):
-        window_end = naive.cpu_time_of_index(sample_index)
-        execution = match_execution(run.executions, window_end)
-        if execution is None:
-            continue
-        if wanted is not None and execution.index not in wanted:
-            continue
-        lois.append(_loi_from(run.run_index, reading, window_end, execution))
-    return lois
-
-
 def synchronizer_for_run(
     run: RunRecord, calibration: DelayCalibration | None = None
 ) -> ClockSynchronizer:
@@ -616,12 +501,8 @@ __all__ = [
     "NaiveIndexSynchronizer",
     "match_execution",
     "match_execution_positions",
-    "extract_lois",
     "extract_lois_batch",
     "LOIBatch",
     "loi_object",
-    "extract_lois_reference",
-    "extract_lois_unsynchronized",
-    "extract_lois_unsynchronized_reference",
     "synchronizer_for_run",
 ]

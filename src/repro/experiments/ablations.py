@@ -18,7 +18,7 @@ the simulation substrate) depends on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dataclass_replace
+from dataclasses import asdict, dataclass, replace as dataclass_replace
 from typing import Mapping
 
 import numpy as np
@@ -28,7 +28,7 @@ from ..core.baselines import CoarseSamplerEstimator, CoverageReport
 from ..core.binning import ExecutionTimeBinner
 from ..core.profiler import FinGraVResult
 from ..core.stitching import ProfileStitcher
-from ..core.timesync import extract_lois, synchronizer_for_run
+from ..core.timesync import extract_lois_batch
 from ..gpu.spec import ClockSpec, GPUSpec, mi300x_spec
 from ..kernels.workloads import cb_gemm
 from .common import ExperimentScale, default_scale, make_backend, make_profiler
@@ -152,12 +152,32 @@ class CoarseCoverageResult:
             "coarse_misses_kernels": self.coarse_misses_kernels(),
         }
 
+    def summary(self) -> dict[str, object]:
+        """Unrounded counts, like every sweep job result's ``summary()``."""
+        return {
+            "kernel": self.kernel_name,
+            "fine_coverage": asdict(self.fine_coverage),
+            "coarse_coverage": asdict(self.coarse_coverage),
+        }
+
 
 def run_coarse_coverage(
-    scale: ExperimentScale | None = None, seed: int = 32, runs: int = 30, executions: int = 8
+    scale: ExperimentScale | None = None,
+    seed: int = 32,
+    runs: int = 30,
+    executions: int = 8,
+    kernel: object | None = None,
+    backend_seed: int | None = None,
 ) -> CoarseCoverageResult:
+    """Coverage of ``kernel`` (default CB-2K-GEMM) under the fine and the coarse sampler.
+
+    ``seed`` draws every run's pre-delay, fine runs first and then coarse
+    runs, from one generator; the two backends are seeded ``backend_seed``
+    and ``backend_seed + 1`` (default ``seed + 1``).
+    """
     del scale  # run count is intentionally small; coverage is a per-run property
-    kernel = cb_gemm(2048)
+    kernel = kernel if kernel is not None else cb_gemm(2048)
+    backend_seed = seed + 1 if backend_seed is None else backend_seed
     estimator = CoarseSamplerEstimator()
     rng = np.random.default_rng(seed)
 
@@ -177,9 +197,25 @@ def run_coarse_coverage(
 
     return CoarseCoverageResult(
         kernel_name=kernel.name,
-        fine_coverage=collect("averaging", seed + 1),
-        coarse_coverage=collect("coarse", seed + 2),
+        fine_coverage=collect("averaging", backend_seed),
+        coarse_coverage=collect("coarse", backend_seed + 1),
     )
+
+
+def coarse_coverage_jobs(seed: int = 32, runs: int = 30) -> list[ProfileJob]:
+    """The coverage study as one cached job (its pre-delays share one RNG)."""
+    return [
+        ProfileJob(
+            job_id="ablations/coverage/CB-2K-GEMM",
+            kernel=kernel_spec("cb_gemm", 2048),
+            runs=runs,
+            backend_seed=seed + 1,
+            profiler_seed=seed,
+            apply_binning=False,
+            differentiate=False,
+            study="coarse_coverage",
+        )
+    ]
 
 
 # --------------------------------------------------------------------------- #
@@ -305,21 +341,31 @@ class DriftSensitivityResult:
         errors = [point.mean_toi_error_s for point in self.points]
         return all(a <= b + 1e-9 for a, b in zip(errors, errors[1:]))
 
+    def summary(self) -> dict[str, object]:
+        """Unrounded points, like every sweep job result's ``summary()``."""
+        return {"kernel": self.kernel_name, "points": [asdict(point) for point in self.points]}
+
 
 def run_drift_sensitivity(
     scale: ExperimentScale | None = None,
     seed: int = 34,
     runs: int = 30,
     drifts_ppm: tuple[float, ...] = (0.0, 50.0, 500.0, 5000.0),
+    kernel: object | None = None,
+    backend_seed: int | None = None,
 ) -> DriftSensitivityResult:
     """Quantify LOI placement error as the GPU clock drifts vs the CPU clock.
 
     The placement error of each LOI is measured against the ground-truth
     sample time the simulator retains in its telemetry (never visible to the
     methodology on real hardware, but available here for validation).
+    ``kernel`` defaults to CB-8K-GEMM.  ``seed`` draws every run's pre-delay,
+    drift after drift in sorted order, from one generator; the backend of
+    drift ``d`` is seeded ``backend_seed + int(d)`` (default ``seed``).
     """
     del scale
-    kernel = cb_gemm(8192)
+    kernel = kernel if kernel is not None else cb_gemm(8192)
+    backend_seed = seed if backend_seed is None else backend_seed
     rng = np.random.default_rng(seed)
     points: list[DriftSensitivityPoint] = []
     for drift in sorted(drifts_ppm):
@@ -338,30 +384,46 @@ def run_drift_sensitivity(
             clocks=clock_spec,
             telemetry=base_spec.telemetry,
         )
-        backend = make_backend(seed=seed + int(drift), spec=spec)
+        backend = make_backend(seed=backend_seed + int(drift), spec=spec)
         calibration = backend.calibrate_read_delay(16)
         period = backend.power_sample_period_s
-        errors: list[float] = []
-        loi_count = 0
-        for run_index in range(runs):
-            record = backend.run(
+        records = [
+            backend.run(
                 kernel,
                 executions=4,
                 pre_delay_s=float(rng.uniform(0, 2 * period)),
                 run_index=run_index,
             )
-            synchronizer = synchronizer_for_run(record, calibration)
-            lois = extract_lois(record, synchronizer)
-            loi_count += len(lois)
-            counter = backend.device.timestamp_counter
-            for loi in lois:
-                true_time = counter.sim_time_of_ticks(loi.reading.gpu_timestamp_ticks)
-                errors.append(abs(loi.window_end_cpu_s - true_time))
-        mean_error = float(np.mean(errors)) if errors else 0.0
+            for run_index in range(runs)
+        ]
+        batch = extract_lois_batch(records, calibration)
+        ticks = np.concatenate([record.reading_columns().gpu_timestamp_ticks for record in records])
+        loi_ticks = ticks[batch.reading_offsets[batch.run_ordinal] + batch.reading_position]
+        true_times = backend.device.timestamp_counter.sim_time_of_ticks(loi_ticks)
+        errors = np.abs(batch.window_end_s - true_times)
+        mean_error = float(np.mean(errors)) if errors.size else 0.0
         points.append(
-            DriftSensitivityPoint(drift_ppm=drift, mean_toi_error_s=mean_error, loi_count=loi_count)
+            DriftSensitivityPoint(
+                drift_ppm=drift, mean_toi_error_s=mean_error, loi_count=batch.num_lois
+            )
         )
     return DriftSensitivityResult(kernel_name=kernel.name, points=tuple(points))
+
+
+def drift_sensitivity_jobs(seed: int = 34, runs: int = 30) -> list[ProfileJob]:
+    """The drift study as one cached job (its pre-delays share one RNG)."""
+    return [
+        ProfileJob(
+            job_id="ablations/drift/CB-8K-GEMM",
+            kernel=kernel_spec("cb_gemm", 8192),
+            runs=runs,
+            backend_seed=seed,
+            profiler_seed=seed,
+            apply_binning=False,
+            differentiate=False,
+            study="drift_sensitivity",
+        )
+    ]
 
 
 __all__ = [
@@ -371,6 +433,7 @@ __all__ = [
     "run_sampler_ablation",
     "CoarseCoverageResult",
     "run_coarse_coverage",
+    "coarse_coverage_jobs",
     "BinningMarginPoint",
     "BinningMarginSweep",
     "binning_margin_jobs",
@@ -379,4 +442,5 @@ __all__ = [
     "DriftSensitivityPoint",
     "DriftSensitivityResult",
     "run_drift_sensitivity",
+    "drift_sensitivity_jobs",
 ]

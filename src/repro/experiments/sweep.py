@@ -115,8 +115,9 @@ from .common import (
 #: Schema 4: adaptive-collection-aware jobs (``ProfileJob.adaptive`` enters
 #: the key; results carry the collection audit in their metadata/summary).
 #: Schema 5: cached results pickle a ``ProfilerConfig`` without the
-#: ``vectorized``/``columnar`` switches.  Older entries recompute cleanly.
-_CACHE_SCHEMA = 5
+#: ``vectorized``/``columnar`` switches.  Schema 6: ``ProfileJob.study``
+#: enters the key.  Older entries recompute cleanly.
+_CACHE_SCHEMA = 6
 
 #: Staging files older than this are considered orphaned by a dead writer.
 _STALE_STAGING_S = 3600.0
@@ -171,6 +172,14 @@ def kernel_spec(key: str, *args: object, **kwargs: object) -> KernelSpec:
     return KernelSpec(key=key, args=tuple(args), kwargs=tuple(sorted(kwargs.items())))
 
 
+#: Raw-record studies a job can run instead of the methodology: each name
+#: maps to the :mod:`repro.experiments.ablations` function that computes it.
+STUDIES: dict[str, str] = {
+    "coarse_coverage": "run_coarse_coverage",
+    "drift_sensitivity": "run_drift_sensitivity",
+}
+
+
 @dataclass(frozen=True)
 class ProfileJob:
     """One self-contained profiling job.
@@ -179,7 +188,11 @@ class ProfileJob:
     ``interleave_seed`` is set the job instead measures the single-execution
     interleaved profile of ``kernel`` after ``preceding`` (the Figure-9
     scenarios) and returns a :class:`~repro.core.profile.FineGrainProfile`
-    rather than a :class:`~repro.core.profiler.FinGraVResult`.
+    rather than a :class:`~repro.core.profiler.FinGraVResult`.  When
+    ``study`` names one of :data:`STUDIES` the job runs that raw-record
+    study on ``kernel`` over ``runs`` runs, with ``profiler_seed`` drawing
+    its pre-delays and ``backend_seed`` seeding its backends, and returns
+    the study's small result.
     """
 
     job_id: str
@@ -210,6 +223,31 @@ class ProfileJob:
     #: ``checkpoint_every``) stay pinned at their ``ProfilerConfig`` defaults
     #: under the sweep (recorded ``statics`` exemptions).
     adaptive: bool = False
+    #: The raw-record study this job runs (a :data:`STUDIES` key), or None
+    #: for a methodology job.  Part of the cache key.
+    study: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.study is None:
+            return
+        if self.study not in STUDIES:
+            raise ValueError(
+                f"job {self.job_id!r}: unknown study {self.study!r}; pick from {sorted(STUDIES)}"
+            )
+        # A study neither bins, differentiates, collects adaptively nor
+        # interleaves; a job claiming one of those steps would be taken for
+        # a methodology result it is not.
+        claimed = [
+            name for name in ("apply_binning", "differentiate", "adaptive") if getattr(self, name)
+        ]
+        if self.interleave_seed is not None or self.preceding:
+            claimed.append("interleave_seed/preceding")
+        if claimed:
+            raise ValueError(
+                f"study job {self.job_id!r} ({self.study}) runs raw device records "
+                f"only, but sets {', '.join(claimed)}; pass apply_binning=False, "
+                "differentiate=False and no interleaving"
+            )
 
 
 def configured_result_mode(default: str = "slim") -> str:
@@ -239,6 +277,13 @@ def configured_adaptive(default: bool = False) -> bool:
 def execute_job(job: ProfileJob) -> object:
     """Run one job from scratch; deterministic in the job's seeds alone."""
     kernel = job.kernel.build()
+    if job.study is not None:
+        from . import ablations
+
+        study = getattr(ablations, STUDIES[job.study])
+        return study(
+            kernel=kernel, runs=job.runs, seed=job.profiler_seed, backend_seed=job.backend_seed
+        )
     backend = make_backend(seed=job.backend_seed, sampler=job.sampler)
     profiler = make_profiler(
         backend,
@@ -1243,10 +1288,11 @@ class SweepRunner:
         )
 
     # ------------------------------------------------------------------ #
-    def _cache_path(self, job: ProfileJob) -> Path | None:
+    def _cache_path(self, job: ProfileJob, manifest: SweepManifest | None = None) -> Path | None:
         if self.cache_dir is None:
             return None
-        return self.cache_dir / f"{job_key(job)}.pkl"
+        key = manifest.entry(job).key if manifest is not None else job_key(job)
+        return self.cache_dir / f"{key}.pkl"
 
     def _cache_load(
         self,
@@ -1254,7 +1300,7 @@ class SweepRunner:
         manifest: SweepManifest | None = None,
         plan: "faults.FaultPlan | None" = None,
     ) -> object | None:
-        path = self._cache_path(job)
+        path = self._cache_path(job, manifest)
         if path is None:
             return None
         if plan is not None and path.exists():
@@ -1306,7 +1352,7 @@ class SweepRunner:
     def _cache_store(
         self, job: ProfileJob, result: object, manifest: SweepManifest | None = None
     ) -> None:
-        path = self._cache_path(job)
+        path = self._cache_path(job, manifest)
         if path is None:
             return
         # The staging names are unique per writer (pid + in-process counter):
@@ -1455,6 +1501,8 @@ def run_sweep(
     if "ablations" in needs:
         jobs += ablations.sampler_ablation_jobs(scale=scale)
         jobs += ablations.binning_margin_jobs(scale=scale)
+        jobs += ablations.coarse_coverage_jobs()
+        jobs += ablations.drift_sensitivity_jobs()
 
     job_error: SweepJobError | None = None
     try:
@@ -1503,17 +1551,16 @@ def run_sweep(
         margins = assemble(
             "ablations", lambda: ablations.binning_margin_from_results(results, scale=scale)
         )
-        if sampler is None or margins is None:
+        coverage = assemble("ablations", lambda: results["ablations/coverage/CB-2K-GEMM"])
+        drift = assemble("ablations", lambda: results["ablations/drift/CB-8K-GEMM"])
+        if any(part is None for part in (sampler, margins, coverage, drift)):
             assembled["ablations"] = None
         else:
             assembled["ablations"] = {
                 "sampler": sampler,
                 "margins": margins,
-                # Coverage and drift are raw-record studies (backend.run
-                # loops, no FinGraV profile), so they run inline at their
-                # fixed small budgets instead of through the profile-job pool.
-                "coarse_coverage": ablations.run_coarse_coverage(scale=scale),
-                "drift": ablations.run_drift_sensitivity(scale=scale),
+                "coarse_coverage": coverage,
+                "drift": drift,
             }
     final = {
         name: assembled[name]
@@ -1696,6 +1743,7 @@ __all__ = [
     "KernelSpec",
     "kernel_spec",
     "ProfileJob",
+    "STUDIES",
     "configured_result_mode",
     "configured_adaptive",
     "execute_job",

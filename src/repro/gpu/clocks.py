@@ -154,8 +154,12 @@ class GPUTimestampCounter:
         gpu_seconds = (times + self._spec.epoch_offset_s) * self.drift_factor
         return np.rint(gpu_seconds * self._spec.timestamp_counter_hz).astype(np.int64)
 
-    def sim_time_of_ticks(self, ticks: int) -> float:
-        """Inverse of :meth:`ticks_at` (ground truth, for testing)."""
+    def sim_time_of_ticks(self, ticks: int | np.ndarray) -> float | np.ndarray:
+        """Inverse of :meth:`ticks_at` (ground truth, for testing).
+
+        Element-wise over an array of counter values, with the same float64
+        operations as the scalar form.
+        """
         gpu_seconds = ticks / self._spec.timestamp_counter_hz
         return gpu_seconds / self.drift_factor - self._spec.epoch_offset_s
 

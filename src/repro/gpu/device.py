@@ -63,23 +63,13 @@ from . import _fastcore_kernels as _FK
 from . import fastcore as _fastcore
 from .activity import KernelActivityDescriptor
 from .clocks import CPUClock, GPUTimestampCounter, SimulationClock, TimestampReadResult
-from .dvfs import FirmwareConfig, FirmwareEvent, FirmwareState, PowerManagementFirmware
+from .dvfs import STATES_BY_CODE as _FC_STATES, FirmwareConfig, FirmwareEvent, PowerManagementFirmware
 from .power_model import IOD_FREQUENCY_COUPLING, ComponentPower, OperatingPoint, PowerModel
 from .spec import GPUSpec, mi300x_spec
 from .thermal import ThermalModel, ThermalSpec
 from .variation import ExecutionTimeVariationModel, RunVariation
 
 
-# Firmware-state <-> compiled-kernel code mapping.  Order mirrors the FW_*
-# codes in _fastcore_kernels (IDLE=0 .. CAPPED=5) -- keep in lockstep.
-_FC_STATES = (
-    FirmwareState.IDLE,
-    FirmwareState.RAMPING,
-    FirmwareState.BOOST,
-    FirmwareState.THROTTLED,
-    FirmwareState.RECOVERING,
-    FirmwareState.CAPPED,
-)
 _FC_CODES = {state: float(code) for code, state in enumerate(_FC_STATES)}
 
 
@@ -712,14 +702,10 @@ class SimulatedGPU:
         self._fc_drain_events()
 
     def _fc_drain_events(self) -> None:
-        """Append the kernel's firmware events to the firmware's history."""
+        """Append the kernel's firmware event rows to the firmware's history."""
         n_ev = int(self._fc_lens[1])
         if n_ev:
-            events = self._firmware._events
-            for time_s, state, frequency_ghz, power_w in self._fc_ev[:n_ev].tolist():
-                events.append(
-                    FirmwareEvent(time_s, _FC_STATES[int(state)], frequency_ghz, power_w)
-                )
+            self._firmware.append_event_rows(self._fc_ev[:n_ev].copy())
 
     def _fc_grow(self, rc: int) -> None:
         """Double the overflowed output buffer (rc 1: segments, rc 2: events,

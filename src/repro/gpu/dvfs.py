@@ -37,6 +37,19 @@ class FirmwareState(str, enum.Enum):
     CAPPED = "capped"
 
 
+#: Firmware states by the integer code the compiled kernels record them
+#: under.  Order mirrors the FW_* codes in ``_fastcore_kernels`` (IDLE=0 ..
+#: CAPPED=5) -- keep in lockstep.
+STATES_BY_CODE: tuple[FirmwareState, ...] = (
+    FirmwareState.IDLE,
+    FirmwareState.RAMPING,
+    FirmwareState.BOOST,
+    FirmwareState.THROTTLED,
+    FirmwareState.RECOVERING,
+    FirmwareState.CAPPED,
+)
+
+
 @dataclass
 class FirmwareEvent:
     """A state transition of the firmware, recorded for analysis and tests.
@@ -103,6 +116,9 @@ class PowerManagementFirmware:
         self._idle_accum_s = 0.0
         self._last_power_w = 0.0
         self._events: list[FirmwareEvent] = []
+        #: Compiled-kernel event rows not yet built into :attr:`_events`:
+        #: ``(n, 4)`` blocks of (time, state code, GHz, W), oldest first.
+        self._pending_rows: list = []
 
     # ------------------------------------------------------------------ #
     # Introspection.
@@ -122,7 +138,27 @@ class PowerManagementFirmware:
     @property
     def events(self) -> list[FirmwareEvent]:
         """State-transition history (oldest first)."""
+        self._flush_event_rows()
         return list(self._events)
+
+    def append_event_rows(self, rows) -> None:
+        """Queue a block of compiled-kernel event rows (time, state code, GHz, W).
+
+        The :class:`FirmwareEvent` objects are built on first read, after
+        the events already in the history and before any later transition.
+        """
+        self._pending_rows.append(rows)
+
+    def _flush_event_rows(self) -> None:
+        if not self._pending_rows:
+            return
+        events = self._events
+        for rows in self._pending_rows:
+            for time_s, code, frequency_ghz, power_w in rows.tolist():
+                events.append(
+                    FirmwareEvent(time_s, STATES_BY_CODE[int(code)], frequency_ghz, power_w)
+                )
+        self._pending_rows.clear()
 
     def reset(self) -> None:
         """Return the controller to the parked/idle state."""
@@ -133,6 +169,7 @@ class PowerManagementFirmware:
         self._idle_accum_s = 0.0
         self._last_power_w = 0.0
         self._events.clear()
+        self._pending_rows.clear()
 
     # ------------------------------------------------------------------ #
     # Control loop.
@@ -266,6 +303,7 @@ class PowerManagementFirmware:
             min(max(frequency_ghz, self._dvfs.idle_frequency_ghz), self._dvfs.boost_frequency_ghz)
         )
         if changed:
+            self._flush_event_rows()
             self._events.append(
                 FirmwareEvent(
                     time_s=now_s,
@@ -280,6 +318,7 @@ class PowerManagementFirmware:
     # ------------------------------------------------------------------ #
     def throttle_count(self) -> int:
         """Number of hard-throttle events recorded so far."""
+        self._flush_event_rows()
         return sum(1 for event in self._events if event.state is FirmwareState.THROTTLED)
 
     def was_power_limited(self) -> bool:
@@ -289,6 +328,7 @@ class PowerManagementFirmware:
 
 __all__ = [
     "FirmwareState",
+    "STATES_BY_CODE",
     "FirmwareEvent",
     "FirmwareConfig",
     "PowerManagementFirmware",

@@ -4,8 +4,8 @@ Everything here walks record objects one at a time: LOIs come from
 :func:`extract_lois_reference` (or its unsynchronised twin), SSP/SSE
 profiles from :func:`profile_from_lois_reference`, whole-run profiles from
 one :class:`ProfilePoint` per reading with a linear execution scan, and
-execution times from the timing objects' ``duration_s``.  The stitcher's
-columnar results must match these bit for bit.
+execution times from the timing objects' ``duration_s``.  The batch
+extractor and the stitcher's columnar results must match these bit for bit.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ from repro.core.profile import (
     ProfilePoint,
     profile_from_lois_reference,
 )
-from repro.core.records import COMPONENT_KEYS
+from repro.core.records import COMPONENT_KEYS, LogOfInterest
 from repro.core.stitching import mean_duration_or_zero
 from repro.core.timesync import (
-    extract_lois_reference,
-    extract_lois_unsynchronized_reference,
+    NaiveIndexSynchronizer,
+    extract_lois_batch,
+    loi_object,
     match_execution,
     synchronizer_for_run,
 )
@@ -30,6 +31,67 @@ from repro.core.timesync import (
 
 def logger_start(run) -> float:
     return float(run.metadata.get("logger_start_cpu_s", run.anchor.cpu_time_after_s))
+
+
+def _reference_loi(run_index, reading, window_end_cpu_s, execution) -> LogOfInterest:
+    toi = window_end_cpu_s - execution.cpu_start_s
+    duration = execution.duration_s
+    fraction = toi / duration if duration > 0 else 0.0
+    return LogOfInterest(
+        run_index=run_index,
+        execution_index=execution.index,
+        reading=reading,
+        window_end_cpu_s=window_end_cpu_s,
+        toi_s=toi,
+        toi_fraction=min(max(fraction, 0.0), 1.0),
+    )
+
+
+def _reference_walk(run, window_ends, execution_indices):
+    wanted = set(execution_indices) if execution_indices is not None else None
+    lois = []
+    for reading, window_end in zip(run.readings, window_ends):
+        execution = match_execution(run.executions, window_end)
+        if execution is None:
+            continue
+        if wanted is not None and execution.index not in wanted:
+            continue
+        lois.append(_reference_loi(run.run_index, reading, window_end, execution))
+    return lois
+
+
+def extract_lois_reference(run, synchronizer, execution_indices=None):
+    """One run's LOIs: one reading at a time, one linear execution scan each.
+
+    A reading is an LOI when its averaging-window end, mapped to CPU time,
+    falls inside an execution; ``execution_indices`` optionally keeps only
+    the LOIs of those executions.
+    """
+    window_ends = [synchronizer.cpu_time_of(r.gpu_timestamp_ticks) for r in run.readings]
+    return _reference_walk(run, window_ends, execution_indices)
+
+
+def extract_lois_unsynchronized_reference(run, logger_start_cpu_s, execution_indices=None):
+    """:func:`extract_lois_reference` with the naive index-based mapping."""
+    naive = NaiveIndexSynchronizer(
+        logger_start_cpu_s=logger_start_cpu_s, period_s=run.logger_period_s
+    )
+    window_ends = [naive.cpu_time_of_index(i) for i in range(len(run.readings))]
+    return _reference_walk(run, window_ends, execution_indices)
+
+
+def batch_lois(runs, calibration=None, synchronize=True):
+    """The LOI objects of :func:`extract_lois_batch`, one per ledger row."""
+    batch = extract_lois_batch(runs, calibration, synchronize)
+    return [
+        loi_object(runs[ordinal], reading, execution, window_end)
+        for ordinal, reading, execution, window_end in zip(
+            batch.run_ordinal.tolist(),
+            batch.reading_position.tolist(),
+            batch.execution_position.tolist(),
+            batch.window_end_s.tolist(),
+        )
+    ]
 
 
 def reference_lois(runs, calibration=None, synchronize=True):

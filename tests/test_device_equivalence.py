@@ -216,6 +216,52 @@ def test_scenario_equivalence_compiled(name):
     )
 
 
+class TestFirmwareEventHistory:
+    """The compiled engine queues each call's firmware events as raw rows and
+    builds the event objects on read; a Python-side transition in between
+    must still land after them, in the reference engine's order."""
+
+    @staticmethod
+    def drive(device):
+        firmware = device.firmware
+        device.park()
+        device.start_recording()
+        for _ in range(3):
+            device.execute_kernel(BIG)
+            now = device.now_s()
+            # Park, re-boost on arrival, then throttle on a sustained overdraw.
+            firmware.step(now, 2 * firmware.config.idle_park_s, 0.0, False)
+            firmware.notify_kernel_arrival(now)
+            firmware.step(now, 2 * firmware.config.excursion_window_s, 1e4, True)
+        device.idle(1e-3)
+        device.stop_recording()
+
+    def test_events_in_reference_order(self):
+        compiled, reference = device_pair(seed=31)
+        self.drive(compiled)
+        self.drive(reference)
+        reference_events = reference.firmware_events()
+        states = [event.state for event in reference_events]
+        assert states.count(FirmwareState.THROTTLED) >= 3
+        assert states.count(FirmwareState.IDLE) >= 3
+        events = compiled.firmware_events()
+        assert [(e.time_s, e.state, e.frequency_ghz) for e in events] == [
+            (e.time_s, e.state, e.frequency_ghz) for e in reference_events
+        ]
+        for ours, refevent in zip(events, reference_events):
+            assert ours.power_w == pytest.approx(
+                refevent.power_w, rel=POWER_RTOL, abs=POWER_ATOL
+            )
+        assert compiled.firmware.throttle_count() == reference.firmware.throttle_count()
+        assert compiled.firmware_events() == events  # reading twice builds nothing new
+
+    def test_reset_drops_queued_rows(self):
+        compiled, _ = device_pair(seed=31)
+        compiled.execute_kernel(BIG)
+        compiled.firmware.reset()
+        assert compiled.firmware_events() == []
+
+
 class TestLongIdleParkUnpark:
     """The compiled engine and the reference loop must agree across a
     park/unpark/boost cycle spanning hundreds of control periods: events and

@@ -258,11 +258,11 @@ class TestJobKeyHardening:
         assert job_key(job) == expected
 
     def test_key_digest_pinned(self):
-        # Byte-identity guard: this exact digest is what schema-5 warm caches
+        # Byte-identity guard: this exact digest is what schema-6 warm caches
         # hold for this job.  It may only change with a _CACHE_SCHEMA bump.
         assert job_key(self.make_job()) == (
-            "7be87e62c21301088b0082e712d3575e19ac1ca89d483f030b15b5ad"
-            "32ad8739"
+            "2f4be0a886850936ee21f3c7528be7e7591094400d20d5033d931768"
+            "ba84b503"
         )
 
     def test_key_ignores_job_id(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -372,6 +373,100 @@ class TestRunSweep:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError):
             run_sweep(["fig99"])
+
+
+def study_jobs() -> list[ProfileJob]:
+    from repro.experiments import ablations
+
+    return ablations.coarse_coverage_jobs() + ablations.drift_sensitivity_jobs()
+
+
+class TestStudyJobs:
+    """The coverage and drift studies run as cached jobs."""
+
+    def test_default_jobs_reproduce_direct_calls(self):
+        from repro.experiments.ablations import run_coarse_coverage, run_drift_sensitivity
+
+        coverage, drift = (execute_job(job) for job in study_jobs())
+        direct_coverage = run_coarse_coverage()
+        direct_drift = run_drift_sensitivity()
+        assert coverage == direct_coverage
+        assert coverage.to_row() == direct_coverage.to_row()
+        assert drift == direct_drift
+        assert drift.rows() == direct_drift.rows()
+
+    @pytest.mark.parametrize("offset", [1, 977, 123457])
+    def test_offset_seeds_replay_from_cache(self, tmp_path, offset):
+        jobs = [
+            dataclasses.replace(
+                job,
+                backend_seed=job.backend_seed + offset,
+                profiler_seed=job.profiler_seed + offset,
+            )
+            for job in study_jobs()
+        ]
+        cold = SweepRunner(workers=1, cache_dir=tmp_path).run(jobs)
+        warm_runner = SweepRunner(workers=1, cache_dir=tmp_path)
+        warm = warm_runner.run(jobs)
+        assert warm_runner.cache_hits == len(jobs)
+        assert warm == cold
+        assert all(result.summary() for result in warm.values())
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"study": "no-such-study"}, "unknown study"),
+            ({"apply_binning": True}, "apply_binning"),
+            ({"differentiate": True}, "differentiate"),
+            ({"adaptive": True}, "adaptive"),
+            ({"interleave_seed": 7}, "interleave_seed"),
+            ({"preceding": ((kernel_spec("cb_gemm", 4096), 2),)}, "preceding"),
+            # The ProfileJob defaults claim binning and differentiation.
+            ({"apply_binning": True, "differentiate": True}, "apply_binning, differentiate"),
+        ],
+    )
+    def test_misuse_rejected(self, overrides, match):
+        job = study_jobs()[0]
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(job, **overrides)
+
+
+class TestWarmReplay:
+    def test_warm_replay_simulates_nothing_and_keys_each_job_once(
+        self, tmp_path, monkeypatch
+    ):
+        """A fully cached sweep replays every experiment without the device."""
+        from repro.experiments.common import TINY_SCALE
+        from repro.gpu.backend import SimulatedDeviceBackend
+
+        runner = SweepRunner(workers=1, cache_dir=tmp_path)
+        cold = run_sweep(sweep_module.EXPERIMENT_NAMES, scale=TINY_SCALE, runner=runner)
+        jobs = runner.last_manifest["counts"]["jobs"]
+
+        calls = {"run": 0, "job_key": 0}
+        real_run, real_key = SimulatedDeviceBackend.run, sweep_module.job_key
+
+        def counting_run(backend, *args, **kwargs):
+            calls["run"] += 1
+            return real_run(backend, *args, **kwargs)
+
+        def counting_key(job):
+            calls["job_key"] += 1
+            return real_key(job)
+
+        monkeypatch.setattr(SimulatedDeviceBackend, "run", counting_run)
+        monkeypatch.setattr(sweep_module, "job_key", counting_key)
+        runner = SweepRunner(workers=1, cache_dir=tmp_path)
+        warm = run_sweep(sweep_module.EXPERIMENT_NAMES, scale=TINY_SCALE, runner=runner)
+        assert calls["run"] == 0
+        assert calls["job_key"] == jobs
+        assert runner.last_manifest["counts"]["recomputed"] == 0
+        assert runner.cache_hits == jobs
+        summaries = [
+            {name: sweep_module._summarize(name, result) for name, result in side.items()}
+            for side in (cold, warm)
+        ]
+        assert summaries[0] == summaries[1]
 
 
 class TestFig9ScenarioTable:

@@ -11,13 +11,8 @@ from repro.core.records import (
     RunRecord,
     TimestampAnchor,
 )
-from repro.core.timesync import (
-    ClockSynchronizer,
-    extract_lois,
-    extract_lois_unsynchronized,
-    match_execution,
-    synchronizer_for_run,
-)
+from repro.core.timesync import ClockSynchronizer, match_execution, synchronizer_for_run
+from stitching_spec import batch_lois, extract_lois_reference
 
 COUNTER_HZ = 100e6
 
@@ -91,19 +86,21 @@ class TestLOIExtraction:
     def test_extract_lois_places_readings_in_right_executions(self):
         # Readings inside execution 0 and execution 2, one reading in idle gap.
         run = build_run(readings_at=(2.0002, 2.00041, 2.00095))
-        lois = extract_lois(run, synchronizer_for_run(run))
+        lois = batch_lois([run])
         indices = sorted(loi.execution_index for loi in lois)
         assert indices == [0, 1, 2]
+        assert lois == extract_lois_reference(run, synchronizer_for_run(run))
 
     def test_extract_lois_filter_by_execution(self):
         run = build_run(readings_at=(2.0002, 2.00095))
-        lois = extract_lois(run, synchronizer_for_run(run), execution_indices=[2])
+        lois = extract_lois_reference(run, synchronizer_for_run(run), execution_indices=[2])
+        assert lois == [loi for loi in batch_lois([run]) if loi.execution_index == 2]
         assert len(lois) == 1
         assert lois[0].execution_index == 2
 
     def test_toi_fraction_within_bounds(self):
         run = build_run(readings_at=(2.0001, 2.0003, 2.00038))
-        for loi in extract_lois(run, synchronizer_for_run(run)):
+        for loi in batch_lois([run]):
             assert 0.0 <= loi.toi_fraction <= 1.0
             assert loi.toi_s <= run.executions[0].duration_s * 1.01 + 1e-9
 
@@ -112,8 +109,8 @@ class TestLOIExtraction:
         # before the kernel; the first sample is then assumed to be at
         # start+1ms, well before the kernel -> different (wrong) attribution.
         run = build_run(readings_at=(2.0002, 2.0006, 2.0009))
-        synced = extract_lois(run, synchronizer_for_run(run))
-        naive = extract_lois_unsynchronized(run, float(run.metadata["logger_start_cpu_s"]))
+        synced = batch_lois([run])
+        naive = batch_lois([run], synchronize=False)
         synced_pairs = {(l.execution_index, round(l.toi_s, 7)) for l in synced}
         naive_pairs = {(l.execution_index, round(l.toi_s, 7)) for l in naive}
         assert synced_pairs != naive_pairs

@@ -30,11 +30,7 @@ from repro.core.records import (
 from repro.core.stitching import ProfileStitcher
 from repro.core.timesync import (
     _match_batch,
-    extract_lois,
     extract_lois_batch,
-    extract_lois_reference,
-    extract_lois_unsynchronized,
-    extract_lois_unsynchronized_reference,
     match_execution,
     match_execution_positions,
     synchronizer_for_run,
@@ -45,6 +41,9 @@ from repro.kernels.workloads import cb_gemm
 from stitching_spec import (
     assert_identical_lois,
     assert_profiles_identical,
+    batch_lois,
+    extract_lois_reference,
+    extract_lois_unsynchronized_reference,
     reference_lois,
     reference_profile,
     reference_run_profile,
@@ -112,9 +111,7 @@ class TestExtractionEquivalence:
             executions_spec=[(2.0, 2.0002), (2.00025, 2.00045), (2.0005, 2.0007)],
         )
         sync = synchronizer_for_run(run)
-        assert_identical_lois(
-            extract_lois(run, sync), extract_lois_reference(run, sync)
-        )
+        assert_identical_lois(batch_lois([run]), extract_lois_reference(run, sync))
 
     def test_synthetic_run_with_execution_filter(self):
         run = synthetic_run(
@@ -123,7 +120,7 @@ class TestExtractionEquivalence:
         )
         sync = synchronizer_for_run(run)
         assert_identical_lois(
-            extract_lois(run, sync, execution_indices=[1, 2]),
+            [loi for loi in batch_lois([run]) if loi.execution_index in (1, 2)],
             extract_lois_reference(run, sync, execution_indices=[1, 2]),
         )
 
@@ -134,27 +131,24 @@ class TestExtractionEquivalence:
         )
         start = float(run.metadata["logger_start_cpu_s"])
         assert_identical_lois(
-            extract_lois_unsynchronized(run, start),
+            batch_lois([run], synchronize=False),
             extract_lois_unsynchronized_reference(run, start),
         )
 
     def test_empty_readings(self):
         run = synthetic_run(readings_at=(), executions_spec=[(2.0, 2.0002)])
-        sync = synchronizer_for_run(run)
-        assert extract_lois(run, sync) == []
-        assert extract_lois_unsynchronized(run, 1.0) == []
+        assert batch_lois([run]) == []
+        assert batch_lois([run], synchronize=False) == []
 
     def test_simulated_records(self, backend):
         kernel = cb_gemm(2048)
         for i in range(6):
             run = backend.run(kernel, executions=25, pre_delay_s=i * 2.3e-4, run_index=i)
             sync = synchronizer_for_run(run)
-            assert_identical_lois(
-                extract_lois(run, sync), extract_lois_reference(run, sync)
-            )
+            assert_identical_lois(batch_lois([run]), extract_lois_reference(run, sync))
             start = float(run.metadata["logger_start_cpu_s"])
             assert_identical_lois(
-                extract_lois_unsynchronized(run, start),
+                batch_lois([run], synchronize=False),
                 extract_lois_unsynchronized_reference(run, start),
             )
 
@@ -245,9 +239,12 @@ class TestBatchExtraction:
         series = ProfileStitcher().collect(runs)
         for ordinal, run in enumerate(runs):
             sync = synchronizer_for_run(run)
-            assert_identical_lois(series.lois_by_run[run.run_index], extract_lois(run, sync))
+            assert_identical_lois(
+                series.lois_by_run[run.run_index], extract_lois_reference(run, sync)
+            )
             times, positions = batch.reading_match(ordinal)
-            assert np.array_equal(times, sync.cpu_times_of(run.reading_columns().gpu_timestamp_ticks))
+            expected = [sync.cpu_time_of(r.gpu_timestamp_ticks) for r in run.readings]
+            assert times.tolist() == expected
             assert np.array_equal(positions, match_execution_positions(run, times))
 
     def test_overlapping_run_spans_rejected(self):
