@@ -29,9 +29,10 @@ from ..core.binning import ExecutionTimeBinner
 from ..core.profiler import FinGraVResult
 from ..core.stitching import ProfileStitcher
 from ..core.timesync import extract_lois_batch
+from ..gpu.backend import BackendConfig, SimulatedDeviceBackend
 from ..gpu.spec import ClockSpec, GPUSpec, mi300x_spec
 from ..kernels.workloads import cb_gemm
-from .common import ExperimentScale, default_scale, make_backend, make_profiler
+from .common import ExperimentScale, default_scale
 from .sweep import ProfileJob, SweepRunner, configured_adaptive, configured_result_mode, kernel_spec, run_jobs
 
 
@@ -168,21 +169,28 @@ def run_coarse_coverage(
     executions: int = 8,
     kernel: object | None = None,
     backend_seed: int | None = None,
+    backend_config: BackendConfig | None = None,
 ) -> CoarseCoverageResult:
     """Coverage of ``kernel`` (default CB-2K-GEMM) under the fine and the coarse sampler.
 
     ``seed`` draws every run's pre-delay, fine runs first and then coarse
     runs, from one generator; the two backends are seeded ``backend_seed``
-    and ``backend_seed + 1`` (default ``seed + 1``).
+    and ``backend_seed + 1`` (default ``seed + 1``) and run
+    ``backend_config`` with its sampler swapped for each of the two.
     """
     del scale  # run count is intentionally small; coverage is a per-run property
     kernel = kernel if kernel is not None else cb_gemm(2048)
     backend_seed = seed + 1 if backend_seed is None else backend_seed
+    backend_config = backend_config or BackendConfig()
     estimator = CoarseSamplerEstimator()
     rng = np.random.default_rng(seed)
 
     def collect(sampler: str, backend_seed: int) -> CoverageReport:
-        backend = make_backend(seed=backend_seed, sampler=sampler)
+        backend = SimulatedDeviceBackend(
+            spec=mi300x_spec(),
+            seed=backend_seed,
+            config=dataclass_replace(backend_config, sampler=sampler),
+        )
         period = backend.power_sample_period_s
         records = [
             backend.run(
@@ -353,6 +361,7 @@ def run_drift_sensitivity(
     drifts_ppm: tuple[float, ...] = (0.0, 50.0, 500.0, 5000.0),
     kernel: object | None = None,
     backend_seed: int | None = None,
+    backend_config: BackendConfig | None = None,
 ) -> DriftSensitivityResult:
     """Quantify LOI placement error as the GPU clock drifts vs the CPU clock.
 
@@ -361,11 +370,13 @@ def run_drift_sensitivity(
     methodology on real hardware, but available here for validation).
     ``kernel`` defaults to CB-8K-GEMM.  ``seed`` draws every run's pre-delay,
     drift after drift in sorted order, from one generator; the backend of
-    drift ``d`` is seeded ``backend_seed + int(d)`` (default ``seed``).
+    drift ``d`` is seeded ``backend_seed + int(d)`` (default ``seed``) and
+    runs ``backend_config``.
     """
     del scale
     kernel = kernel if kernel is not None else cb_gemm(8192)
     backend_seed = seed if backend_seed is None else backend_seed
+    backend_config = backend_config or BackendConfig()
     rng = np.random.default_rng(seed)
     points: list[DriftSensitivityPoint] = []
     for drift in sorted(drifts_ppm):
@@ -384,7 +395,9 @@ def run_drift_sensitivity(
             clocks=clock_spec,
             telemetry=base_spec.telemetry,
         )
-        backend = make_backend(seed=backend_seed + int(drift), spec=spec)
+        backend = SimulatedDeviceBackend(
+            spec=spec, seed=backend_seed + int(drift), config=backend_config
+        )
         calibration = backend.calibrate_read_delay(16)
         period = backend.power_sample_period_s
         records = [

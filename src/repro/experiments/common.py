@@ -112,6 +112,11 @@ def execution_provenance() -> dict[str, str | None]:
         return {"engine": "error", "provider": None, "numba": None, "error": str(exc)}
 
 
+#: Step-8 additional-run cap of sweep jobs and :func:`make_profiler`: it
+#: bounds a low-LOI kernel's wall time at the experiments' small run budgets
+#: (``ProfilerConfig`` keeps the standalone default of 600).
+SWEEP_MAX_ADDITIONAL_RUNS = 200
+
 _POWER_SAMPLE_PERIOD_S: float | None = None
 
 
@@ -139,35 +144,18 @@ def make_backend(
 def make_profiler(
     backend: SimulatedDeviceBackend,
     seed: int = 2024,
-    synchronize: bool = True,
-    apply_binning: bool = True,
-    differentiate: bool = True,
-    max_additional_runs: int = 200,
+    max_additional_runs: int = SWEEP_MAX_ADDITIONAL_RUNS,
     result_mode: str = "full",
-    profile_sections: tuple[str, ...] | None = None,
-    adaptive: bool = False,
 ) -> FinGraVProfiler:
     """A FinGraV profiler with the standard configuration.
 
     ``result_mode="slim"`` makes ``profile()`` return the slim result
-    projection (bit-identical profiles, no raw runs) -- what the sweep engine
-    ships through worker IPC and its on-disk cache for drivers that never
-    re-stitch the raw runs.  ``profile_sections`` narrows a slim result to
-    the profile sections the driver actually consumes (summary-only drivers
-    declare ``()``); it is ignored in full mode.  ``adaptive`` enables
-    convergence-driven early stopping of run collection (the remaining
-    adaptive knobs stay at their ``ProfilerConfig`` defaults under the
-    sweep; see ``docs/profiler.md``).
+    projection (bit-identical profiles, no raw runs).  Callers that need any
+    other knob build a :class:`ProfilerConfig` directly; sweep jobs build
+    theirs with :meth:`~repro.experiments.sweep.ProfileJob.configs`.
     """
     config = ProfilerConfig(
-        seed=seed,
-        synchronize=synchronize,
-        apply_binning=apply_binning,
-        differentiate=differentiate,
-        max_additional_runs=max_additional_runs,
-        result_mode=result_mode,
-        profile_sections=profile_sections,
-        adaptive=adaptive,
+        seed=seed, max_additional_runs=max_additional_runs, result_mode=result_mode
     )
     return FinGraVProfiler(backend, config)
 

@@ -92,22 +92,24 @@ import time
 import traceback
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from ..core.profile import ProfileColumns, load_npz_payload
+from ..core.profiler import FinGraVProfiler, ProfilerConfig
+from ..gpu.backend import BackendConfig, SimulatedDeviceBackend
+from ..gpu.spec import mi300x_spec
 from ..kernels.gemm import square_gemm
 from ..kernels.workloads import cb_gemm, collective_suite, mb_gemv
 from ..testing import faults
 from .common import (
+    SWEEP_MAX_ADDITIONAL_RUNS,
     ExperimentScale,
     default_scale,
     execution_provenance,
-    make_backend,
-    make_profiler,
     scale_by_name,
 )
 
@@ -116,8 +118,10 @@ from .common import (
 #: the key; results carry the collection audit in their metadata/summary).
 #: Schema 5: cached results pickle a ``ProfilerConfig`` without the
 #: ``vectorized``/``columnar`` switches.  Schema 6: ``ProfileJob.study``
-#: enters the key.  Older entries recompute cleanly.
-_CACHE_SCHEMA = 6
+#: enters the key.  Schema 7: the key encodes the profiler and backend
+#: configs a job runs (``ProfileJob.configs``, resolved engine included),
+#: floats by ``float.hex()``.  Older entries recompute cleanly.
+_CACHE_SCHEMA = 7
 
 #: Staging files older than this are considered orphaned by a dead writer.
 _STALE_STAGING_S = 3600.0
@@ -204,7 +208,7 @@ class ProfileJob:
     synchronize: bool = True
     apply_binning: bool = True
     differentiate: bool = True
-    max_additional_runs: int = 200
+    max_additional_runs: int = SWEEP_MAX_ADDITIONAL_RUNS
     preceding: tuple[tuple[KernelSpec, int], ...] = ()
     interleave_seed: int | None = None
     min_lois: int = 5
@@ -218,10 +222,10 @@ class ProfileJob:
     profile_sections: tuple[str, ...] | None = None
     #: Collect runs adaptively: stop early once the golden-run SSP/SSE
     #: confidence intervals converge (see ``docs/profiler.md``).  ``False``
-    #: is the paper's fixed-count collection.  Part of the cache key; the
-    #: remaining adaptive knobs (``convergence_rtol``/``min_runs``/
-    #: ``checkpoint_every``) stay pinned at their ``ProfilerConfig`` defaults
-    #: under the sweep (recorded ``statics`` exemptions).
+    #: is the paper's fixed-count collection.  The remaining adaptive knobs
+    #: (``convergence_rtol``/``min_runs``/``checkpoint_every``) run at their
+    #: ``ProfilerConfig`` defaults, which the key encodes through
+    #: :meth:`configs`.
     adaptive: bool = False
     #: The raw-record study this job runs (a :data:`STUDIES` key), or None
     #: for a methodology job.  Part of the cache key.
@@ -248,6 +252,30 @@ class ProfileJob:
                 f"only, but sets {', '.join(claimed)}; pass apply_binning=False, "
                 "differentiate=False and no interleaving"
             )
+
+    def configs(self) -> tuple[ProfilerConfig, BackendConfig]:
+        """The profiler and backend configs this job runs with.
+
+        :func:`execute_job` builds its profiler and backend from exactly
+        these objects and :func:`job_key` hashes them, so every input of a
+        result is in its key.  Interleaved jobs profile in full mode with
+        fixed-count collection: the study returns a bare profile and counts
+        its runs by LOIs.  The engine is resolved here, so the backend runs
+        the engine the key names.
+        """
+        interleaved = self.interleave_seed is not None
+        profiler_config = ProfilerConfig(
+            seed=self.profiler_seed,
+            synchronize=self.synchronize,
+            apply_binning=self.apply_binning,
+            differentiate=self.differentiate,
+            max_additional_runs=self.max_additional_runs,
+            result_mode="full" if interleaved else self.result_mode,
+            profile_sections=self.profile_sections,
+            adaptive=False if interleaved else self.adaptive,
+        )
+        backend_config = BackendConfig(sampler=self.sampler)
+        return profiler_config, replace(backend_config, engine=backend_config.resolved_engine())
 
 
 def configured_result_mode(default: str = "slim") -> str:
@@ -276,29 +304,23 @@ def configured_adaptive(default: bool = False) -> bool:
 
 def execute_job(job: ProfileJob) -> object:
     """Run one job from scratch; deterministic in the job's seeds alone."""
+    profiler_config, backend_config = job.configs()
     kernel = job.kernel.build()
     if job.study is not None:
         from . import ablations
 
         study = getattr(ablations, STUDIES[job.study])
         return study(
-            kernel=kernel, runs=job.runs, seed=job.profiler_seed, backend_seed=job.backend_seed
+            kernel=kernel,
+            runs=job.runs,
+            seed=job.profiler_seed,
+            backend_seed=job.backend_seed,
+            backend_config=backend_config,
         )
-    backend = make_backend(seed=job.backend_seed, sampler=job.sampler)
-    profiler = make_profiler(
-        backend,
-        seed=job.profiler_seed,
-        synchronize=job.synchronize,
-        apply_binning=job.apply_binning,
-        differentiate=job.differentiate,
-        max_additional_runs=job.max_additional_runs,
-        # Interleaved jobs return a bare profile; the study's own isolated
-        # profiling stays full regardless of the job's shipping mode, and its
-        # run counting is LOI-driven rather than convergence-driven.
-        result_mode=job.result_mode if job.interleave_seed is None else "full",
-        profile_sections=job.profile_sections,
-        adaptive=job.adaptive if job.interleave_seed is None else False,
+    backend = SimulatedDeviceBackend(
+        spec=mi300x_spec(), seed=job.backend_seed, config=backend_config
     )
+    profiler = FinGraVProfiler(backend, profiler_config)
     if job.interleave_seed is None:
         return profiler.profile(kernel, runs=job.runs)
     from ..analysis.interleaving import InterleavingStudy
@@ -312,55 +334,54 @@ def execute_job(job: ProfileJob) -> object:
     )
 
 
-#: Scalar types whose ``repr`` is canonical and type-stable across processes
-#: and environments -- the only scalars a cache-key payload may carry.
-_KEY_SAFE_SCALARS = (bool, int, str, bytes, type(None))
+def _canonical(value: object, path: str) -> str:
+    """One canonical, type-tagged spelling of a cache-key value.
 
-
-def _require_canonical(field_name: str, value: object) -> None:
-    """Reject repr-unstable values before they enter the content key.
-
-    The key is a hash of ``repr``, so every payload value must have one
-    canonical, type-stable spelling: floats drift with environment-dependent
-    rounding (and ``1.0 != 1`` only sometimes), sets with iteration order,
-    and arbitrary objects with their default ``<... at 0x...>`` repr.  The
-    check is additive -- values that pass hash exactly as before, so
-    existing warm caches stay valid.
+    Scalars keep their ``repr`` (``1``, ``True`` and ``'1'`` stay distinct),
+    floats spell their exact bits with ``float.hex()`` (so ``1.0`` differs
+    from ``1`` and ``-0.0`` from ``0.0``), dicts must be str-keyed and are
+    sorted, and dataclasses spell their type name and their fields in
+    declaration order.  Anything else -- sets, arrays, arbitrary objects --
+    has no stable spelling and raises ``TypeError`` naming ``path``.
     """
-    if isinstance(value, _KEY_SAFE_SCALARS):
-        return
+    if value is None or isinstance(value, (bool, int, str, bytes)):
+        return repr(value)
+    if isinstance(value, float):
+        return f"float({value.hex()})"
     if isinstance(value, tuple):
-        for item in value:
-            _require_canonical(field_name, item)
-        return
-    if isinstance(value, dict):
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(
-                    f"job_key: field {field_name!r} carries a dict keyed by "
-                    f"{type(key).__name__}; cache-key dicts must be "
-                    "str-keyed so sorting them is total and stable"
-                )
-            _require_canonical(field_name, item)
-        return
+        items = (_canonical(item, f"{path}[{i}]") for i, item in enumerate(value))
+        return f"({','.join(items)})"
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        items = (f"{key!r}:{_canonical(value[key], f'{path}.{key}')}" for key in sorted(value))
+        return f"{{{','.join(items)}}}"
+    if is_dataclass(value) and not isinstance(value, type):
+        items = (
+            f"{f.name}={_canonical(getattr(value, f.name), f'{path}.{f.name}')}"
+            for f in fields(value)
+        )
+        return f"{type(value).__name__}({','.join(items)})"
     raise TypeError(
-        f"job_key: field {field_name!r} carries a {type(value).__name__} "
-        f"({value!r}), which has no canonical type-stable repr; cache keys "
-        "accept None/bool/int/str/bytes and tuples or str-keyed dicts of "
-        "those (floats drift with rounding, sets with iteration order)"
+        f"job_key: {path} is a {type(value).__name__} ({value!r}) with no canonical "
+        "spelling; keys take None/bool/int/float/str/bytes, tuples, str-keyed "
+        "dicts and dataclasses of those"
     )
 
 
 def job_key(job: ProfileJob) -> str:
-    """Content hash of everything that determines a job's result (not its id)."""
-    payload = asdict(job)
-    payload.pop("job_id")
-    for name, value in payload.items():
-        _require_canonical(name, value)
-    digest = hashlib.sha256(
-        f"{_CACHE_SCHEMA}:{sorted(payload.items())!r}".encode()
-    ).hexdigest()
-    return digest
+    """Content hash of everything that determines a job's result (not its id).
+
+    Hashes :data:`_CACHE_SCHEMA` and the canonical spelling of the job's
+    fields (``job_id`` aside) together with the configs :meth:`ProfileJob.configs`
+    builds -- the very objects :func:`execute_job` runs.
+    """
+    profiler_config, backend_config = job.configs()
+    payload = {
+        "job": {f.name: getattr(job, f.name) for f in fields(job) if f.name != "job_id"},
+        "profiler": profiler_config,
+        "backend": backend_config,
+    }
+    text = f"{_CACHE_SCHEMA}:{_canonical(payload, 'key')}"
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 # --------------------------------------------------------------------------- #

@@ -2,10 +2,11 @@
 
 Every headline result of this reproduction rests on invariants that the test
 suite can only enforce *dynamically*: the engine matrix is pinned bit-identical
-by equivalence tests, the compiled providers by a runtime self-check, the sweep
-cache by a repr-based content key.  This package enforces the same invariants
-at *analysis time* -- before any test runs -- with four AST-based checker
-families (stdlib ``ast`` only, no third-party parsers):
+by equivalence tests, the compiled providers by a runtime self-check.  This
+package enforces the same invariants at *analysis time* -- before any test
+runs -- with three AST-based checker families (stdlib ``ast`` only, no
+third-party parsers).  The sweep cache key needs no checker: ``job_key``
+hashes the very configs ``execute_job`` runs (``ProfileJob.configs``).
 
 ``determinism`` (:mod:`repro.statics.determinism`)
     In the declared deterministic-critical modules (``gpu/``, ``core/``,
@@ -13,12 +14,6 @@ families (stdlib ``ast`` only, no third-party parsers):
     unseeded RNG construction, builtin ``hash()``/``id()`` (process-unstable
     values that must never feed persisted or cache-key data), and iteration
     over unordered sets where the order can escape into results.
-
-``cache-key`` (:mod:`repro.statics.cachekey`)
-    Cross-checks the dataclass fields of ``ProfileJob`` / ``SweepConfig`` /
-    ``ProfilerConfig`` / ``BackendConfig`` against the key-payload
-    construction in ``experiments/sweep.py``: a newly added field must either
-    flow into the content key or carry an explicit exemption with a reason.
 
 ``parity`` (:mod:`repro.statics.parity`)
     Verifies the compiled kernel bodies in ``gpu/_fastcore_kernels.py`` match

@@ -36,18 +36,6 @@ RULE_DOCS: dict[str, str] = {
         "iteration over an unordered set where the order can escape into "
         "results (wrap in sorted(...) or suppress with a reason)"
     ),
-    "cache-key": (
-        "config dataclass field neither threaded into the sweep cache key "
-        "nor explicitly exempted"
-    ),
-    "stale-exemption": (
-        "cache-key exemption that no longer matches the code (field removed, "
-        "renamed, or now keyed)"
-    ),
-    "key-structure": (
-        "the cache-key construction in experiments/sweep.py no longer has "
-        "the shape the completeness check understands"
-    ),
     "kernel-parity": (
         "compiled kernel body drifted from the recorded parity manifest "
         "(run `python -m repro.statics update-parity` after a deliberate "
@@ -296,29 +284,6 @@ def import_aliases(tree: ast.Module) -> dict[str, str]:
             for item in node.names:
                 aliases[item.asname or item.name] = f"{node.module}.{item.name}"
     return aliases
-
-
-def dataclass_fields(tree: ast.Module, class_name: str) -> dict[str, int] | None:
-    """Field name -> line for an annotated (dataclass-style) class body.
-
-    Returns None when the class is missing.  Only annotated assignments count,
-    matching how ``dataclasses`` collects fields; ``ClassVar`` annotations are
-    skipped.
-    """
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == class_name:
-            fields: dict[str, int] = {}
-            for statement in node.body:
-                if not isinstance(statement, ast.AnnAssign):
-                    continue
-                if not isinstance(statement.target, ast.Name):
-                    continue
-                annotation = ast.unparse(statement.annotation)
-                if "ClassVar" in annotation:
-                    continue
-                fields[statement.target.id] = statement.lineno
-            return fields
-    return None
 
 
 def find_function(

@@ -13,7 +13,6 @@ import json
 import sys
 
 from .base import RULE_DOCS, Finding, Project, apply_pragmas, default_project
-from .cachekey import check_cache_key
 from .contracts import check_contracts
 from .determinism import check_determinism
 from .parity import check_parity, write_manifest
@@ -21,7 +20,6 @@ from .parity import check_parity, write_manifest
 #: The checker families, in report order.
 CHECKERS = (
     ("determinism", check_determinism),
-    ("cache-key", check_cache_key),
     ("parity", check_parity),
     ("contracts", check_contracts),
 )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import pickle
 import subprocess
@@ -87,12 +88,118 @@ class TestJobKey:
 
     def test_any_config_field_changes_the_key(self):
         job = small_jobs()[0]
-        for field, value in (
-            ("backend_seed", 99), ("profiler_seed", 99), ("runs", 11),
+        changes = (
+            ("kernel", kernel_spec("cb_gemm", 4096)), ("runs", 11),
+            ("backend_seed", 99), ("profiler_seed", 99),
             ("sampler", "instantaneous"), ("synchronize", False),
-        ):
+            ("apply_binning", False), ("differentiate", False),
+            ("max_additional_runs", 41),
+            ("preceding", ((kernel_spec("cb_gemm", 4096), 2),)),
+            ("interleave_seed", 7), ("min_lois", 6), ("max_runs", 50),
+            ("result_mode", "slim"), ("profile_sections", ("ssp",)),
+            ("adaptive", True),
+        )
+        for field, value in changes:
             changed = ProfileJob(**{**job.__dict__, field: value})
             assert job_key(job) != job_key(changed), field
+        # A study job may not bin or differentiate, so it varies a raw job.
+        raw = dataclasses.replace(job, apply_binning=False, differentiate=False)
+        assert job_key(raw) != job_key(dataclasses.replace(raw, study="coarse_coverage"))
+        covered = {field for field, _ in changes} | {"job_id", "study"}
+        assert covered == {f.name for f in dataclasses.fields(ProfileJob)}
+
+    def test_every_config_field_changes_the_key(self, monkeypatch):
+        """Any field of either built config -- a future one too -- is keyed."""
+
+        def perturb(value):
+            if value is None:
+                return 1
+            if isinstance(value, bool):
+                return not value
+            if isinstance(value, float):
+                return math.nextafter(value, math.inf)
+            if isinstance(value, int):
+                return value + 1
+            if isinstance(value, str):
+                return value + "-perturbed"
+            return value[:-1]
+
+        job = small_jobs()[0]
+        profiler_config, backend_config = job.configs()
+        baseline = job_key(job)
+        for index, config in enumerate((profiler_config, backend_config)):
+            for f in dataclasses.fields(config):
+                configs = [profiler_config, backend_config]
+                configs[index] = dataclasses.replace(
+                    config, **{f.name: perturb(getattr(config, f.name))}
+                )
+                monkeypatch.setattr(ProfileJob, "configs", lambda self, c=tuple(configs): c)
+                assert job_key(job) != baseline, f"{type(config).__name__}.{f.name}"
+
+    def test_reference_engine_keys_differently(self, monkeypatch):
+        job = small_jobs()[0]
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        compiled = job_key(job)
+        monkeypatch.setenv("REPRO_ENGINE", "reference")
+        assert job.configs()[1].engine == "reference"
+        assert job_key(job) != compiled
+
+    def test_reference_rerun_recomputes_a_compiled_cache(self, tmp_path, monkeypatch):
+        jobs = small_jobs()
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        SweepRunner(workers=1, cache_dir=tmp_path).run(jobs)
+        monkeypatch.setenv("REPRO_ENGINE", "reference")
+        rerun = SweepRunner(workers=1, cache_dir=tmp_path)
+        rerun.run(jobs)
+        assert rerun.cache_hits == 0
+        assert rerun.last_manifest["counts"]["recomputed"] == len(jobs)
+
+
+class TestKeyedConfigs:
+    def test_execute_job_runs_the_configs_it_is_keyed_by(self, monkeypatch):
+        """The profiler and every backend a job builds take ``job.configs()``."""
+        from repro.core.profiler import FinGraVProfiler
+        from repro.experiments.ablations import drift_sensitivity_jobs
+        from repro.gpu.backend import SimulatedDeviceBackend
+
+        built: dict[str, list] = {"profiler": [], "backend": []}
+        real_profiler_init = FinGraVProfiler.__init__
+        real_backend_init = SimulatedDeviceBackend.__init__
+
+        def profiler_init(profiler, *args, **kwargs):
+            real_profiler_init(profiler, *args, **kwargs)
+            built["profiler"].append(profiler.config)
+
+        def backend_init(backend, *args, config=None, **kwargs):
+            real_backend_init(backend, *args, config=config, **kwargs)
+            built["backend"].append(config)
+
+        monkeypatch.setattr(FinGraVProfiler, "__init__", profiler_init)
+        monkeypatch.setattr(SimulatedDeviceBackend, "__init__", backend_init)
+        plain = small_jobs()[0]
+        interleaved = ProfileJob(
+            job_id="test/interleaved",
+            kernel=kernel_spec("cb_gemm", 2048),
+            runs=8,
+            backend_seed=61,
+            profiler_seed=161,
+            result_mode="slim",
+            adaptive=True,
+            preceding=((kernel_spec("cb_gemm", 4096), 4),),
+            interleave_seed=261,
+            max_runs=120,
+        )
+        study = drift_sensitivity_jobs(runs=2)[0]
+        for job, profilers, backends in ((plain, 1, 1), (interleaved, 1, 1), (study, 0, 4)):
+            built["profiler"].clear()
+            built["backend"].clear()
+            profiler_config, backend_config = job.configs()
+            execute_job(job)
+            assert built["profiler"] == [profiler_config] * profilers, job.job_id
+            assert built["backend"] == [backend_config] * backends, job.job_id
+        # The interleaving study profiles in full, fixed-count mode.
+        assert interleaved.configs()[0].result_mode == "full"
+        assert interleaved.configs()[0].adaptive is False
 
 
 class TestSweepRunner:
