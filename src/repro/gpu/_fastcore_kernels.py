@@ -9,12 +9,14 @@ per span), the firmware control boundary of
 :meth:`PowerManagementFirmware.step`, the closed-form thermal relaxation of
 :meth:`ThermalModel.relax_span`, and the sampler window integration of
 :class:`~repro.gpu.telemetry.AveragingPowerLogger` -- into a form Numba can
-``@njit`` and a C compiler can mirror line for line (``_fastcore_cc``).
+``@njit`` and ``_fastcore_c`` can translate to C (the ``cc`` provider).
 ``run_core`` composes them into one whole instrumented run of
 :meth:`SimulatedDeviceBackend.run`.  Every provider replays these bodies'
 iterated-float arithmetic bit for bit (the provider self-check pins that),
-and the equivalence suite pins them against the reference engine.  When
-editing a kernel body, keep the C source in ``_fastcore_cc`` in lockstep.
+and the equivalence suite pins them against the reference engine.  Every
+module-level function here is translated, so a kernel body must stay within
+the translator's subset and its parameters within its name-keyed type table
+(``_fastcore_c.PARAM_TYPES``); anything else fails the C build loudly.
 
 When Numba is importable every function below is compiled with
 ``@njit(cache=True)`` at import time; otherwise the plain Python definitions
@@ -22,8 +24,8 @@ remain, which makes this module double as the ``python`` provider (the
 last resort of auto selection, for hosts with neither Numba nor a C
 compiler).
 
-Data layout (shared with the C core)
-------------------------------------
+Data layout (shared with the generated C core)
+----------------------------------------------
 ``st`` -- float64[12] mutable simulation state:
   [0] clock now_s            [1] thermal warmth
   [2] control energy_j       [3] control time_s       [4] control active_time_s

@@ -8,13 +8,15 @@ The device has two engines:
     runs) run as the kernel bodies of :mod:`repro.gpu._fastcore_kernels`.
     Three providers run those bodies, tried in this order -- ``numba``
     (``@njit(cache=True)``; installed via the ``fast`` extra), ``cc`` (the
-    same kernels hand-mirrored in C, compiled once with the system C
-    compiler and bound through ctypes, :mod:`repro.gpu._fastcore_cc`) and
-    ``python`` (the bodies as plain Python: slow, but available on every
-    host).  A one-time self-check replays a fixed scenario through the
-    candidate provider and through the pure-Python kernel bodies and
-    requires bit-for-bit agreement before the provider is selected; a
-    provider that loads but fails it warns once and the next one is tried.
+    same bodies translated to C by :mod:`repro.gpu._fastcore_c`, compiled
+    once with the system C compiler and bound through ctypes,
+    :mod:`repro.gpu._fastcore_cc`) and ``python`` (the bodies as plain
+    Python: slow, but available on every host).  A one-time self-check
+    replays a fixed scenario through the candidate provider and through the
+    pure-Python kernel bodies and requires bit-for-bit agreement before the
+    provider is selected; a provider that fails to build or fails the check
+    warns once and the next one is tried.  A provider that is simply absent
+    (no Numba, no C compiler) is skipped silently.
 ``reference``
     The per-slice object path -- the executable specification.
 
@@ -48,20 +50,6 @@ _PROVIDER_CHAINS = {
     "cc": ("cc",),
     "python": ("python",),
 }
-
-#: Kernel functions swapped to their pure-Python bodies for the self-check
-#: reference run (outermost last, so nested calls resolve pure as well).
-_KERNEL_CHAIN = (
-    "fw_transition",
-    "fw_step",
-    "fw_arrival",
-    "control_boundary",
-    "idle_core",
-    "execute_core",
-    "sequence_core",
-    "sample_core",
-    "run_core",
-)
 
 
 class KernelBundle:
@@ -117,11 +105,17 @@ def _load_provider(name: str) -> tuple[KernelBundle | None, str | None]:
             None,
         )
     if name == "cc":
-        try:
-            from . import _fastcore_cc
+        from . import _fastcore_cc
 
-            cc = _fastcore_cc.load()
+        compiler = _fastcore_cc.find_compiler()
+        if compiler is None:
+            return None, "cc: no C compiler found"
+        try:
+            cc = _fastcore_cc.load(compiler)
         except Exception as exc:
+            # A compiler that cannot build the core is a failure, not an
+            # absence: falling back silently would hide a several-fold slowdown.
+            _warn_once("build:cc", f"fastcore provider 'cc' failed to build ({exc})")
             return None, f"cc: {exc}"
         return (
             KernelBundle(
@@ -330,17 +324,15 @@ def _run_scenario(idle, execute, sequence, run) -> dict[str, np.ndarray]:
 def pure_kernels() -> Iterator[KernelBundle]:
     """The pure-Python kernel bodies as a bundle, for the ``with`` block.
 
-    When Numba is active the module-level kernels are dispatchers; their
-    original bodies are temporarily swapped back in (nested calls resolve
+    When Numba is active the module-level kernels are dispatchers; every
+    one's original body is temporarily swapped back in (nested calls resolve
     through the module globals at call time, so the whole chain runs pure).
     """
-    swapped: dict[str, object] = {}
-    for name in _KERNEL_CHAIN:
-        func = getattr(_K, name)
-        py_func = getattr(func, "py_func", None)
-        if py_func is not None:
-            swapped[name] = func
-            setattr(_K, name, py_func)
+    swapped = {
+        name: func for name, func in vars(_K).items() if hasattr(func, "py_func")
+    }
+    for name, func in swapped.items():
+        setattr(_K, name, func.py_func)
     try:
         yield KernelBundle("python", _K.k_idle, _K.k_execute, _K.k_sequence, _K.k_run)
     finally:
@@ -402,9 +394,10 @@ def kernels() -> KernelBundle:
     Resolution runs once per process: the requested provider chain
     (``numba``, ``cc``, ``python`` under ``auto``) is loaded and
     self-checked in order; the first that passes wins.  A provider that
-    *loaded* but failed its self-check warns once.  Raises ``ValueError``
-    for an unknown ``REPRO_FASTCORE_PROVIDER`` and ``RuntimeError`` when no
-    provider of the chain is usable (only possible when one is pinned).
+    failed to build or failed its self-check warns once.  Raises
+    ``ValueError`` for an unknown ``REPRO_FASTCORE_PROVIDER`` and
+    ``RuntimeError`` when no provider of the chain is usable (only possible
+    when one is pinned).
     """
     global _RESOLVED, _BUNDLE, _FAILURE
     if not _RESOLVED:

@@ -1,12 +1,13 @@
-"""Static analysis gating the repo's determinism and engine-parity invariants.
+"""Static analysis gating the repo's determinism and process-pool invariants.
 
 Every headline result of this reproduction rests on invariants that the test
 suite can only enforce *dynamically*: the engine matrix is pinned bit-identical
 by equivalence tests, the compiled providers by a runtime self-check.  This
-package enforces the same invariants at *analysis time* -- before any test
-runs -- with three AST-based checker families (stdlib ``ast`` only, no
-third-party parsers).  The sweep cache key needs no checker: ``job_key``
-hashes the very configs ``execute_job`` runs (``ProfileJob.configs``).
+package enforces what it can at *analysis time* -- before any test runs --
+with two AST-based checker families (stdlib ``ast`` only, no third-party
+parsers).  No checker keeps hand-written copies in sync: the sweep cache key
+hashes the very configs ``execute_job`` runs (``ProfileJob.configs``), and
+the C provider is generated from the kernel bodies (``gpu/_fastcore_c.py``).
 
 ``determinism`` (:mod:`repro.statics.determinism`)
     In the declared deterministic-critical modules (``gpu/``, ``core/``,
@@ -14,13 +15,6 @@ hashes the very configs ``execute_job`` runs (``ProfileJob.configs``).
     unseeded RNG construction, builtin ``hash()``/``id()`` (process-unstable
     values that must never feed persisted or cache-key data), and iteration
     over unordered sets where the order can escape into results.
-
-``parity`` (:mod:`repro.statics.parity`)
-    Verifies the compiled kernel bodies in ``gpu/_fastcore_kernels.py`` match
-    the recorded parity manifest (normalised-AST digests, modulo decorators/
-    annotations/docstrings) and diffs the hand-mirrored C source in
-    ``gpu/_fastcore_cc.py`` against its Python twins (float constants,
-    layout ``#define`` values, function pairing and signatures).
 
 ``contracts`` (:mod:`repro.statics.contracts`)
     Detects lambdas, closures and local classes handed to process-pool

@@ -36,15 +36,6 @@ RULE_DOCS: dict[str, str] = {
         "iteration over an unordered set where the order can escape into "
         "results (wrap in sorted(...) or suppress with a reason)"
     ),
-    "kernel-parity": (
-        "compiled kernel body drifted from the recorded parity manifest "
-        "(run `python -m repro.statics update-parity` after a deliberate "
-        "kernel change)"
-    ),
-    "c-parity": (
-        "the hand-mirrored C source in gpu/_fastcore_cc.py disagrees with "
-        "its Python twin (constants, layout defines, or signatures)"
-    ),
     "pickle-contract": (
         "lambda/closure/local class handed to process-pool submission; "
         "fails only at pickle time when actually dispatched"
@@ -189,9 +180,6 @@ class Project:
         self.root = Path(root)
         self._cache: dict[str, SourceFile] = {}
 
-    def exists(self, rel: str) -> bool:
-        return (self.root / rel).is_file()
-
     def file(self, rel: str) -> SourceFile:
         cached = self._cache.get(rel)
         if cached is None:
@@ -285,11 +273,3 @@ def import_aliases(tree: ast.Module) -> dict[str, str]:
                 aliases[item.asname or item.name] = f"{node.module}.{item.name}"
     return aliases
 
-
-def find_function(
-    tree: ast.Module, name: str
-) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name:
-            return node
-    return None

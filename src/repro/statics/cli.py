@@ -2,8 +2,7 @@
 
 Exit status is 0 only when no unsuppressed finding remains, which is what the
 CI ``statics`` leg keys on.  ``--json`` emits the machine format (one object
-with ``findings``/``suppressed``/``ok``); ``update-parity`` re-records the
-kernel digest manifest after a deliberate kernel edit (see docs/statics.md).
+with ``findings``/``suppressed``/``ok``); see docs/statics.md.
 """
 
 from __future__ import annotations
@@ -15,12 +14,10 @@ import sys
 from .base import RULE_DOCS, Finding, Project, apply_pragmas, default_project
 from .contracts import check_contracts
 from .determinism import check_determinism
-from .parity import check_parity, write_manifest
 
 #: The checker families, in report order.
 CHECKERS = (
     ("determinism", check_determinism),
-    ("parity", check_parity),
     ("contracts", check_contracts),
 )
 
@@ -40,14 +37,12 @@ def run_all(project: Project | None = None) -> tuple[list[Finding], list[Finding
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.statics",
-        description="Determinism & engine-parity static analysis "
+        description="Determinism & process-pool contract static analysis "
         "(see docs/statics.md).",
     )
     parser.add_argument(
-        "command", nargs="?", choices=("check", "update-parity"),
-        default="check",
-        help="check (default) runs every checker; update-parity re-records "
-        "the kernel parity manifest after a deliberate kernel edit",
+        "command", nargs="?", choices=("check",), default="check",
+        help="check (the default) runs every checker",
     )
     parser.add_argument(
         "--root", default=None, metavar="DIR",
@@ -72,11 +67,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     project = Project(options.root) if options.root else default_project()
-
-    if options.command == "update-parity":
-        path = write_manifest(project)
-        print(f"parity manifest recorded: {path}")
-        return 0
 
     active, suppressed = run_all(project)
     if options.json:

@@ -5,18 +5,23 @@ env var > auto, which is ``compiled``), the provider chain (``numba`` ->
 ``cc`` -> ``python``, simulated by patching out the Numba import probe and
 the C loader), the rejection of removed engine names, provider values and
 keyword arguments, the one-time self-check failure path (single warning,
-the next provider wins), the ``BackendConfig`` engine validation, and the
-``relax_span`` zero/negative-duration contract.
+the next provider wins), the generated C provider (its translator's subset
+checks, its build cache key, its loud failure when a compiler cannot build
+it), the ``BackendConfig`` engine validation, and the ``relax_span``
+zero/negative-duration contract.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.gpu import fastcore
+from repro.gpu import _fastcore_c, _fastcore_cc, fastcore
+from repro.gpu import _fastcore_kernels as K
 from repro.gpu.backend import BackendConfig, SimulatedDeviceBackend
 from repro.gpu.device import SimulatedGPU
 from repro.gpu.spec import mi300x_spec
@@ -197,6 +202,109 @@ class TestSelfCheckFailure:
 
 
 # --------------------------------------------------------------------- #
+# The C provider, generated from the kernel bodies.
+# --------------------------------------------------------------------- #
+needs_cc = pytest.mark.skipif(
+    _fastcore_cc.find_compiler() is None, reason="no C compiler on this host"
+)
+
+
+class TestCProvider:
+    @needs_cc
+    @pytest.mark.skipif(K.HAVE_NUMBA, reason="Numba is installed and wins auto")
+    def test_auto_resolves_cc_with_a_compiler_and_no_numba(self, clean_fastcore):
+        # Guards against silently losing the compiled C tier.
+        assert fastcore.kernels().name == "cc"
+
+    def test_failed_c_build_warns_once_and_falls_back(self, clean_fastcore, tmp_path):
+        broken = tmp_path / "broken-cc"
+        broken.write_text("#!/bin/sh\nexit 1\n")
+        broken.chmod(0o755)
+        clean_fastcore.setenv("CC", str(broken))
+        clean_fastcore.setenv("REPRO_FASTCORE_CACHE", str(tmp_path / "cache"))
+        clean_fastcore.setattr(fastcore, "_numba_importable", lambda: False)
+        with pytest.warns(RuntimeWarning, match="'cc' failed to build") as caught:
+            assert fastcore.provider_name() == "python"
+        assert [w.category for w in caught] == [RuntimeWarning]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fastcore.provider_name() == "python"
+
+    def test_no_compiler_falls_back_silently(self, clean_fastcore):
+        clean_fastcore.setattr(fastcore, "_numba_importable", lambda: False)
+        clean_fastcore.setattr(_fastcore_cc, "find_compiler", lambda: None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fastcore.provider_name() == "python"
+
+    def test_library_key_covers_compiler_and_flags(self, clean_fastcore):
+        gcc = _fastcore_cc.library_path("/usr/bin/gcc")
+        clang = _fastcore_cc.library_path("/usr/bin/clang")
+        assert gcc != clang
+        assert gcc == _fastcore_cc.library_path("/usr/bin/gcc")
+        clean_fastcore.setattr(_fastcore_cc, "_CFLAGS", (*_fastcore_cc._CFLAGS, "-g"))
+        assert _fastcore_cc.library_path("/usr/bin/gcc") != gcc
+
+    @needs_cc
+    def test_warm_start_never_translates(self, clean_fastcore):
+        clean_fastcore.setenv("REPRO_FASTCORE_PROVIDER", "cc")
+        built = fastcore.kernels().lib_path
+        fastcore._reset_for_tests()
+
+        def refuse(source):
+            raise AssertionError("a cached library must load without translating")
+
+        clean_fastcore.setattr(_fastcore_c, "translate", refuse)
+        assert fastcore.kernels().name == "cc"
+        assert fastcore.kernels().lib_path == built
+        assert os.path.exists(built)
+
+
+class TestTranslator:
+    @staticmethod
+    def kernel(*body: str, params: str = "st, record") -> str:
+        # Line 1 is the constant, line 3 the def, body lines start at line 4.
+        lines = "".join(f"    {line}\n" for line in body)
+        return f"C = 1\n\ndef k_probe({params}):\n{lines}    return 0\n"
+
+    @pytest.mark.parametrize(
+        "statement, complaint",
+        [
+            ("st[0] = record % 2", "unsupported operator Mod"),
+            ("st[0] = [1.0, 2.0]", "unsupported expression List"),
+            ("st[0] = float(record) if record else len(st)", "unsupported call len"),
+        ],
+    )
+    def test_unsupported_construct_names_kernel_and_line(self, statement, complaint):
+        source = self.kernel("st[1] = 0.0", statement)
+        with pytest.raises(_fastcore_c.TranslationError, match=rf"k_probe\(\) line 5: {complaint}"):
+            _fastcore_c.translate(source)
+
+    def test_unknown_parameter_names_kernel_and_line(self):
+        source = self.kernel("st[0] = 1.0", params="st, mystery")
+        with pytest.raises(
+            _fastcore_c.TranslationError, match=r"k_probe\(\) line 3: parameter 'mystery'"
+        ):
+            _fastcore_c.translate(source)
+
+    def test_max_and_min_keep_python_tie_and_nan_order(self):
+        source = self.kernel(
+            "st[0] = max(now, power)", "st[1] = min(now, power)",
+            params="st, now, power",
+        )
+        c = _fastcore_c.translate(source)
+        assert "st[0] = ((power > now) ? power : now);" in c
+        assert "st[1] = ((power < now) ? power : now);" in c
+        assert "fmax" not in c and "fmin" not in c
+
+    def test_kernels_module_translates_with_every_function(self):
+        c = _fastcore_c.translate(Path(K.__file__).read_text())
+        for name in ("fw_transition", "idle_core", "run_core"):
+            assert f"static long {name}(" in c
+        assert "\nlong k_run(" in c
+
+
+# --------------------------------------------------------------------- #
 # The python provider (uncompiled kernel bodies) stays in lockstep.
 # --------------------------------------------------------------------- #
 class TestPythonProvider:
@@ -275,8 +383,6 @@ class TestRelaxSpan:
 
     def test_compiled_idle_kernel_treats_zero_span_as_noop(self, clean_fastcore):
         bundle = fastcore.kernels()
-        from repro.gpu import _fastcore_kernels as K
-
         st, pp, _, _ = fastcore._scenario_params()
         st[K.S_WARMTH] = 0.37
         seg = np.zeros((8, 5))
