@@ -218,17 +218,31 @@ class ExecutionTimings(_LazyRecordView):
         sequence, in launch order; ``starts_s`` / ``ends_s`` hold every
         execution's host-observed times in the same order (adopted as-is).
         """
+        indices, names = cls.block_columns(blocks)
+        return cls(indices=indices, starts_s=starts_s, ends_s=ends_s, kernel_names=names)
+
+    @staticmethod
+    def block_columns(blocks) -> tuple[np.ndarray, tuple[str, ...]]:
+        """The index and kernel-name columns of :meth:`from_blocks`."""
         names: list[str] = []
         index_parts: list[np.ndarray] = []
         for kernel_name, start_index, count in blocks:
             names.extend([kernel_name] * count)
             index_parts.append(np.arange(start_index, start_index + count, dtype=np.int64))
-        return cls(
-            indices=index_parts[0] if len(index_parts) == 1 else np.concatenate(index_parts),
-            starts_s=starts_s,
-            ends_s=ends_s,
-            kernel_names=names,
-        )
+        indices = index_parts[0] if len(index_parts) == 1 else np.concatenate(index_parts)
+        return indices, tuple(names)
+
+    @classmethod
+    def _adopt(cls, indices, starts_s, ends_s, kernel_names) -> "ExecutionTimings":
+        """A view over columns that already have the view's dtypes, one
+        length and a tuple of names -- stored without the checks."""
+        view = cls.__new__(cls)
+        view.indices = indices
+        view.starts_s = starts_s
+        view.ends_s = ends_s
+        view.kernel_names = kernel_names
+        view._items = None
+        return view
 
     def __len__(self) -> int:
         return self.indices.shape[0]

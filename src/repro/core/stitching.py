@@ -25,7 +25,7 @@ class _GrowableColumns:
     """Parallel append-only columns of one dtype, amortised O(1) per row.
 
     The buffer is ``(width, capacity)``, so every column is contiguous.  Rows
-    arrive as a ``(width, m)`` block; :meth:`column` is a read-only view of one
+    arrive column by column; :meth:`column` is a read-only view of one
     column's filled prefix, which later appends never change (they write past
     it, or into a fresh buffer).
     """
@@ -59,10 +59,14 @@ class _GrowableColumns:
         self._buffer[position, : self._size] = fill
         return position
 
-    def extend(self, block: np.ndarray) -> None:
-        size = self._size + block.shape[1]
+    def extend(self, columns: Sequence, count: int) -> None:
+        """Append ``count`` rows: ``columns[i]`` (an array or a fill value) is
+        column ``i``'s part of them."""
+        start, size = self._size, self._size + count
         self._reserve(self.width, size)
-        self._buffer[:, self._size:size] = block
+        buffer = self._buffer
+        for position, values in enumerate(columns):
+            buffer[position, start:size] = values
         self._size = size
 
     def column(self, position: int = 0) -> np.ndarray:
@@ -102,7 +106,8 @@ class StitchedRunSeries:
         self._powers = _GrowableColumns(float, 0)
         self._presence = _GrowableColumns(bool, 0)
         self._power_columns: dict[str, int] = {}
-        self._missing = np.zeros(0, dtype=np.int64)
+        # Per power column, the LOIs whose reading lacks the component.
+        self._missing: list[int] = []
         self._objects: list[LogOfInterest | None] = []
         self._lois_by_run: dict[int, tuple[LogOfInterest, ...]] | None = None
         # The appended batches keep their per-run, per-reading and
@@ -153,35 +158,45 @@ class StitchedRunSeries:
         base_ordinal = len(self._records)
         self._records.extend(runs)
         self._runs.update(zip(new_indices, runs))
+        self._batches.append((runs, batch))
+        if batch.num_lois:  # a batch without LOIs adds no ledger rows
+            self._append_lois(batch, base_ordinal)
 
+    def _append_lois(self, batch: LOIBatch, base_ordinal: int) -> None:
+        """Append a batch's LOIs as ledger rows; its runs start at ``base_ordinal``."""
         size, count = self.num_lois, batch.num_lois
         ordinal = batch.run_ordinal
-        self._loi_ints.extend(np.array((
-            ordinal + base_ordinal,
-            batch.run_index[ordinal],
-            batch.execution_index,
-            batch.last_execution,
-            batch.execution_position,
-            batch.reading_position,
-        )))
-        self._loi_floats.extend(np.array((batch.window_end_s, batch.toi_s)))
+        self._loi_ints.extend(
+            (
+                ordinal + base_ordinal,
+                batch.run_index[ordinal],
+                batch.execution_index,
+                batch.last_execution,
+                batch.execution_position,
+                batch.reading_position,
+            ),
+            count,
+        )
+        self._loi_floats.extend((batch.window_end_s, batch.toi_s), count)
         self._objects.extend([None] * count)
 
-        for name in batch.powers_w:
+        powers, masks = batch.powers_w, batch.masks
+        for name in powers:
             if name not in self._power_columns:
                 self._power_columns[name] = self._powers.add_column(np.nan)
                 self._presence.add_column(False)
-                self._missing = np.append(self._missing, size)
-        values = np.full((self._powers.width, count), np.nan)
-        present = np.zeros((self._powers.width, count), dtype=bool)
-        for name, column in batch.powers_w.items():
-            position = self._power_columns[name]
-            values[position] = column
-            present[position] = batch.masks.get(name, True)
-        self._powers.extend(values)
-        self._presence.extend(present)
-        self._missing += count - np.count_nonzero(present, axis=1)
-        self._batches.append((runs, batch))
+                self._missing.append(size)
+        # Column positions follow the dict's insertion order.
+        names = list(self._power_columns)
+        self._powers.extend([powers.get(name, np.nan) for name in names], count)
+        self._presence.extend(
+            [masks.get(name, True) if name in powers else False for name in names], count
+        )
+        for position, name in enumerate(names):
+            if name not in powers:
+                self._missing[position] += count
+            elif name in masks:
+                self._missing[position] += count - int(np.count_nonzero(masks[name]))
 
     def execution_durations(self, which: int | str) -> tuple[list[int], list[float]]:
         """``(run indices, durations)`` of execution ``which`` in stitch order.

@@ -18,6 +18,7 @@ ended (the time of interest, TOI).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import attrgetter
 from typing import Mapping, Sequence
 
@@ -141,24 +142,18 @@ def _first_containing_positions(
 ) -> np.ndarray:
     """Index of the first execution containing each time (-1 when none).
 
-    ``starts`` and ``ends`` must both be non-decreasing (host-observed
-    back-to-back executions may *slightly* overlap because of observation
-    jitter, but their ends stay ordered).  A binary search finds the latest
-    start at or before each time; a vectorized back-walk then shifts to the
-    earliest execution still containing the time, which reproduces the scalar
-    first-match exactly -- including shared-boundary and small-overlap cases.
+    ``starts`` and ``ends`` must both be non-decreasing and non-empty
+    (host-observed back-to-back executions may *slightly* overlap because of
+    observation jitter, but their ends stay ordered).  The executions ending
+    at or after a time are then a suffix, found by one binary search on the
+    ends; its first execution contains the time exactly when it starts at or
+    before it -- every later one starts no earlier.  That is the scalar first
+    match, including shared-boundary and small-overlap cases.
     """
-    pos = np.searchsorted(starts, times, side="right") - 1
-    if starts.shape[0] > 1:
-        while True:
-            prev = np.maximum(pos - 1, 0)
-            can_shift = (pos > 0) & (times <= ends[prev])
-            if not can_shift.any():
-                break
-            pos = pos - can_shift
-    # starts[pos] <= time holds by construction; only the end can exclude it.
-    valid = (pos >= 0) & (times <= ends[np.maximum(pos, 0)])
-    return np.where(valid, pos, -1)
+    first = ends.searchsorted(times, side="left")
+    last = ends.shape[0] - 1
+    found = (first <= last) & (starts[np.minimum(first, last)] <= times)
+    return np.where(found, first, -1)
 
 
 def _loi_from(
@@ -278,7 +273,6 @@ class LOIBatch:
 def _window_end_times(
     runs: Sequence[RunRecord],
     ticks: np.ndarray,
-    anchor_ticks: np.ndarray,
     owner: np.ndarray,
     reading_offsets: np.ndarray,
     calibration: DelayCalibration | None,
@@ -287,26 +281,25 @@ def _window_end_times(
     """Every reading's window-end CPU time, for all runs at once.
 
     ``owner`` maps each reading to its run.  Synchronised, this is
-    :meth:`ClockSynchronizer.cpu_time_of` with the float operations of
-    :attr:`ClockSynchronizer.anchor_capture_cpu_s` done element-wise over the
-    runs' anchors; unsynchronised, the :class:`NaiveIndexSynchronizer` grid.
-    Both are bit-identical to the per-run mappings.
+    :meth:`ClockSynchronizer.cpu_time_of`: the float operations of
+    :attr:`ClockSynchronizer.anchor_capture_cpu_s` per run anchor, then the
+    tick conversion element-wise; unsynchronised, the
+    :class:`NaiveIndexSynchronizer` grid.  Both are bit-identical to the
+    per-run mappings.
     """
     n = len(runs)
     if synchronize:
-        anchors = np.array(
-            [
-                (run.anchor.cpu_time_after_s, run.anchor.round_trip_s, run.counter_frequency_hz)
-                for run in runs
-            ],
-            dtype=float,
-        ).reshape(n, 3)
-        after, round_trip, frequency = anchors.T
-        issue_time = after - round_trip
+        anchors = [run.anchor for run in runs]
         if calibration is not None:
-            capture = issue_time + calibration.one_way_delay_s
+            one_way = calibration.one_way_delay_s
+            captures = [(a.cpu_time_after_s - a.round_trip_s) + one_way for a in anchors]
         else:
-            capture = issue_time + round_trip / 2.0
+            captures = [
+                (a.cpu_time_after_s - a.round_trip_s) + a.round_trip_s / 2.0 for a in anchors
+            ]
+        capture = np.fromiter(captures, float, n)
+        anchor_ticks = np.fromiter([a.gpu_ticks for a in anchors], np.int64, n)
+        frequency = np.fromiter([run.counter_frequency_hz for run in runs], float, n)
         return capture[owner] + (ticks - anchor_ticks[owner]) / frequency[owner]
     grid = np.array(
         [
@@ -337,23 +330,24 @@ def _match_batch(
     binary search: every run has executions, the concatenated starts *and*
     ends are non-decreasing (true for backend records even when observation
     jitter makes back-to-back executions overlap slightly), and the runs'
-    execution spans are strictly disjoint, so the back-walk never leaves a
-    run.  A run-ownership check keeps a reading from ever matching another
-    run's execution.
+    execution spans are strictly disjoint, so every execution containing a
+    time belongs to one run and the first of them is that run's first match.
+    A run-ownership check keeps a reading from ever matching another run's
+    execution.
     """
     n = exec_counts.shape[0]
-    if n == 0 or not exec_counts.all():
+    if n == 0 or np.count_nonzero(exec_counts) < n:
         return None
-    if starts.shape[0] > 1 and bool(
-        (np.diff(starts) < 0).any() or (np.diff(ends) < 0).any()
+    if starts.shape[0] > 1 and (
+        np.count_nonzero(starts[1:] < starts[:-1]) or np.count_nonzero(ends[1:] < ends[:-1])
     ):
         return None
     boundaries = exec_offsets[1:-1]
-    if n > 1 and bool((ends[boundaries - 1] >= starts[boundaries]).any()):
+    if n > 1 and np.count_nonzero(ends[boundaries - 1] >= starts[boundaries]):
         return None
-    pos = _first_containing_positions(starts, ends, times)
-    local = pos - exec_offsets[owner]
-    return np.where((pos >= 0) & (local >= 0) & (local < exec_counts[owner]), local, -1)
+    # An unmatched time (-1) lands below its run's offset too.
+    local = _first_containing_positions(starts, ends, times) - exec_offsets[owner]
+    return np.where((local >= 0) & (local < exec_counts[owner]), local, -1)
 
 
 def gather_powers(
@@ -413,25 +407,19 @@ def extract_lois_batch(
     n = len(runs)
     columns = [run.reading_columns() for run in runs]
     tables = [_execution_table(run) for run in runs]
-    per_run = np.array(
-        [
-            (c.gpu_timestamp_ticks.shape[0], t[0].shape[0], run.run_index, run.anchor.gpu_ticks)
-            for c, t, run in zip(columns, tables, runs)
-        ],
-        dtype=np.int64,
-    ).reshape(n, 4)
-    reading_counts, exec_counts = per_run[:, 0], per_run[:, 1]
-    offsets = np.zeros((n + 1, 2), dtype=np.int64)
-    np.cumsum(per_run[:, :2], axis=0, out=offsets[1:])
-    reading_offsets, exec_offsets = offsets[:, 0], offsets[:, 1]
+    reading_counts = np.fromiter(
+        [c.gpu_timestamp_ticks.shape[0] for c in columns], np.int64, n
+    )
+    exec_counts = np.fromiter([t[0].shape[0] for t in tables], np.int64, n)
+    reading_offsets = np.fromiter(accumulate(reading_counts.tolist(), initial=0), np.int64, n + 1)
+    exec_offsets = np.fromiter(accumulate(exec_counts.tolist(), initial=0), np.int64, n + 1)
     exec_indices = _concat([t[0] for t in tables], np.int64)
     starts = _concat([t[1] for t in tables], float)
     ends = _concat([t[2] for t in tables], float)
-    owner = np.repeat(np.arange(n), reading_counts)
+    owner = np.arange(n).repeat(reading_counts)
     times = _window_end_times(
         runs,
         _concat([c.gpu_timestamp_ticks for c in columns], np.int64),
-        per_run[:, 3],
         owner,
         reading_offsets,
         calibration,
@@ -446,7 +434,7 @@ def extract_lois_batch(
             ],
             np.int64,
         )
-    rows = np.flatnonzero(positions >= 0)
+    rows = (positions >= 0).nonzero()[0]
     loi_owner = owner[rows]
     execution_position = positions[rows]
     execution_rows = exec_offsets[loi_owner] + execution_position
@@ -462,7 +450,7 @@ def extract_lois_batch(
         toi_s=window_end - starts[execution_rows],
         powers_w=powers,
         masks=masks,
-        run_index=per_run[:, 2],
+        run_index=np.fromiter([run.run_index for run in runs], np.int64, n),
         reading_offsets=reading_offsets,
         reading_times_s=times,
         reading_positions=positions,

@@ -14,7 +14,8 @@ Python evaluates:
 * ``range`` bounds are evaluated once;
 * parameters take their C type from :data:`PARAM_TYPES` by name, 2-D arrays
   their row width from :data:`ROW_WIDTHS`; an index or slice of a 2-D array
-  is pointer arithmetic, and ``X.shape[0]`` becomes an ``X_cap`` parameter.
+  is pointer arithmetic, and ``X.shape[0]`` becomes an ``X_cap`` parameter
+  of the kernels that read it (or pass ``X`` on to one that does).
 
 Anything else raises :class:`TranslationError` naming the kernel and line.
 The provider self-check (``fastcore.self_check``) pins the compiled result
@@ -95,7 +96,7 @@ class _Function:
         params = []
         for name, ctype in self.params.items():
             params.append(f"{ctype}{name}" if ctype.endswith("*") else f"{ctype} {name}")
-            if name in self.module.capped:
+            if name in self.module.caps[self.node.name]:
                 params.append(f"long {name}_cap")
         storage = "" if exported else "static "
         return f"{storage}long {self.node.name}({', '.join(params)})"
@@ -195,8 +196,8 @@ class _Function:
             spelled = []
             for param, arg in zip(params, node.args):
                 spelled.append(self.expr(arg)[0])
-                if param in self.module.capped:
-                    if not (isinstance(arg, ast.Name) and arg.id in self.module.capped):
+                if param in self.module.caps[name]:
+                    if not (isinstance(arg, ast.Name) and arg.id in self.params):
                         self.fail(node, f"{name}() needs a whole array for {param!r}")
                     spelled.append(f"{arg.id}_cap")
             return f"{name}({', '.join(spelled)})", "long"  # a return code
@@ -326,18 +327,42 @@ class _Module:
             and isinstance(node.value, ast.Constant)
             and type(node.value.value) is int
         }
-        #: Array parameters whose capacity a kernel reads (``X.shape[0]``).
-        self.capped = {
-            node.value.value.id
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Subscript)
-            and isinstance(node.value, ast.Attribute)
-            and node.value.attr == "shape"
-            and isinstance(node.value.value, ast.Name)
-        }
         defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
         #: Parameter names of every kernel, known before any body is read.
         self.signatures = {node.name: [arg.arg for arg in node.args.args] for node in defs}
+        #: Per kernel, the array parameters that take an ``X_cap``: those whose
+        #: capacity it reads (``X.shape[0]``) or passes on to a kernel that
+        #: needs it.
+        self.caps = {
+            node.name: {
+                inner.value.value.id
+                for inner in ast.walk(node)
+                if isinstance(inner, ast.Subscript)
+                and isinstance(inner.value, ast.Attribute)
+                and inner.value.attr == "shape"
+                and isinstance(inner.value.value, ast.Name)
+            }
+            for node in defs
+        }
+        calls = [
+            (node.name, call.func.id, call.args)
+            for node in defs
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) in self.signatures
+        ]
+        changed = True
+        while changed:
+            changed = False
+            for caller, callee, args in calls:
+                for param, arg in zip(self.signatures[callee], args):
+                    if (
+                        param in self.caps[callee]
+                        and isinstance(arg, ast.Name)
+                        and arg.id not in self.caps[caller]
+                    ):
+                        self.caps[caller].add(arg.id)
+                        changed = True
         self.functions = {node.name: _Function(node, self) for node in defs}
 
 

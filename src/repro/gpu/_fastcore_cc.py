@@ -30,6 +30,8 @@ import subprocess
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 #: Compile flags that keep the C core bit-identical to the Python engines:
 #: no fast-math value substitutions, no FMA contraction of separate ops.
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off")
@@ -128,6 +130,19 @@ def parse_signatures(text: str) -> dict[str, list[tuple[str, str]]]:
     return parsed
 
 
+def _address(arr: np.ndarray) -> int:
+    """The data address of a C-contiguous array the kernels read or write.
+
+    A ``c_char`` over the array's buffer yields it several times faster
+    than ``arr.ctypes.data``; an empty array has no buffer to cover.
+    """
+    if not arr.flags.c_contiguous:
+        raise ValueError("fastcore kernel arrays must be C-contiguous")
+    if not arr.nbytes:
+        return arr.ctypes.data
+    return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+
+
 class CcKernels:
     """ctypes binding presenting the uniform fastcore kernel API.
 
@@ -153,7 +168,8 @@ class CcKernels:
         self._lib = ctypes.CDLL(str(lib_path))
         self._ptrs: dict[int, tuple] = {}
         text = ctypes.c_char_p.in_dll(self._lib, "fastcore_signatures").value
-        for name, params in parse_signatures(text.decode()).items():
+        self._signatures = parse_signatures(text.decode())
+        for name, params in self._signatures.items():
             setattr(self, name.removeprefix("k_"), self._bind(name, params))
 
     def _bind(self, name: str, params: list[tuple[str, str]]):
@@ -177,15 +193,52 @@ class CcKernels:
         )
         return namespace[name]
 
+    def bind_run(
+        self, st, pp, rp, descs, seqs, caches, variates, seg, ev, lens, exec_rows, smp, out
+    ):
+        """``k_run`` with every argument but the run's times marshalled once.
+
+        Each call allocates the run's ``cpu_starts``/``cpu_ends`` as the two
+        halves of one ctypes block -- its address is free, where a numpy
+        array's costs more than the rest of the call's marshalling -- and
+        returns ``(rc, times)`` with ``times`` a float64 array over the block.
+        """
+        arrays = dict(
+            st=st, pp=pp, rp=rp, descs=descs, seqs=seqs, caches=caches,
+            variates=variates, seg=seg, ev=ev, lens=lens, exec_rows=exec_rows,
+            smp=smp, out=out,
+        )
+        params = [param for _, param in self._signatures["k_run"]]
+        args = [
+            arrays[param.removesuffix("_cap")].shape[0] if param.endswith("_cap")
+            else None if param in ("cpu_starts", "cpu_ends")
+            else _address(arrays[param])
+            for param in params
+        ]
+        head = tuple(args[: params.index("cpu_starts")])
+        tail = tuple(args[params.index("cpu_ends") + 1 :])
+        total = exec_rows.shape[0]
+        block = ctypes.c_double * (2 * total)
+        func = self._lib.k_run
+
+        def call():
+            times = block()
+            start = ctypes.addressof(times)
+            rc = func(*head, start, start + 8 * total, *tail)
+            return rc, np.frombuffer(times)
+
+        # The call holds the arrays whose addresses it passes (the returned
+        # array holds its block).
+        call.arrays = arrays
+        return call
+
     def _ptr(self, arr) -> int:
         cached = self._ptrs.get(id(arr))  # statics: allow[identity-hash] -- pointer cache; the pinned array reference keeps the id stable
         if cached is not None and cached[0] is arr:
             return cached[1]
-        if not arr.flags["C_CONTIGUOUS"]:
-            raise ValueError("fastcore kernel arrays must be C-contiguous")
         if len(self._ptrs) > 64:  # scratch arrays from tests/self-checks
             self._ptrs.clear()
-        address = arr.ctypes.data
+        address = _address(arr)
         self._ptrs[id(arr)] = (arr, address)  # statics: allow[identity-hash] -- cached address is per-process by nature and never persisted
         return address
 

@@ -13,6 +13,8 @@ caller-requested random delay before the executions.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,10 +118,80 @@ def _check_parameter_types(values: tuple) -> None:
         raise TypeError(message)
 
 
+def _count(value, name: str) -> int:
+    """``value`` as a positive execution count; bools and floats are rejected."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise TypeError(
+            f"{name} must be an integer, got {type(value).__name__} {value!r}"
+        ) from None
+    if count <= 0:
+        raise ValueError(f"{name} must be at least 1, got {count}")
+    return count
+
+
+#: Component names of every reading the simulated device reports.
+_COMPONENTS = ("xcd", "iod", "hbm")
+
+
+class _Handle:
+    """A kernel handle the backend has seen, with its activity descriptor.
+
+    Run plans are keyed on these entries (identity-hashed), so a plan can
+    only serve the very handles it was built for.
+    """
+
+    __slots__ = ("kernel", "descriptor")
+
+    def __init__(self, kernel, descriptor: KernelActivityDescriptor) -> None:
+        self.kernel = kernel
+        self.descriptor = descriptor
+
+
+class _RunPlan:
+    """What every run of one ``(kernel handle, executions, preceding)`` shares.
+
+    ``compiled`` is the device's bound whole-run plan, or ``None`` when the
+    run does not fuse (the reference engine, or a sequence that
+    :meth:`KernelLauncher.fuses` rejects) and is driven step by step.  The
+    timing index and name columns are shared, read-only, by every record of
+    the plan.
+    """
+
+    __slots__ = (
+        "sequences", "kernel_name", "total", "split", "indices", "names",
+        "preceding_indices", "preceding_names", "compiled",
+    )
+
+    def __init__(self, sequences: list) -> None:
+        self.sequences = sequences
+        *before, (descriptor, executions) = sequences
+        self.kernel_name = descriptor.name
+        self.split = sum(count for _, count in before)
+        self.total = self.split + executions
+        # Every sequence is indexed from 0, as KernelLauncher.sequence_into
+        # stages it on the stepwise path.
+        self.indices, self.names = ExecutionTimings.block_columns(
+            ((descriptor.name, 0, executions),)
+        )
+        self.indices.flags.writeable = False
+        self.preceding_indices = self.preceding_names = None
+        if before:
+            self.preceding_indices, self.preceding_names = ExecutionTimings.block_columns(
+                [(d.name, 0, count) for d, count in before]
+            )
+            self.preceding_indices.flags.writeable = False
+        self.compiled = None
+
+
 class SimulatedDeviceBackend:
     """A :class:`~repro.core.backend.ProfilingBackend` over the simulated GPU."""
 
-    #: Distinct kernel handles cached before the descriptor cache is dropped.
+    #: Distinct kernel handles (and, separately, run plans) cached before
+    #: the cache is dropped.
     _DESCRIPTOR_CACHE_LIMIT = 128
 
     def __init__(
@@ -136,7 +208,8 @@ class SimulatedDeviceBackend:
         self._device = device or SimulatedGPU(
             spec or mi300x_spec(), seed=seed, engine=self._config.resolved_engine()
         )
-        self._descriptor_cache: dict[int, tuple[object, KernelActivityDescriptor]] = {}
+        self._handles: dict[int, _Handle] = {}
+        self._plans: dict[tuple, _RunPlan] = {}
         self._arena = ExecutionArena()
         self._launcher = KernelLauncher(self._device, launch_config)
         self._noise_rng = np.random.default_rng(seed + 7919)
@@ -155,6 +228,11 @@ class SimulatedDeviceBackend:
             self._sampler = InstantaneousPowerSampler(
                 counter, self._config.instantaneous_period_s, idle_power
             )
+        # Window-averaging samplers report their period as each reading's
+        # window; the instantaneous sampler reports none.
+        self._window = not isinstance(self._sampler, InstantaneousPowerSampler)
+        self._window_s = self._sampler.period_s if self._window else 0.0
+        self._counter_hz = counter.frequency_hz
 
     # ------------------------------------------------------------------ #
     # Protocol properties.
@@ -178,29 +256,32 @@ class SimulatedDeviceBackend:
     # ------------------------------------------------------------------ #
     # Kernel handles.
     # ------------------------------------------------------------------ #
-    def _descriptor_of(self, kernel: object) -> KernelActivityDescriptor:
-        if isinstance(kernel, KernelActivityDescriptor):
-            return kernel
+    def _handle(self, kernel: object) -> _Handle:
         # activity_descriptor() is a pure function of the kernel and the
         # device spec, but deriving it redoes the roofline/memory-traffic
         # math; cache it per kernel handle for the run loop.  The cached
         # strong reference keeps the id stable; the cache is bounded so a
         # long-lived backend profiling many kernels cannot grow (or pin
         # handles) without limit.
-        cached = self._descriptor_cache.get(id(kernel))  # statics: allow[identity-hash] -- in-process cache; the pinned strong ref keeps the id stable
-        if cached is not None and cached[0] is kernel:
-            return cached[1]
-        descriptor = getattr(kernel, "activity_descriptor", None)
-        if callable(descriptor):
-            derived = descriptor(self._device.spec)
-            if len(self._descriptor_cache) >= self._DESCRIPTOR_CACHE_LIMIT:
-                self._descriptor_cache.clear()
-            self._descriptor_cache[id(kernel)] = (kernel, derived)  # statics: allow[identity-hash] -- cache key never escapes the process
-            return derived
-        raise TypeError(
-            "kernel handle must be a KernelActivityDescriptor or provide "
-            f"an activity_descriptor() method, got {type(kernel)!r}"
-        )
+        cached = self._handles.get(id(kernel))  # statics: allow[identity-hash] -- in-process cache; the pinned strong ref keeps the id stable
+        if cached is not None and cached.kernel is kernel:
+            return cached
+        if isinstance(kernel, KernelActivityDescriptor):
+            descriptor = kernel
+        elif callable(getattr(kernel, "activity_descriptor", None)):
+            descriptor = kernel.activity_descriptor(self._device.spec)
+        else:
+            raise TypeError(
+                "kernel handle must be a KernelActivityDescriptor or provide "
+                f"an activity_descriptor() method, got {type(kernel)!r}"
+            )
+        if len(self._handles) >= self._DESCRIPTOR_CACHE_LIMIT:
+            self._handles.clear()
+        handle = self._handles[id(kernel)] = _Handle(kernel, descriptor)  # statics: allow[identity-hash] -- cache key never escapes the process
+        return handle
+
+    def _descriptor_of(self, kernel: object) -> KernelActivityDescriptor:
+        return self._handle(kernel).descriptor
 
     def kernel_name(self, kernel: object) -> str:
         return self._descriptor_of(kernel).name
@@ -240,33 +321,118 @@ class SimulatedDeviceBackend:
     ) -> RunRecord:
         """One instrumented run (steps 2 and 5 of the methodology).
 
-        On the compiled engine the whole run is one kernel call
-        (:meth:`_run_whole`) whenever every launch sequence of it fuses
-        (:meth:`KernelLauncher.fuses`); otherwise :meth:`_run_stepwise`
-        drives the device call by call.  Both produce identical records.
+        Every run of one ``(kernel, executions, preceding)`` shares a
+        :class:`_RunPlan`, cached per handle identity.  On the compiled
+        engine a run whose launch sequences all fuse
+        (:meth:`KernelLauncher.fuses`) is one kernel call on the plan's bound
+        arrays (:meth:`SimulatedGPU._run_compiled`); otherwise
+        :meth:`_run_stepwise` drives the device call by call.  Both produce
+        identical records.
         """
-        if executions <= 0:
-            raise ValueError("need at least one execution per run")
-        if pre_delay_s < 0:
-            raise ValueError("the random pre-delay cannot be negative")
-        if any(count <= 0 for _, count in preceding):
-            raise ValueError("need at least one execution per preceding kernel")
-        descriptor = self._descriptor_of(kernel)
-        sequences = [(self._descriptor_of(k), count) for k, count in preceding]
-        sequences.append((descriptor, executions))
-        if self._device.engine == "compiled" and all(
-            self._launcher.fuses(d) for d, _ in sequences
-        ):
-            run = self._run_whole
-        else:
-            run = self._run_stepwise
+        executions = _count(executions, "executions")
+        if not (math.isfinite(pre_delay_s) and pre_delay_s >= 0):
+            raise ValueError(
+                f"pre_delay_s must be finite and non-negative, got {pre_delay_s!r}"
+            )
+        if preceding:
+            preceding = tuple(
+                (self._handle(handle), _count(count, "preceding execution count"))
+                for handle, count in preceding
+            )
+        key = (self._handle(kernel), executions, preceding)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plan(key)
+        if plan.compiled is None:
+            return self._record_stepwise(plan, pre_delay_s, run_index)
+        return self._record_compiled(plan, pre_delay_s, run_index)
+
+    def _record_compiled(self, plan: _RunPlan, pre_delay_s: float, run_index: int) -> RunRecord:
+        """The record of one run of ``plan`` on the compiled engine.
+
+        Record, anchor, readings and timings are filled field by field (the
+        columns already have the views' dtypes and shapes): the values are
+        those the constructors store, without their per-run checks.
+        """
+        (
+            logger_start_s, ticks, cpu_after_s, round_trip_s, logger_stop_s,
+            run_variation, times, sample_ticks, sample_powers,
+        ) = self._device._run_compiled(plan.compiled, pre_delay_s)
+        total = plan.total
+        split = plan.split
+        preceding_timing = ()
+        if split:
+            preceding_timing = ExecutionTimings._adopt(
+                plan.preceding_indices, times[:split], times[total : total + split],
+                plan.preceding_names,
+            )
+        anchor = TimestampAnchor.__new__(TimestampAnchor)
+        fields = anchor.__dict__
+        fields["gpu_ticks"] = ticks
+        fields["cpu_time_after_s"] = cpu_after_s
+        fields["round_trip_s"] = round_trip_s
+        record = RunRecord.__new__(RunRecord)
+        fields = record.__dict__
+        fields["run_index"] = run_index
+        fields["kernel_name"] = plan.kernel_name
+        fields["readings"] = self._readings_fast(
+            sample_ticks, None, sample_powers, self._window_s
+        )
+        fields["executions"] = ExecutionTimings._adopt(
+            plan.indices, times[split:total], times[total + split :], plan.names
+        )
+        fields["anchor"] = anchor
+        fields["logger_period_s"] = self._sampler.period_s
+        fields["counter_frequency_hz"] = self._counter_hz
+        fields["pre_delay_s"] = pre_delay_s
+        fields["preceding_executions"] = preceding_timing
+        fields["metadata"] = {
+            "logger_start_cpu_s": logger_start_s,
+            "logger_stop_cpu_s": logger_stop_s,
+            "sampler": self._config.sampler,
+            "run_variation_outlier": run_variation.is_outlier,
+        }
+        return record
+
+    def _plan(self, key: tuple) -> _RunPlan:
+        """Build and cache the plan of ``key``: ``(handle, executions, preceding)``."""
+        handle, executions, preceding = key
+        sequences = [(entry.descriptor, count) for entry, count in preceding]
+        sequences.append((handle.descriptor, executions))
+        plan = _RunPlan(sequences)
+        if self._fuses(sequences):
+            config = self._config
+            period = self._sampler.period_s
+            plan.compiled = self._device._plan_run(
+                sequences,
+                config.park_s,
+                config.pre_padding_periods * period,
+                config.post_padding_periods * period,
+                self._launcher.config,
+                period,
+                self._sampler.phase_offset_s,
+                self._window,
+            )
+        if len(self._plans) >= self._DESCRIPTOR_CACHE_LIMIT:
+            self._plans.clear()
+        self._plans[key] = plan
+        return plan
+
+    def _fuses(self, sequences) -> bool:
+        """Whether a run of ``sequences`` is one whole-run kernel call."""
+        return self._device.engine == "compiled" and all(
+            self._launcher.fuses(descriptor) for descriptor, _ in sequences
+        )
+
+    def _record_stepwise(self, plan: _RunPlan, pre_delay_s: float, run_index: int) -> RunRecord:
+        """The record of one run driven by :meth:`_run_stepwise`."""
         (
             anchor, logger_start_s, logger_stop_s, run_variation,
             readings, executions_timing, preceding_timing,
-        ) = run(sequences, pre_delay_s)
+        ) = self._run_stepwise(plan.sequences, pre_delay_s)
         return RunRecord(
             run_index=run_index,
-            kernel_name=descriptor.name,
+            kernel_name=plan.kernel_name,
             readings=readings,
             executions=executions_timing,
             anchor=anchor,
@@ -280,56 +446,6 @@ class SimulatedDeviceBackend:
                 "sampler": self._config.sampler,
                 "run_variation_outlier": run_variation.is_outlier,
             },
-        )
-
-    def _run_whole(self, sequences, pre_delay_s: float) -> tuple:
-        """The compiled engine's run: one ``SimulatedGPU._run_compiled`` call.
-
-        Timings get the block layout :meth:`KernelLauncher.sequence_into`
-        stages on the stepwise path (every sequence indexed from 0); readings
-        come from the kernel's sampler columns.
-        """
-        config = self._config
-        sampler = self._sampler
-        period = sampler.period_s
-        window = not isinstance(sampler, InstantaneousPowerSampler)
-        (
-            logger_start_s, ticks, cpu_after_s, round_trip_s, logger_stop_s,
-            run_variation, cpu_starts, cpu_ends, sample_ticks, sample_powers,
-        ) = self._device._run_compiled(
-            sequences,
-            config.park_s,
-            config.pre_padding_periods * period,
-            pre_delay_s,
-            config.post_padding_periods * period,
-            self._launcher.config,
-            period,
-            sampler.phase_offset_s,
-            window,
-        )
-        *preceding, (descriptor, executions) = sequences
-        split = cpu_starts.shape[0] - executions
-        preceding_timing = ()
-        if preceding:
-            preceding_timing = ExecutionTimings.from_blocks(
-                [(d.name, 0, count) for d, count in preceding],
-                cpu_starts[:split].copy(),
-                cpu_ends[:split].copy(),
-            )
-        executions_timing = ExecutionTimings.from_blocks(
-            ((descriptor.name, 0, executions),),
-            cpu_starts[split:].copy(),
-            cpu_ends[split:].copy(),
-        )
-        anchor = TimestampAnchor(
-            gpu_ticks=ticks, cpu_time_after_s=cpu_after_s, round_trip_s=round_trip_s
-        )
-        readings = self._readings_fast(
-            sample_ticks, None, sample_powers, period if window else 0.0
-        )
-        return (
-            anchor, logger_start_s, logger_stop_s, run_variation,
-            readings, executions_timing, preceding_timing,
         )
 
     def _run_stepwise(self, sequences, pre_delay_s: float) -> tuple:
@@ -430,7 +546,6 @@ class SimulatedDeviceBackend:
         """
         del times  # window-end CPU times are reconstructed by the profiler
         n = ticks.shape[0]
-        powers = np.asarray(powers, dtype=float)
         noise_std = self._config.reading_noise
         totals = powers[:, 0] + powers[:, 1] + powers[:, 2]
         if noise_std > 0 and n:
@@ -438,14 +553,17 @@ class SimulatedDeviceBackend:
             components = powers * noise[:, None]
             totals = totals * noise
         else:
-            components = powers
-        return PowerReadings(
-            gpu_timestamp_ticks=ticks,
-            window_s=window_s,
-            total_w=totals,
-            component_names=("xcd", "iod", "hbm"),
-            components_w=components,
-        )
+            components = powers.copy()
+        # Field fill: the sampler's columns already have the view's dtypes
+        # and shapes (int64 ticks, float64 ``(n, 3)`` powers).
+        readings = PowerReadings.__new__(PowerReadings)
+        readings.gpu_timestamp_ticks = ticks
+        readings.window_s = window_s
+        readings.total_w = totals
+        readings.component_names = _COMPONENTS
+        readings.components_w = components
+        readings._items = None
+        return readings
 
     def _reading_from(self, sample: TelemetrySample) -> PowerReading:
         noise = self._noise()

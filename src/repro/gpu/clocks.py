@@ -173,6 +173,17 @@ class GPUTimestampCounter:
         )
         return max(delay, 0.5e-6)
 
+    def sample_read_delay_pair_s(self) -> tuple[float, float]:
+        """Two :meth:`sample_read_delay_s` draws (out, back) as one batched draw.
+
+        ``normal(size=2)`` consumes the stream exactly as two scalar draws
+        do, so the pair equals two successive :meth:`sample_read_delay_s`.
+        """
+        one_way, return_way = self._rng.normal(
+            self._spec.timestamp_read_delay_s, self._spec.timestamp_read_jitter_s, size=2
+        ).tolist()
+        return max(one_way, 0.5e-6), max(return_way, 0.5e-6)
+
     def read_from_cpu(self) -> TimestampReadResult:
         """Read the counter from the CPU, advancing CPU time by the round trip.
 

@@ -296,6 +296,41 @@ class _ControlAccumulator:
         self.active_time_s = 0.0
 
 
+class _CompiledPlan:
+    """What every whole run of one launch-sequence list shares.
+
+    Built once by :meth:`SimulatedGPU._plan_run`: the ``run_core`` inputs
+    that do not change from run to run -- the packed descriptor profiles,
+    the static columns of ``seqs``, every fixed ``rp`` entry, the cache-slot
+    and execution-log names -- and the provider call bound to them.  A run
+    (:meth:`SimulatedGPU._run_compiled`) writes only the read delays, the
+    pre-delay, one run factor per sequence and the variates.  ``call`` is
+    rebound when the device's output buffers are regrown (``generation``).
+    """
+
+    __slots__ = (
+        "rp", "descs", "seqs", "caches", "variates", "rows", "draws",
+        "slot_names", "log_names", "call", "generation",
+    )
+
+    def __init__(
+        self, rp, descs, seqs, caches, variates, rows, draws, slot_names, log_names
+    ) -> None:
+        self.rp = rp
+        self.descs = descs
+        self.seqs = seqs
+        self.caches = caches
+        self.variates = variates
+        #: Ground-truth rows of every execution, in launch order.
+        self.rows = rows
+        #: Per sequence: its variation spec and its slice of ``variates``.
+        self.draws = draws
+        self.slot_names = slot_names
+        self.log_names = log_names
+        self.call = None
+        self.generation = -1
+
+
 class SimulatedGPU:
     """A single simulated MI300X-class GPU."""
 
@@ -640,22 +675,11 @@ class SimulatedGPU:
         self._fc_ev = np.empty((256, 4))
         self._fc_out8 = np.empty(8)
         self._fc_cache = np.empty(2)
-        # Whole-run (run_core) buffers, reused across runs and grown on
-        # demand; the counter's tick conversion is fixed for the device.
-        run_params = np.zeros(_FK.R_LEN)
-        run_params[_FK.R_EPOCH] = self._spec.clocks.epoch_offset_s
-        run_params[_FK.R_DRIFT] = self._timestamp_counter.drift_factor
-        run_params[_FK.R_HZ] = self._timestamp_counter.frequency_hz
-        self._fc_run = run_params
-        self._fc_descs = np.empty(64)
-        self._fc_seqs = np.empty((4, _FK.Q_LEN))
-        self._fc_caches = np.empty((4, 2))
-        self._fc_variates = np.empty(256)
-        self._fc_rows = np.empty((64, 8))
-        self._fc_cpu_starts = np.empty(64)
-        self._fc_cpu_ends = np.empty(64)
         self._fc_smp = np.empty((256, 5))
         self._fc_out = np.empty(_FK.O_LEN)
+        # Bumped whenever _fc_grow replaces a buffer: run plans bound to the
+        # old buffers rebind before their next call.
+        self._fc_generation = 0
 
     def _fc_pack(self) -> np.ndarray:
         """Mirror live simulation state into the kernel state vector."""
@@ -722,24 +746,7 @@ class SimulatedGPU:
             self._fc_smp = np.empty((2 * self._fc_smp.shape[0], 5))
         else:  # pragma: no cover - unknown code would be a kernel bug
             raise RuntimeError(f"compiled kernel returned unknown rc={rc}")
-
-    def _fc_reserve(self, sequences: int, executions: int, desc_len: int) -> None:
-        """Grow (doubling) the whole-run buffers to hold a run of this size."""
-        for name, rows in (
-            ("_fc_descs", desc_len),
-            ("_fc_seqs", sequences),
-            ("_fc_caches", sequences),
-            ("_fc_variates", 4 * executions),
-            ("_fc_rows", executions),
-            ("_fc_cpu_starts", executions),
-            ("_fc_cpu_ends", executions),
-        ):
-            buffer = getattr(self, name)
-            if buffer.shape[0] < rows:
-                setattr(
-                    self, name,
-                    np.empty((max(rows, 2 * buffer.shape[0]), *buffer.shape[1:])),
-                )
+        self._fc_generation += 1
 
     def _fc_descriptor(self, descriptor: KernelActivityDescriptor) -> np.ndarray:
         """The descriptor flattened into the kernel ``desc`` layout, cached on it.
@@ -963,122 +970,136 @@ class SimulatedGPU:
             self._exec_log.names.extend([descriptor.name] * executions)
         return cpu_starts, cpu_ends
 
-    def _run_compiled(
+    def _plan_run(
         self,
         sequences: list[tuple[KernelActivityDescriptor, int]],
         park_s: float,
         pre_padding_s: float,
-        pre_delay_s: float,
         post_padding_s: float,
         launch,
         sample_period_s: float,
         sample_phase_s: float,
         window: bool,
-    ) -> tuple:
-        """A whole instrumented run in one compiled call (``run_core``).
+    ) -> _CompiledPlan:
+        """The :class:`_CompiledPlan` of whole runs of ``sequences`` on this device.
 
-        Equivalent to ``park(park_s)``, ``start_recording()``,
-        ``idle(pre_padding_s)``, ``read_timestamp()``, ``idle(pre_delay_s)``,
-        one ``KernelLauncher.sequence_into`` per ``(descriptor, executions)``
-        of ``sequences`` (launch order, the kernel of interest last; each must
-        satisfy :meth:`KernelLauncher.fuses`), ``idle(post_padding_s)``,
-        ``stop_recording()`` and the sampler's ``sample_columns`` -- the
-        device ends in the same state.  The random draws happen here, before
-        the call, in the order those calls make them: the anchor read's two
-        delays, then per sequence its run variation and its
-        ``standard_normal(4 * executions)``.  ``launch`` is the launcher's
+        ``sequences`` lists ``(descriptor, executions)`` in launch order, the
+        kernel of interest last; each must satisfy
+        :meth:`KernelLauncher.fuses`.  ``launch`` is the launcher's
         :class:`~repro.gpu.scheduler.LaunchConfig`; ``window`` selects the
         window-averaging samplers over the instantaneous one.
-
-        Returns ``(logger_start_s, anchor_ticks, anchor_cpu_after_s,
-        round_trip_s, logger_stop_s, run_variation, cpu_starts, cpu_ends,
-        sample_ticks, sample_powers)`` with the kernel of interest's run
-        variation and every execution's host-observed start/end in launch
-        order (views of device buffers, valid until the next run).
         """
-        counter = self._timestamp_counter
-        one_way = counter.sample_read_delay_s()
-        return_way = counter.sample_read_delay_s()
-
         profiles = [self._fc_descriptor(descriptor) for descriptor, _ in sequences]
-        n_seq = len(sequences)
         total = sum(executions for _, executions in sequences)
-        desc_len = sum(profile.shape[0] for profile in profiles)
-        if (
-            total > self._fc_rows.shape[0]
-            or n_seq > self._fc_seqs.shape[0]
-            or desc_len > self._fc_descs.shape[0]
-        ):
-            self._fc_reserve(n_seq, total, desc_len)
-        descs = self._fc_descs
-        seqs = self._fc_seqs
-        caches = self._fc_caches
-        variates = self._fc_variates
-        rows = self._fc_rows
-        cpu_starts = self._fc_cpu_starts
-        cpu_ends = self._fc_cpu_ends
-
-        rng = self._rng
-        draw_run = self._variation.draw_run
-        slots: dict[str, int] = {}
-        states: list[_CacheState] = []
+        seqs = np.empty((len(sequences), _FK.Q_LEN))
+        variates = np.empty(4 * total)
+        slot_names: list[str] = []
+        draws = []
+        log_names: list[str] = []
         offset = 0
         row = 0
         for q, (descriptor, executions) in enumerate(sequences):
-            profile = profiles[q]
-            descs[offset : offset + profile.shape[0]] = profile
-            run_variation = draw_run(descriptor.variation)
-            rng.standard_normal(out=variates[4 * row : 4 * (row + executions)])
             name = descriptor.name
-            slot = slots.get(name)
-            if slot is None:
-                slot = slots[name] = len(states)
-                state = self._cache_states.get(name)
-                if state is None:
-                    state = self._cache_states[name] = _CacheState()
-                states.append(state)
+            if name not in slot_names:
+                slot_names.append(name)
             seqs[q] = (
-                offset, executions, slot, 1.0,
-                run_variation.run_factor, descriptor.variation.execution_cv,
+                offset, executions, slot_names.index(name), 1.0,
+                1.0, descriptor.variation.execution_cv,
             )
-            offset += profile.shape[0]
+            draws.append((descriptor.variation, variates[4 * row : 4 * (row + executions)]))
+            log_names.extend([name] * executions)
+            offset += profiles[q].shape[0]
             row += executions
-
-        rp = self._fc_run
+        rp = np.zeros(_FK.R_LEN)
         rp[_FK.R_PARK] = park_s
         rp[_FK.R_PRE_PAD] = pre_padding_s
-        rp[_FK.R_READ_OUT] = one_way
-        rp[_FK.R_READ_BACK] = return_way
-        rp[_FK.R_PRE_DELAY] = pre_delay_s
         rp[_FK.R_POST_PAD] = post_padding_s
         rp[_FK.R_LAT_MEAN] = launch.launch_latency_s
         rp[_FK.R_LAT_JIT] = launch.launch_jitter_s
         rp[_FK.R_ERR_STD] = launch.event_timestamp_error_s
         rp[_FK.R_GAP] = launch.inter_execution_gap_s
+        rp[_FK.R_EPOCH] = self._spec.clocks.epoch_offset_s
+        rp[_FK.R_DRIFT] = self._timestamp_counter.drift_factor
+        rp[_FK.R_HZ] = self._timestamp_counter.frequency_hz
         rp[_FK.R_WINDOW] = 1.0 if window else 0.0
         rp[_FK.R_SPERIOD] = sample_period_s
         rp[_FK.R_SPHASE] = sample_phase_s
-        rp[_FK.R_NSEQ] = n_seq
-        fc_run = self._fc.run
-        out = self._fc_out
+        rp[_FK.R_NSEQ] = len(sequences)
+        plan = _CompiledPlan(
+            rp, np.concatenate(profiles), seqs, np.empty((len(slot_names), 2)),
+            variates, np.empty((total, 8)), draws, slot_names, log_names,
+        )
+        self._bind_plan(plan)
+        return plan
+
+    def _bind_plan(self, plan: _CompiledPlan) -> None:
+        """Bind ``run_core`` to the plan's arrays and the device's buffers."""
+        plan.call = self._fc.bind_run(
+            self._fc_state, self._fc_params, plan.rp, plan.descs, plan.seqs,
+            plan.caches, plan.variates, self._fc_seg, self._fc_ev, self._fc_lens,
+            plan.rows, self._fc_smp, self._fc_out,
+        )
+        plan.generation = self._fc_generation
+
+    def _run_compiled(self, plan: _CompiledPlan, pre_delay_s: float) -> tuple:
+        """One whole instrumented run of ``plan`` in one compiled call.
+
+        Equivalent to ``park(park_s)``, ``start_recording()``,
+        ``idle(pre_padding_s)``, ``read_timestamp()``, ``idle(pre_delay_s)``,
+        one ``KernelLauncher.sequence_into`` per sequence of the plan,
+        ``idle(post_padding_s)``, ``stop_recording()`` and the sampler's
+        ``sample_columns`` -- the device ends in the same state.  The random
+        draws happen here, before the call, in the order those calls make
+        them: the anchor read's two delays, then per sequence its run
+        variation and its ``standard_normal(4 * executions)``.  Cache states
+        are fetched by name on every run (retention expiry and
+        :meth:`reset_cache_state` replace them).
+
+        Returns ``(logger_start_s, anchor_ticks, anchor_cpu_after_s,
+        round_trip_s, logger_stop_s, run_variation, times, sample_ticks,
+        sample_powers)`` with the kernel of interest's run variation, every
+        execution's host-observed starts then ends in launch order (``times``,
+        an array made for this run) and the sampler's powers (a view of a
+        device buffer, valid until the next run).
+        """
+        one_way, return_way = self._timestamp_counter.sample_read_delay_pair_s()
+        rp = plan.rp
+        rp[_FK.R_READ_OUT] = one_way
+        rp[_FK.R_READ_BACK] = return_way
+        rp[_FK.R_PRE_DELAY] = pre_delay_s
+        draw_run = self._variation.draw_run
+        standard_normal = self._rng.standard_normal
+        seqs = plan.seqs
+        for q, (variation, variates) in enumerate(plan.draws):
+            run_variation = draw_run(variation)
+            standard_normal(out=variates)
+            seqs[q, _FK.Q_RFACT] = run_variation.run_factor
+        cache_states = self._cache_states
+        states = []
+        for name in plan.slot_names:
+            state = cache_states.get(name)
+            if state is None:
+                state = cache_states[name] = _CacheState()
+            states.append(state)
+
+        if plan.generation != self._fc_generation:
+            self._bind_plan(plan)
+        caches = plan.caches
         while True:
-            st = self._fc_pack()
+            self._fc_pack()
             for slot, state in enumerate(states):
-                caches[slot, 0] = float(state.consecutive_executions)
+                caches[slot, 0] = state.consecutive_executions
                 caches[slot, 1] = state.last_end_s
-            rc = fc_run(
-                st, self._fc_params, rp, descs, seqs, caches, variates,
-                self._fc_seg, self._fc_ev, self._fc_lens,
-                rows, cpu_starts, cpu_ends, self._fc_smp, out,
-            )
+            rc, times = plan.call()
             if rc == 0:
                 break
             self._fc_grow(rc)
+            self._bind_plan(plan)
         self._fc_unpack()
         self._fc_drain_events()
-        for slot, state in enumerate(states):
-            state.consecutive_executions = int(caches[slot, 0])
-            state.last_end_s = float(caches[slot, 1])
+        for state, (consecutive, last_end) in zip(states, caches.tolist()):
+            state.consecutive_executions = int(consecutive)
+            state.last_end_s = last_end
 
         # What start_recording() ... stop_recording() leave behind: no open
         # recording, an empty slice buffer and this run's ground truth.
@@ -1089,22 +1110,21 @@ class SimulatedGPU:
         self._executions = []
         log = self._exec_log
         log.clear()
-        log.data.frombytes(rows[:total].tobytes())
-        for descriptor, executions in sequences:
-            log.names.extend([descriptor.name] * executions)
+        log.data.frombytes(plan.rows.tobytes())
+        log.names.extend(plan.log_names)
 
+        out = self._fc_out.tolist()
         samples = self._fc_smp[: int(out[_FK.O_NSMP])]
         return (
-            float(out[_FK.O_START]),
+            out[_FK.O_START],
             int(out[_FK.O_TICKS]),
-            float(out[_FK.O_AFTER]),
+            out[_FK.O_AFTER],
             one_way + return_way,
-            float(out[_FK.O_STOP]),
+            out[_FK.O_STOP],
             run_variation,
-            cpu_starts[:total],
-            cpu_ends[:total],
+            times,
             samples[:, 1].astype(np.int64),
-            samples[:, 2:5].copy(),
+            samples[:, 2:5],
         )
 
     # ------------------------------------------------------------------ #

@@ -52,19 +52,49 @@ _PROVIDER_CHAINS = {
 }
 
 
-class KernelBundle:
-    """One provider's uniform kernel API (idle / execute / sequence / run)."""
+def _bind_arrays(run):
+    """``bind_run`` for providers that take the arrays themselves.
 
-    __slots__ = ("name", "idle", "execute", "sequence", "run", "numba_version", "lib_path")
+    The bound call allocates the run's ``cpu_starts``/``cpu_ends`` as the two
+    halves of one fresh array and returns ``(rc, times)``.
+    """
+
+    def bind_run(st, pp, rp, descs, seqs, caches, variates, seg, ev, lens, exec_rows, smp, out):
+        total = exec_rows.shape[0]
+
+        def call():
+            times = np.empty(2 * total)
+            rc = run(
+                st, pp, rp, descs, seqs, caches, variates, seg, ev, lens,
+                exec_rows, times[:total], times[total:], smp, out,
+            )
+            return rc, times
+
+        return call
+
+    return bind_run
+
+
+class KernelBundle:
+    """One provider's uniform kernel API (idle / execute / sequence / bind_run).
+
+    ``bind_run(st, pp, rp, descs, seqs, caches, variates, seg, ev, lens,
+    exec_rows, smp, out)`` binds ``k_run`` to a run plan's arrays; the
+    returned call takes no argument, writes every execution's host-observed
+    start and end into a fresh array and returns ``(rc, times)`` (starts,
+    then ends).
+    """
+
+    __slots__ = ("name", "idle", "execute", "sequence", "bind_run", "numba_version", "lib_path")
 
     def __init__(
-        self, name, idle, execute, sequence, run, numba_version=None, lib_path=None
+        self, name, idle, execute, sequence, bind_run, numba_version=None, lib_path=None
     ):
         self.name = name
         self.idle = idle
         self.execute = execute
         self.sequence = sequence
-        self.run = run
+        self.bind_run = bind_run
         self.numba_version = numba_version
         self.lib_path = lib_path
 
@@ -92,7 +122,7 @@ def _load_provider(name: str) -> tuple[KernelBundle | None, str | None]:
                 _K.k_idle,
                 _K.k_execute,
                 _K.k_sequence,
-                _K.k_run,
+                _bind_arrays(_K.k_run),
                 numba_version=numba.__version__,
             ),
             None,
@@ -101,7 +131,9 @@ def _load_provider(name: str) -> tuple[KernelBundle | None, str | None]:
         # The kernels module as imported: pure Python without Numba, jitted
         # when Numba is present.
         return (
-            KernelBundle("python", _K.k_idle, _K.k_execute, _K.k_sequence, _K.k_run),
+            KernelBundle(
+                "python", _K.k_idle, _K.k_execute, _K.k_sequence, _bind_arrays(_K.k_run)
+            ),
             None,
         )
     if name == "cc":
@@ -119,7 +151,7 @@ def _load_provider(name: str) -> tuple[KernelBundle | None, str | None]:
             return None, f"cc: {exc}"
         return (
             KernelBundle(
-                "cc", cc.idle, cc.execute, cc.sequence, cc.run, lib_path=cc.lib_path
+                "cc", cc.idle, cc.execute, cc.sequence, cc.bind_run, lib_path=cc.lib_path
             ),
             None,
         )
@@ -206,8 +238,9 @@ def _scenario_params() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return st, pp, desc_long, desc_short
 
 
-def _run_scenario(idle, execute, sequence, run) -> dict[str, np.ndarray]:
-    """Drive the four entry points through a fixed multi-branch scenario."""
+def _run_scenario(bundle: KernelBundle) -> dict[str, np.ndarray]:
+    """Drive the entry points through a fixed multi-branch scenario."""
+    idle, execute, sequence = bundle.idle, bundle.execute, bundle.sequence
     st, pp, desc_long, desc_short = _scenario_params()
     period = pp[_K.P_PERIOD]
     seg = np.zeros((512, 5))
@@ -283,24 +316,23 @@ def _run_scenario(idle, execute, sequence, run) -> dict[str, np.ndarray]:
     caches = np.array([[0.0, -1.0], [3.0, -1.0]])
     run_variates = np.linspace(-1.1, 1.4, 4 * 9)
     run_rows = np.zeros((9, 8))
-    run_starts = np.zeros(9)
-    run_ends = np.zeros(9)
     smp = np.zeros((128, 5))
     out = np.zeros(_K.O_LEN)
+    call = bundle.bind_run(
+        st, pp, rp, descs, seqs, caches, run_variates, seg, ev, lens, run_rows, smp, out
+    )
     samples: list[np.ndarray] = []
     outs: list[np.ndarray] = []
+    times: list[np.ndarray] = []
     for window, sample_period in ((1.0, 1e-3), (0.0, 100e-6)):
         rp[_K.R_WINDOW] = window
         rp[_K.R_SPERIOD] = sample_period
-        check(
-            run(
-                st, pp, rp, descs, seqs, caches, run_variates, seg, ev, lens,
-                run_rows, run_starts, run_ends, smp, out,
-            )
-        )
+        rc, run_times = call()
+        check(rc)
         drain()
         samples.append(smp[: int(out[_K.O_NSMP])].copy())
         outs.append(out.copy())
+        times.append(run_times)
     return {
         "segments": np.vstack(segs),
         "events": np.vstack(evs),
@@ -312,8 +344,7 @@ def _run_scenario(idle, execute, sequence, run) -> dict[str, np.ndarray]:
         "cpu_ends": cpu_ends,
         "cache": cache,
         "run_rows": run_rows,
-        "run_starts": run_starts,
-        "run_ends": run_ends,
+        "run_times": np.vstack(times),
         "run_caches": caches,
         "samples": np.vstack(samples),
         "run_outs": np.vstack(outs),
@@ -334,7 +365,9 @@ def pure_kernels() -> Iterator[KernelBundle]:
     for name, func in swapped.items():
         setattr(_K, name, func.py_func)
     try:
-        yield KernelBundle("python", _K.k_idle, _K.k_execute, _K.k_sequence, _K.k_run)
+        yield KernelBundle(
+            "python", _K.k_idle, _K.k_execute, _K.k_sequence, _bind_arrays(_K.k_run)
+        )
     finally:
         for name, func in swapped.items():
             setattr(_K, name, func)
@@ -347,9 +380,9 @@ def self_check(bundle: KernelBundle) -> str | None:
     and execution row agrees exactly, else a short failure description.
     """
     try:
-        got = _run_scenario(bundle.idle, bundle.execute, bundle.sequence, bundle.run)
+        got = _run_scenario(bundle)
         with pure_kernels() as pure:
-            want = _run_scenario(pure.idle, pure.execute, pure.sequence, pure.run)
+            want = _run_scenario(pure)
     except Exception as exc:
         return f"self-check scenario failed: {exc!r}"
     for key, expected in want.items():

@@ -128,6 +128,33 @@ class TestRun:
         with pytest.raises(ValueError):
             backend.run(kernel, executions=1, pre_delay_s=-1.0)
 
+    @pytest.mark.parametrize("engine", ["compiled", "reference"])
+    @pytest.mark.parametrize(
+        "arguments, error, parameter",
+        [
+            ({"pre_delay_s": float("inf")}, ValueError, "pre_delay_s"),
+            ({"pre_delay_s": float("nan")}, ValueError, "pre_delay_s"),
+            ({"pre_delay_s": -1e-3}, ValueError, "pre_delay_s"),
+            ({"executions": 2.5}, TypeError, "executions"),
+            ({"executions": True}, TypeError, "executions"),
+            ({"executions": 0}, ValueError, "executions"),
+            ({"preceding": [(mb_gemv(4096), 2.0)]}, TypeError, "preceding"),
+            ({"preceding": [(mb_gemv(4096), True)]}, TypeError, "preceding"),
+            ({"preceding": [(mb_gemv(4096), 0)]}, ValueError, "preceding"),
+        ],
+    )
+    def test_rejects_malformed_arguments_before_simulating(
+        self, engine, arguments, error, parameter, kernel, spec
+    ):
+        backend = SimulatedDeviceBackend(
+            spec=spec, seed=3, config=BackendConfig(engine=engine)
+        )
+        device = backend.device
+        before = (device.now_s(), device.rng.bit_generator.state)
+        with pytest.raises(error, match=parameter):
+            backend.run(kernel, **{"executions": 3, "pre_delay_s": 0.0, **arguments})
+        assert (device.now_s(), device.rng.bit_generator.state) == before
+
     def test_coarse_sampler_has_much_longer_period(self, kernel, spec):
         coarse = SimulatedDeviceBackend(
             spec=spec, seed=5, config=BackendConfig(sampler="coarse")

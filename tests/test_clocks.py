@@ -79,6 +79,19 @@ class TestGPUTimestampCounter:
             counter.spec.timestamp_read_delay_s, rel=0.2
         )
 
+    def test_read_delay_pair_equals_two_scalar_draws(self, sim_clock):
+        # A jitter wide enough to hit the 0.5 us clamp on some draws.
+        spec = ClockSpec(timestamp_read_delay_s=1e-6, timestamp_read_jitter_s=0.6e-6)
+        paired = GPUTimestampCounter(spec, sim_clock, np.random.default_rng(9))
+        scalar = GPUTimestampCounter(spec, sim_clock, np.random.default_rng(9))
+        pairs = [paired.sample_read_delay_pair_s() for _ in range(5000)]
+        singles = [
+            (scalar.sample_read_delay_s(), scalar.sample_read_delay_s()) for _ in range(5000)
+        ]
+        assert pairs == singles
+        assert any(0.5e-6 in pair for pair in pairs)
+        assert paired._rng.bit_generator.state == scalar._rng.bit_generator.state
+
     def test_read_from_cpu_advances_time(self, sim_clock, counter):
         before = sim_clock.now_s
         result = counter.read_from_cpu()

@@ -364,6 +364,10 @@ class RunCase:
     executions: int = 12
     pre_delays: tuple[float, ...] = (0.0, 0.7e-3, 1.9e-3)
     preceding: tuple = ()
+    #: Kernels cycled through run by run after ``kernel``, on one backend.
+    alternate: tuple = ()
+    #: Forget the device's cache states before every run but the first.
+    reset_caches: bool = False
 
 
 #: Runs the compiled engine simulates in one whole-run kernel call.
@@ -378,6 +382,20 @@ WHOLE_RUN_CASES = {
     "preceding": RunCase(preceding=((GEMV, 4), (SHORT, 2)), executions=8),
     "throttling": RunCase(kernel=BIG, executions=4, pre_delays=(0.3e-3,)),
     "long_pre_delay": RunCase(pre_delays=(1.2,), executions=3),
+    # Two plans on one backend, A B A; B's long pre-delay regrows the
+    # device's buffers, so A's plan must rebind before its second run.
+    "alternating_kernels": RunCase(
+        alternate=(GEMV,), pre_delays=(0.0, 1.2, 0.5e-3), executions=5
+    ),
+    # A park shorter than the cache retention keeps caches warm from run to
+    # run; resetting them between runs must make the next run cold again.
+    "warm_caches": RunCase(config={"park_s": 1e-3}, pre_delays=(0.0, 0.2e-3, 0.0)),
+    "reset_caches": RunCase(
+        config={"park_s": 1e-3}, pre_delays=(0.0, 0.2e-3, 0.0), reset_caches=True
+    ),
+    # One plan, regrown twice: the slice and sample buffers overflow on the
+    # second run and again on the fourth.
+    "regrowth_within_plan": RunCase(pre_delays=(0.0, 1.2, 0.3e-3, 2.5), executions=3),
 }
 
 #: Runs whose launch sequences do not fuse: the stepwise path runs them.
@@ -456,11 +474,54 @@ class TestBackendEquivalence:
         case = WHOLE_RUN_CASES[name]
         whole = drive_runs("compiled", case)
         assert len(calls) == len(case.pre_delays)
-        monkeypatch.setattr(
-            SimulatedDeviceBackend, "_run_whole", SimulatedDeviceBackend._run_stepwise
-        )
+        monkeypatch.setattr(SimulatedDeviceBackend, "_fuses", lambda self, sequences: False)
         stepwise = drive_runs("compiled", case)
         assert len(calls) == len(case.pre_delays)
+        assert_runs_identical(whole, stepwise)
+
+    def test_cache_states_follow_the_reset(self):
+        # The warm and reset cases differ only by the reset: their last runs
+        # must differ in cold executions, or the reset case pins nothing.
+        warm, _, _ = drive_runs("compiled", WHOLE_RUN_CASES["warm_caches"])
+        reset, _, _ = drive_runs("compiled", WHOLE_RUN_CASES["reset_caches"])
+        assert reset.device.executions()[0].cold_caches
+        assert not warm.device.executions()[0].cold_caches
+
+    def test_reused_handle_id_never_serves_a_stale_plan(self, monkeypatch):
+        class Handle:
+            __slots__ = ("descriptor",)
+
+            def __init__(self, descriptor):
+                self.descriptor = descriptor
+
+            def activity_descriptor(self, spec):
+                return self.descriptor
+
+        # A bound of one plan: every new key evicts the cached plans, so a
+        # dropped handle is pinned by nothing and its id can be reused.
+        monkeypatch.setattr(SimulatedDeviceBackend, "_DESCRIPTOR_CACHE_LIMIT", 1)
+
+        def drive():
+            backend = SimulatedDeviceBackend(spec=SPEC, seed=5)
+            first = Handle(SHORT)
+            records = [backend.run(first, executions=6, pre_delay_s=0.0)]
+            records.append(backend.run(Handle(BIG), executions=2, pre_delay_s=0.0))
+            dropped = id(first)
+            del first
+            spares = []
+            reused = Handle(GEMV)
+            while id(reused) != dropped and len(spares) < 1000:
+                spares.append(reused)
+                reused = Handle(GEMV)
+            records.append(backend.run(reused, executions=6, pre_delay_s=0.0, run_index=2))
+            return id(reused) == dropped, (backend, records, [device_state(backend)])
+
+        reused, whole = drive()
+        if not reused:
+            pytest.skip("the allocator did not reuse the dropped handle's id")
+        assert whole[1][-1].kernel_name == GEMV.name
+        monkeypatch.setattr(SimulatedDeviceBackend, "_fuses", lambda self, sequences: False)
+        _, stepwise = drive()
         assert_runs_identical(whole, stepwise)
 
     def test_whole_run_grows_overflowed_buffers(self):
@@ -469,6 +530,9 @@ class TestBackendEquivalence:
         # the slice and the sample buffer overflowed and were regrown.
         assert backend.device._fc_seg.shape[0] > 4096
         assert backend.device._fc_smp.shape[0] > 1200
+        # One plan overflowing on two of its runs regrows the slices twice.
+        backend, _, _ = drive_runs("compiled", WHOLE_RUN_CASES["regrowth_within_plan"])
+        assert backend.device._fc_seg.shape[0] == 4 * 4096
 
     @pytest.mark.parametrize("name", sorted(FALLBACK_CASES))
     def test_unfusable_runs_fall_back_to_stepwise(self, name, monkeypatch):
@@ -521,11 +585,14 @@ def drive_runs(engine, case, seed=11):
         launch_config=case.launch,
     )
     assert backend.device.engine == engine
+    kernels = (case.kernel, *case.alternate)
     records, states = [], []
     for i, pre_delay in enumerate(case.pre_delays):
+        if case.reset_caches and i:
+            backend.device.reset_cache_state()
         records.append(
             backend.run(
-                case.kernel,
+                kernels[i % len(kernels)],
                 executions=case.executions,
                 pre_delay_s=pre_delay,
                 run_index=i,

@@ -14,6 +14,7 @@ zero/negative-duration contract.
 from __future__ import annotations
 
 import os
+import subprocess
 import warnings
 from pathlib import Path
 
@@ -159,7 +160,7 @@ class TestSelfCheckFailure:
             lambda name: (
                 fastcore.KernelBundle(
                     name, python_bundle.idle, python_bundle.execute,
-                    python_bundle.sequence, python_bundle.run,
+                    python_bundle.sequence, python_bundle.bind_run,
                 ),
                 None,
             ),
@@ -192,10 +193,27 @@ class TestSelfCheckFailure:
             return rc
 
         corrupted = fastcore.KernelBundle(
-            "corrupted", corrupted_idle, bundle.execute, bundle.sequence, bundle.run
+            "corrupted", corrupted_idle, bundle.execute, bundle.sequence, bundle.bind_run
         )
         failure = fastcore.self_check(corrupted)
         assert failure is not None and "mismatch" in failure
+
+    def test_self_check_covers_the_bound_run_call(self, clean_fastcore):
+        bundle = fastcore.kernels()
+
+        def reversed_times(*arrays):
+            call = bundle.bind_run(*arrays)
+
+            def corrupted():
+                rc, times = call()
+                return rc, times[::-1].copy()
+
+            return corrupted
+
+        corrupted = fastcore.KernelBundle(
+            "corrupted", bundle.idle, bundle.execute, bundle.sequence, reversed_times
+        )
+        assert fastcore.self_check(corrupted) == "self-check mismatch in 'run_times'"
 
     def test_self_check_passes_for_active_provider(self, clean_fastcore):
         assert fastcore.self_check(fastcore.kernels()) is None
@@ -302,6 +320,30 @@ class TestTranslator:
         for name in ("fw_transition", "idle_core", "run_core"):
             assert f"static long {name}(" in c
         assert "\nlong k_run(" in c
+
+    @needs_cc
+    def test_translation_compiles_without_warnings(self, tmp_path):
+        c = _fastcore_c.translate(Path(K.__file__).read_text())
+        # Caps only where a body reads X.shape[0] or passes X on to one that
+        # does; the exported entry points keep every cap they had.
+        assert "static long sample_core(double *pp, double *rp, double *seg, int64_t *lens," in c
+        assert (
+            "long k_run(double *st, double *pp, double *rp, double *descs, double *seqs, "
+            "double *caches, double *variates, double *seg, long seg_cap, double *ev, "
+            "long ev_cap, int64_t *lens, double *exec_rows, double *cpu_starts, "
+            "double *cpu_ends, double *smp, long smp_cap, double *out)"
+        ) in c
+        source = tmp_path / "fastcore.c"
+        source.write_text(c)
+        result = subprocess.run(
+            [
+                _fastcore_cc.find_compiler(), *_fastcore_cc._CFLAGS,
+                "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "fastcore.so"), str(source),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 # --------------------------------------------------------------------- #
