@@ -293,22 +293,19 @@ def evaluate_profile_convergence(
     times = np.asarray(times, dtype=float)
     overall = StreamingCIEstimator.from_values(values)
     span = max(float(span_s), 1e-12)
-    if values.size:
-        bin_index = np.clip(
-            np.floor(times / span * bins).astype(np.int64), 0, bins - 1
-        )
-    else:
-        bin_index = np.zeros(0, dtype=np.int64)
+    bin_index = np.floor(times / span * bins).astype(np.int64)
+    np.minimum(np.maximum(bin_index, 0, out=bin_index), bins - 1, out=bin_index)
     bin_counts: list[int] = []
     bin_widths: list[float] = []
     reference = overall.mean
     for index in range(bins):
-        members = values[bin_index == index]
+        # A single bin holds every sample: its estimator is the overall one.
+        members = values if bins == 1 else values[bin_index == index]
         bin_counts.append(int(members.size))
         if members.size == 0:
             bin_widths.append(float("inf"))
             continue
-        estimator = StreamingCIEstimator.from_values(members)
+        estimator = overall if bins == 1 else StreamingCIEstimator.from_values(members)
         bin_widths.append(estimator.relative_half_width(reference))
     overall_width = overall.relative_half_width()
     populated = [

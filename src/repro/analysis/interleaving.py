@@ -105,7 +105,9 @@ class InterleavingStudy:
         kernel yields a log of interest only in a small fraction of runs.  The
         first ``runs`` runs are stitched in one batch; runs are then added one
         at a time until at least ``min_lois`` LOIs are available (bounded by
-        ``max_runs``), mirroring methodology step 8.
+        ``max_runs``), mirroring methodology step 8.  Each added run's LOIs
+        are counted from the matching stage alone; the added runs are
+        stitched once, after the loop.
         """
         runs = runs or self._runs
         max_runs = max_runs or max(runs * 10, 400)
@@ -125,9 +127,11 @@ class InterleavingStudy:
         records = [collect(run_index) for run_index in range(runs)]
         stitcher = ProfileStitcher(components=self._components)
         series = stitcher.collect(records)
-        while series.count_last_execution_lois() < min_lois and len(records) < max_runs:
+        lois = series.count_last_execution_lois()
+        while lois < min_lois and len(records) < max_runs:
             records.append(collect(len(records)))
-            stitcher.extend(series, records[-1:])
+            lois += stitcher.match(records[-1:]).last_execution_count()
+        stitcher.extend(series, records[runs:])
         durations = [record.last_execution.duration_s for record in records]
         return profile_from_lois(
             kernel_name=self._backend.kernel_name(kernel),

@@ -68,10 +68,10 @@ class ExecutionTimeBinner:
     :meth:`bin` is the stateless reference implementation (one pure-Python
     sliding window over a fresh sort).  :meth:`extend` is its incremental
     counterpart for the profiler's top-up loop: the binner keeps the sorted
-    value array across calls, merges each new batch with ``O(batch log n)``
-    binary searches (plus one array splice) and re-selects the golden window
-    with vectorized array operations instead of re-scanning every duration in
-    Python.  Both produce bit-identical :class:`BinningResult`\\ s.
+    value array across calls, merges each new batch into it (one stable sort
+    of the two sorted runs) and re-selects the golden window with vectorized
+    array operations instead of re-scanning every duration in Python.  Both
+    produce bit-identical :class:`BinningResult`\\ s.
     """
 
     def __init__(self, margin: float) -> None:
@@ -152,20 +152,17 @@ class ExecutionTimeBinner:
         if new.size and bool(np.any(new <= 0)):
             raise ValueError("execution times must be positive")
         base = len(self._values)
-        self._values.extend(float(value) for value in new)
+        self._values.extend(new.tolist())
         if not self._values:
             raise ValueError("cannot bin an empty set of execution times")
         if new.size:
             order = np.argsort(new, kind="stable")
-            batch = new[order]
-            batch_index = (base + order).astype(np.int64)
-            if self._sorted.size == 0:
-                self._sorted = batch
-                self._sorted_index = batch_index
-            else:
-                positions = np.searchsorted(self._sorted, batch, side="left")
-                self._sorted = np.insert(self._sorted, positions, batch)
-                self._sorted_index = np.insert(self._sorted_index, positions, batch_index)
+            # A stable sort of (sorted batch, sorted history) merges the two
+            # sorted runs in one pass, new values ahead of equal held ones.
+            values = np.concatenate((new[order], self._sorted))
+            merged = np.argsort(values, kind="stable")
+            self._sorted = values[merged]
+            self._sorted_index = np.concatenate((base + order, self._sorted_index))[merged]
         return self._select_window()
 
     def _select_window(self) -> BinningResult:
@@ -199,15 +196,13 @@ class ExecutionTimeBinner:
         candidate_spreads = np.where(counts == best_count, spreads, np.inf)
         best_end = int(np.argmin(candidate_spreads))  # first occurrence = scan order
         best_start = int(start[best_end])
-        selected = tuple(
-            sorted(int(i) for i in self._sorted_index[best_start:best_end + 1])
-        )
-        selected_set = set(selected)
-        outliers = tuple(i for i in range(n) if i not in selected_set)
+        selected = np.sort(self._sorted_index[best_start:best_end + 1])
+        outlier = np.ones(n, dtype=bool)
+        outlier[selected] = False
         return BinningResult(
             margin=self._margin,
-            selected_indices=selected,
-            outlier_indices=outliers,
+            selected_indices=tuple(selected.tolist()),
+            outlier_indices=tuple(np.flatnonzero(outlier).tolist()),
             bin_low_s=float(sorted_values[best_start]),
             bin_high_s=float(sorted_values[best_end]),
             values_s=tuple(self._values),

@@ -49,7 +49,7 @@ from .profiler import (
     normalize_profile_sections,
 )
 from .records import RunRecord
-from .stitching import ProfileStitcher, StitchedRunSeries, golden_mask
+from .stitching import GoldenRuns, ProfileStitcher, StitchedRunSeries
 
 if TYPE_CHECKING:
     from .profiler import FinGraVProfiler
@@ -159,10 +159,13 @@ class ProfileSession:
         # ------------------------------------------------------------------
         # Collection state (steps 5-8, advanced by step()).
         # ------------------------------------------------------------------
-        self._records: tuple[RunRecord, ...] = ()
+        self._records: list[RunRecord] = []
         self._binner = ExecutionTimeBinner(self._margin) if config.apply_binning else None
         self._binning: BinningResult | None = None
-        self._golden_indices: list[int] | None = None
+        # With binning: every record's run index, and the golden selection as
+        # a flag table over them (rebuilt once per ingest).
+        self._run_indices = np.empty(0, dtype=np.int64)
+        self._golden: GoldenRuns | None = None
         self._stitcher = ProfileStitcher(
             components=config.components,
             calibration=self._calibration if config.synchronize else None,
@@ -213,7 +216,7 @@ class ProfileSession:
 
     @property
     def records(self) -> tuple[RunRecord, ...]:
-        return self._records
+        return tuple(self._records)
 
     @property
     def series(self) -> StitchedRunSeries | None:
@@ -221,9 +224,9 @@ class ProfileSession:
 
     @property
     def golden_run_indices(self) -> tuple[int, ...] | None:
-        if self._golden_indices is None:
+        if self._golden is None:
             return None
-        return tuple(self._golden_indices)
+        return tuple(self._golden)
 
     @property
     def finished(self) -> bool:
@@ -319,7 +322,7 @@ class ProfileSession:
         profiles = self._stitcher.section_profiles(
             self._series,
             ("ssp", "sse"),
-            golden_runs=self._golden_indices,
+            golden_runs=self._golden,
             sse_index=self._plan.sse_index,
             min_execution_index=self._profiler._ssp_start_index(self._plan),
             metadata=self._base_metadata,
@@ -368,7 +371,7 @@ class ProfileSession:
         built = self._stitcher.section_profiles(
             self._series,
             build,
-            golden_runs=self._golden_indices,
+            golden_runs=self._golden,
             sse_index=self._plan.sse_index,
             min_execution_index=self._profiler._ssp_start_index(self._plan),
             metadata=self._base_metadata,
@@ -381,7 +384,7 @@ class ProfileSession:
             guidance=self._guidance,
             plan=self._plan,
             calibration=self._calibration,
-            runs=self._records,
+            runs=tuple(self._records),
             binning=self._binning,
             ssp_profile=built["ssp"],
             sse_profile=built["sse"],
@@ -433,60 +436,63 @@ class ProfileSession:
 
         The binner keeps its sorted state and the stitcher extracts only the
         new records into the series' LOI ledger
-        (ExecutionTimeBinner.extend / ProfileStitcher.extend).
+        (ExecutionTimeBinner.extend / ProfileStitcher.extend).  The golden
+        selection becomes one flag table here; the series memoises each
+        section's golden rows against it until the next ingest, so the
+        checkpoint's counts, diagnostics and profiles select them once.
         """
-        self._records = self._records + new_records
+        self._records.extend(new_records)
         self._batches += 1
         if self._binner is not None and new_records:
             self._binning = self._binner.extend(
                 record.execution_duration("last") for record in new_records
             )
-            self._golden_indices = [
-                self._records[i].run_index for i in self._binning.selected_indices
-            ]
+            self._run_indices = np.concatenate((
+                self._run_indices,
+                np.fromiter(
+                    (record.run_index for record in new_records),
+                    dtype=np.int64,
+                    count=len(new_records),
+                ),
+            ))
+            self._golden = GoldenRuns(self._run_indices[
+                np.array(self._binning.selected_indices, dtype=np.int64)
+            ])
         if self._series is None:
-            self._series = self._stitcher.collect(self._records)
+            self._series = self._stitcher.collect(new_records)
         else:
             self._series = self._stitcher.extend(self._series, new_records)
 
-    def _ssp_have(self) -> int:
+    def _rows(self, section: str) -> np.ndarray:
+        """Golden ledger rows of one section's LOIs (``"ssp"`` or ``"sse"``)."""
         series = self._series
         assert series is not None
+        if section == "sse":
+            return series.rows(execution_index=self._plan.sse_index, golden_runs=self._golden)
         if self._ssp_start is None:
-            return series.count_last_execution_lois(self._golden_indices)
-        return series.count_lois(
-            min_execution_index=self._ssp_start, golden_runs=self._golden_indices
-        )
+            return series.rows(last_execution=True, golden_runs=self._golden)
+        return series.rows(min_execution_index=self._ssp_start, golden_runs=self._golden)
+
+    def _ssp_have(self) -> int:
+        return int(self._rows("ssp").shape[0])
 
     def _shortfall(self) -> int:
-        series = self._series
-        assert series is not None
-        sse_have = series.count_lois(
-            execution_index=self._plan.sse_index, golden_runs=self._golden_indices
-        )
+        sse_have = int(self._rows("sse").shape[0])
         return max(self._target_lois - self._ssp_have(), self._sse_target - sse_have)
 
     def _section_samples(self, section: str) -> tuple[np.ndarray, np.ndarray]:
         """(total-power values, TOIs) of one section's golden LOIs."""
         series = self._series
         assert series is not None
-        run_idx, exec_idx = series.loi_index_arrays()
         column = series.loi_power_column("total")
         if column is None:
             empty = np.zeros(0, dtype=float)
             return empty, empty
         values, presence = column
-        if section == "ssp":
-            if self._ssp_start is None:
-                mask = exec_idx == series.loi_last_execution_array()
-            else:
-                mask = exec_idx >= self._ssp_start
-        else:
-            mask = exec_idx == self._plan.sse_index
-        mask = golden_mask(mask, run_idx, self._golden_indices)
+        rows = self._rows(section)
         if presence is not None:
-            mask = mask & presence
-        return values[mask], series.loi_toi_array()[mask]
+            rows = rows[presence[rows]]
+        return values[rows], series.loi_toi_array()[rows]
 
     def _evaluate_diagnostics(self) -> tuple[ConvergenceDiagnostics, ...]:
         """Per-section convergence diagnostics for the current record set.

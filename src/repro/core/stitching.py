@@ -11,14 +11,21 @@ on the x-axis) and for the whole-run profiles used by the methodology figures
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .profile import FineGrainProfile, ProfileColumns, ProfileKind
 from .records import COMPONENT_KEYS, DelayCalibration, LogOfInterest, RunRecord
-from .timesync import LOIBatch, extract_lois_batch, gather_powers, loi_object
+from .timesync import (
+    LOIBatch,
+    ReadingMatch,
+    extract_lois_batch,
+    gather_powers,
+    loi_object,
+    match_readings,
+)
 
 
 class _GrowableColumns:
@@ -116,6 +123,9 @@ class StitchedRunSeries:
         # Per-run durations of one execution ("last" or an index), extended
         # as batches arrive: which -> [batches read, run indices, durations].
         self._durations: dict[int | str, list] = {}
+        # Row selections memoised until the next append: filter -> (golden
+        # table, rows).
+        self._selections: dict[tuple, tuple[GoldenRuns | None, np.ndarray]] = {}
 
     # ------------------------------------------------------------------ #
     # Mapping-style views.
@@ -155,6 +165,7 @@ class StitchedRunSeries:
                     raise ValueError(f"run {run_index} already stitched into this series")
                 seen.add(run_index)
         self._lois_by_run = None
+        self._selections.clear()
         base_ordinal = len(self._records)
         self._records.extend(runs)
         self._runs.update(zip(new_indices, runs))
@@ -198,7 +209,7 @@ class StitchedRunSeries:
             elif name in masks:
                 self._missing[position] += count - int(np.count_nonzero(masks[name]))
 
-    def execution_durations(self, which: int | str) -> tuple[list[int], list[float]]:
+    def execution_durations(self, which: int | str) -> tuple[np.ndarray, np.ndarray]:
         """``(run indices, durations)`` of execution ``which`` in stitch order.
 
         ``which`` is ``"last"`` or an execution index; runs without that
@@ -206,14 +217,18 @@ class StitchedRunSeries:
         previous call are read, so per-snapshot profile builds stay linear
         in the runs.
         """
-        entry = self._durations.setdefault(which, [0, [], []])
+        entry = self._durations.get(which)
+        if entry is None:
+            entry = self._durations[which] = [
+                0, _GrowableColumns(np.int64, 1), _GrowableColumns(float, 1)
+            ]
         read, run_indices, durations = entry
         for _, batch in self._batches[read:]:
             indices, values = batch.execution_durations(which)
-            run_indices.extend(indices.tolist())
-            durations.extend(values.tolist())
+            run_indices.extend((indices,), indices.shape[0])
+            durations.extend((values,), values.shape[0])
         entry[0] = len(self._batches)
-        return run_indices, durations
+        return run_indices.column(), durations.column()
 
     # ------------------------------------------------------------------ #
     # LOI objects, built on request.
@@ -241,16 +256,14 @@ class StitchedRunSeries:
         return self._lois(np.arange(self.num_lois))
 
     def lois_for_execution(self, execution_index: int) -> list[LogOfInterest]:
-        _, exec_idx = self.loi_index_arrays()
-        return self._lois(np.flatnonzero(exec_idx == execution_index))
+        return self._lois(self.rows(execution_index=execution_index))
 
     def lois_for_last_execution(self) -> list[LogOfInterest]:
-        return self._lois(np.flatnonzero(self._last_execution_mask()))
+        return self._lois(self.rows(last_execution=True))
 
     def lois_from_execution(self, min_execution_index: int) -> list[LogOfInterest]:
         """All LOIs whose execution index is at or past ``min_execution_index``."""
-        _, exec_idx = self.loi_index_arrays()
-        return self._lois(np.flatnonzero(exec_idx >= min_execution_index))
+        return self._lois(self.rows(min_execution_index=min_execution_index))
 
     # ------------------------------------------------------------------ #
     # Columns and counts (the profile builds and the shortfall checks).
@@ -282,8 +295,40 @@ class StitchedRunSeries:
         presence = self._presence.column(position) if self._missing[position] else None
         return self._powers.column(position), presence
 
-    def _last_execution_mask(self) -> np.ndarray:
-        return self._loi_ints.column(_EXECUTION) == self._loi_ints.column(_LAST)
+    def rows(
+        self,
+        *,
+        last_execution: bool = False,
+        min_execution_index: int | None = None,
+        execution_index: int | None = None,
+        golden_runs: "GoldenRuns | Iterable[int] | None" = None,
+    ) -> np.ndarray:
+        """Ledger rows, in stitch order, of the LOIs matching every filter.
+
+        ``last_execution`` keeps each run's last execution.  A selection
+        whose golden runs are ``None`` or a :class:`GoldenRuns` table is
+        memoised until the next append, so a checkpoint that counts, samples
+        and slices one section selects its rows once.
+        """
+        golden = GoldenRuns.of(golden_runs)
+        key = (last_execution, min_execution_index, execution_index)
+        cached = self._selections.get(key)
+        if cached is not None and cached[0] is golden:
+            return cached[1]
+        run_idx, exec_idx = self.loi_index_arrays()
+        mask = np.ones(run_idx.shape, dtype=bool)
+        if last_execution:
+            mask &= exec_idx == self._loi_ints.column(_LAST)
+        if min_execution_index is not None:
+            mask &= exec_idx >= min_execution_index
+        if execution_index is not None:
+            mask &= exec_idx == execution_index
+        if golden is not None:
+            mask &= golden.mask(run_idx)
+        rows = np.flatnonzero(mask)
+        rows.flags.writeable = False
+        self._selections[key] = (golden, rows)
+        return rows
 
     def count_lois(
         self,
@@ -292,20 +337,15 @@ class StitchedRunSeries:
         golden_runs: Iterable[int] | None = None,
     ) -> int:
         """Count LOIs matching the given execution/run filters."""
-        run_idx, exec_idx = self.loi_index_arrays()
-        mask = np.ones(run_idx.shape, dtype=bool)
-        if min_execution_index is not None:
-            mask &= exec_idx >= min_execution_index
-        if execution_index is not None:
-            mask &= exec_idx == execution_index
-        return int(np.count_nonzero(golden_mask(mask, run_idx, golden_runs)))
+        return int(self.rows(
+            min_execution_index=min_execution_index,
+            execution_index=execution_index,
+            golden_runs=golden_runs,
+        ).shape[0])
 
     def count_last_execution_lois(self, golden_runs: Iterable[int] | None = None) -> int:
         """Count LOIs of each run's last execution, optionally golden-only."""
-        mask = golden_mask(
-            self._last_execution_mask(), self._loi_ints.column(_RUN), golden_runs
-        )
-        return int(np.count_nonzero(mask))
+        return int(self.rows(last_execution=True, golden_runs=golden_runs).shape[0])
 
     def run_columns(
         self,
@@ -313,70 +353,131 @@ class StitchedRunSeries:
         golden_runs: Iterable[int] | None,
         include_idle: bool,
     ) -> tuple[list[ProfileColumns], list[float]]:
-        """Whole-run profile rows, one column bundle per appended batch.
+        """Whole-run profile rows of the selected runs (at most one bundle).
 
         Every reading of a selected run becomes a row, its time measured from
         the run's first execution start (with ``include_idle`` False only the
         readings inside the first-start-to-last-end span).  The second return
         is every selected run's span.  Runs without executions are left out.
+        The appended batches' tables are joined first, so the rows come out
+        of one pass however many batches the series grew by.
         """
-        chunks: list[ProfileColumns] = []
-        spans: list[float] = []
-        for runs, batch in self._batches:
-            exec_offsets = batch.execution_offsets
-            selected = np.flatnonzero(golden_mask(
-                exec_offsets[1:] > exec_offsets[:-1], batch.run_index, golden_runs
-            ))
-            if not selected.shape[0]:
-                continue
-            first_execution = exec_offsets[selected]
-            origin = batch.execution_starts_s[first_execution]
-            span_end = batch.execution_ends_s[exec_offsets[selected + 1] - 1]
-            spans.extend((span_end - origin).tolist())
-            # Reading rows of the selected runs, in run then reading order.
-            counts = np.diff(batch.reading_offsets)[selected]
-            owner = np.repeat(np.arange(selected.shape[0]), counts)
-            rows = batch.reading_offsets[selected][owner] + (
-                np.arange(owner.shape[0]) - (np.cumsum(counts) - counts)[owner]
-            )
-            times = batch.reading_times_s[rows]
-            if include_idle:
-                keep = np.arange(rows.shape[0])
-            else:
-                keep = np.flatnonzero((times >= origin[owner]) & (times <= span_end[owner]))
-            if not keep.shape[0]:
-                continue
-            owner = owner[keep]
-            positions = batch.reading_positions[rows[keep]]
-            powers, masks = gather_powers([runs[i].reading_columns() for i in selected], keep)
-            chunks.append(ProfileColumns(
-                time_s=times[keep] - origin[owner],
-                run_index=batch.run_index[selected][owner],
-                execution_index=np.where(
-                    positions >= 0,
-                    batch.execution_indices[first_execution[owner] + np.maximum(positions, 0)],
-                    -1,
-                ),
-                powers_w={name: powers[name] for name in components if name in powers},
-                masks={name: masks[name] for name in components if name in masks},
-            ))
-        return chunks, spans
+        batches = [batch for _, batch in self._batches]
+        if not batches:
+            return [], []
+        exec_offsets = _join_offsets([batch.execution_offsets for batch in batches])
+        reading_offsets = _join_offsets([batch.reading_offsets for batch in batches])
+        run_index = np.concatenate([batch.run_index for batch in batches])
+        selected = np.flatnonzero(golden_mask(
+            exec_offsets[1:] > exec_offsets[:-1], run_index, golden_runs
+        ))
+        if not selected.shape[0]:
+            return [], []
+        first_execution = exec_offsets[selected]
+        origin = np.concatenate([batch.execution_starts_s for batch in batches])[first_execution]
+        span_end = np.concatenate(
+            [batch.execution_ends_s for batch in batches]
+        )[exec_offsets[selected + 1] - 1]
+        spans = (span_end - origin).tolist()
+        # Reading rows of the selected runs, in run then reading order.
+        counts = np.diff(reading_offsets)[selected]
+        owner = np.repeat(np.arange(selected.shape[0]), counts)
+        rows = reading_offsets[selected][owner] + (
+            np.arange(owner.shape[0]) - (np.cumsum(counts) - counts)[owner]
+        )
+        times = np.concatenate([batch.reading_times_s for batch in batches])[rows]
+        if include_idle:
+            keep = np.arange(rows.shape[0])
+        else:
+            keep = np.flatnonzero((times >= origin[owner]) & (times <= span_end[owner]))
+        if not keep.shape[0]:
+            return [], spans
+        owner = owner[keep]
+        positions = np.concatenate([batch.reading_positions for batch in batches])[rows[keep]]
+        execution_indices = np.concatenate([batch.execution_indices for batch in batches])
+        records = self._records
+        powers, masks = gather_powers(
+            [records[i].reading_columns() for i in selected.tolist()], keep
+        )
+        return [ProfileColumns(
+            time_s=times[keep] - origin[owner],
+            run_index=run_index[selected][owner],
+            execution_index=np.where(
+                positions >= 0,
+                execution_indices[first_execution[owner] + np.maximum(positions, 0)],
+                -1,
+            ),
+            powers_w={name: powers[name] for name in components if name in powers},
+            masks={name: masks[name] for name in components if name in masks},
+        )], spans
+
+
+def _join_offsets(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-batch ``[0, ..., count]`` offsets joined into offsets over every batch."""
+    bases = accumulate((int(part[-1]) for part in parts[:-1]), initial=0)
+    return np.concatenate([parts[0][:1], *(part[1:] + base for part, base in zip(parts, bases))])
+
+
+class GoldenRuns:
+    """A golden-run selection as a run-indexed flag table.
+
+    Filtering a run-index column is one gather from the table
+    (``take(..., mode="clip")``) in place of a set-membership search.  The
+    table spans the selection's lowest to highest run index, one byte per
+    index, plus a ``False`` slot at each end that every run index outside
+    the span clips onto.  Run indices are the profiler's dense run counters,
+    so the span is about the number of runs collected.
+    """
+
+    __slots__ = ("_indices", "_low", "_flags")
+
+    def __init__(self, run_indices: Iterable[int]) -> None:
+        if isinstance(run_indices, np.ndarray):
+            indices = run_indices.astype(np.int64)  # a copy the caller cannot change
+        else:
+            indices = np.fromiter(run_indices, dtype=np.int64)
+        self._indices = indices
+        if indices.shape[0]:
+            self._low = int(indices.min()) - 1
+            self._flags = np.zeros(int(indices.max()) - self._low + 2, dtype=bool)
+            self._flags[indices - self._low] = True
+        else:
+            self._low = 0
+            self._flags = np.zeros(1, dtype=bool)
+
+    @classmethod
+    def of(cls, golden_runs: "GoldenRuns | Iterable[int] | None") -> "GoldenRuns | None":
+        """``golden_runs`` as a table (``None`` and tables pass through)."""
+        if golden_runs is None or isinstance(golden_runs, cls):
+            return golden_runs
+        return cls(golden_runs)
+
+    def __iter__(self):
+        """The selected run indices, in the order given."""
+        return iter(self._indices.tolist())
+
+    def mask(self, run_idx: np.ndarray) -> np.ndarray:
+        """Per entry of ``run_idx``: is that run golden?"""
+        return self._flags.take(np.subtract(run_idx, self._low, dtype=np.int64), mode="clip")
 
 
 def golden_mask(
-    mask: np.ndarray, run_idx: np.ndarray, golden_runs: Iterable[int] | None
+    mask: np.ndarray,
+    run_idx: np.ndarray,
+    golden_runs: GoldenRuns | Iterable[int] | None,
 ) -> np.ndarray:
     """``mask`` restricted to rows whose run is golden (unchanged for None)."""
-    if golden_runs is None:
+    golden = GoldenRuns.of(golden_runs)
+    if golden is None:
         return mask
-    return mask & np.isin(run_idx, np.fromiter(golden_runs, dtype=np.int64))
+    return mask & golden.mask(run_idx)
 
 
 class ProfileStitcher:
     """Builds fine-grain profiles from run records.
 
     LOIs are extracted one batch at a time into a :class:`StitchedRunSeries`
-    ledger, and every profile is one boolean mask plus array slices of it --
+    ledger, and every profile is one row selection plus array slices of it --
     no intermediate :class:`LogOfInterest` or point objects.  The equivalence
     tests pin the profiles bit for bit against one-reading-at-a-time LOI
     extraction (``tests/stitching_spec.py``) plus
@@ -390,7 +491,7 @@ class ProfileStitcher:
         synchronize: bool = True,
     ) -> None:
         self._components = tuple(components)
-        self._calibration = calibration
+        self._calibration = calibration if synchronize else None
         self._synchronize = synchronize
 
     @property
@@ -421,13 +522,19 @@ class ProfileStitcher:
         self._stitch_into(series, new_records)
         return series
 
+    def match(self, runs: Sequence[RunRecord]) -> ReadingMatch:
+        """The matching stage of stitching ``runs``, without ledger rows.
+
+        Enough to count the LOIs the runs would add
+        (:meth:`ReadingMatch.last_execution_count`) before stitching them.
+        """
+        return match_readings(runs, self._calibration, self._synchronize)
+
     def _stitch_into(self, series: StitchedRunSeries, runs: Sequence[RunRecord]) -> None:
         if not runs:
             return
         batch = extract_lois_batch(
-            runs,
-            calibration=self._calibration if self._synchronize else None,
-            synchronize=self._synchronize,
+            runs, calibration=self._calibration, synchronize=self._synchronize
         )
         series.append(runs, batch)
 
@@ -437,7 +544,7 @@ class ProfileStitcher:
     def ssp_profile(
         self,
         series: StitchedRunSeries,
-        golden_runs: Sequence[int] | None = None,
+        golden_runs: GoldenRuns | Sequence[int] | None = None,
         min_execution_index: int | None = None,
         metadata: Mapping[str, object] | None = None,
     ) -> FineGrainProfile:
@@ -450,39 +557,35 @@ class ProfileStitcher:
         multiply the LOI yield of very short kernels.
         """
         which: int | str = "last" if min_execution_index is None else min_execution_index
-        _, exec_idx = series.loi_index_arrays()
-        if min_execution_index is None:
-            mask = exec_idx == series.loi_last_execution_array()
-        else:
-            mask = exec_idx >= min_execution_index
         return self._profile_from_series(
-            series, mask, golden_runs, ProfileKind.SSP, which, metadata
+            series, golden_runs, ProfileKind.SSP, which, metadata,
+            last_execution=min_execution_index is None,
+            min_execution_index=min_execution_index,
         )
 
     def sse_profile(
         self,
         series: StitchedRunSeries,
         sse_index: int,
-        golden_runs: Sequence[int] | None = None,
+        golden_runs: GoldenRuns | Sequence[int] | None = None,
         metadata: Mapping[str, object] | None = None,
     ) -> FineGrainProfile:
         """Profile of the SSE execution (first post-warm-up) across runs."""
-        _, exec_idx = series.loi_index_arrays()
         return self._profile_from_series(
-            series, exec_idx == sse_index, golden_runs, ProfileKind.SSE, sse_index, metadata
+            series, golden_runs, ProfileKind.SSE, sse_index, metadata,
+            execution_index=sse_index,
         )
 
     def execution_profile(
         self,
         series: StitchedRunSeries,
         execution_index: int,
-        golden_runs: Sequence[int] | None = None,
+        golden_runs: GoldenRuns | Sequence[int] | None = None,
     ) -> FineGrainProfile:
         """Profile of an arbitrary execution index (used for outlier studies)."""
-        _, exec_idx = series.loi_index_arrays()
         return self._profile_from_series(
-            series, exec_idx == execution_index, golden_runs, ProfileKind.CUSTOM,
-            execution_index, None,
+            series, golden_runs, ProfileKind.CUSTOM, execution_index, None,
+            execution_index=execution_index,
         )
 
     # ------------------------------------------------------------------ #
@@ -491,7 +594,7 @@ class ProfileStitcher:
     def run_profile(
         self,
         series: StitchedRunSeries,
-        golden_runs: Sequence[int] | None = None,
+        golden_runs: GoldenRuns | Sequence[int] | None = None,
         include_non_execution_readings: bool = True,
         metadata: Mapping[str, object] | None = None,
     ) -> FineGrainProfile:
@@ -517,7 +620,7 @@ class ProfileStitcher:
         series: StitchedRunSeries,
         sections: Sequence[str],
         *,
-        golden_runs: Sequence[int] | None = None,
+        golden_runs: GoldenRuns | Sequence[int] | None = None,
         sse_index: int = 0,
         min_execution_index: int | None = None,
         metadata: Mapping[str, object] | None = None,
@@ -529,22 +632,23 @@ class ProfileStitcher:
         driver-declared subset excludes it (the run profile is the bulk of a
         long kernel's payload and the costliest section to assemble).
         """
+        golden = GoldenRuns.of(golden_runs)
         profiles: dict[str, FineGrainProfile] = {}
         for section in sections:
             if section == "ssp":
                 profiles[section] = self.ssp_profile(
                     series,
-                    golden_runs,
+                    golden,
                     min_execution_index=min_execution_index,
                     metadata=metadata,
                 )
             elif section == "sse":
                 profiles[section] = self.sse_profile(
-                    series, sse_index, golden_runs, metadata=metadata
+                    series, sse_index, golden, metadata=metadata
                 )
             elif section == "run":
                 profiles[section] = self.run_profile(
-                    series, golden_runs, metadata=metadata
+                    series, golden, metadata=metadata
                 )
             else:
                 raise ValueError(
@@ -558,54 +662,62 @@ class ProfileStitcher:
     def _profile_from_series(
         self,
         series: StitchedRunSeries,
-        mask: np.ndarray,
-        golden_runs: Sequence[int] | None,
+        golden_runs: GoldenRuns | Sequence[int] | None,
         kind: ProfileKind,
         which: int | str,
         metadata: Mapping[str, object] | None,
+        **filters,
     ) -> FineGrainProfile:
-        """Slice the ledger rows selected by ``mask`` into a profile."""
+        """Slice the golden ledger rows matching ``filters`` into a profile.
+
+        ``filters`` are :meth:`StitchedRunSeries.rows`' execution filters.
+        The rows are put in time-of-interest order first (the stable order
+        the profile would sort its points into), so every column is sliced
+        once and arrives sorted.
+        """
+        golden = GoldenRuns.of(golden_runs)
+        rows = series.rows(golden_runs=golden, **filters)
+        toi = series.loi_toi_array()[rows]
+        order = np.argsort(toi, kind="stable")
+        rows, toi = rows[order], toi[order]
         run_idx, exec_idx = series.loi_index_arrays()
-        keep = np.flatnonzero(golden_mask(mask, run_idx, golden_runs))
         powers: dict[str, np.ndarray] = {}
         masks: dict[str, np.ndarray] = {}
-        if keep.size:
+        if rows.size:
             for component in self._components:
                 column = series.loi_power_column(component)
                 if column is None:
                     continue
                 values, presence = column
-                powers[component] = values[keep]
+                powers[component] = values[rows]
                 if presence is not None:
-                    masks[component] = presence[keep]
+                    masks[component] = presence[rows]
         columns = ProfileColumns(
-            time_s=series.loi_toi_array()[keep],
-            run_index=run_idx[keep],
-            execution_index=exec_idx[keep],
+            time_s=toi,
+            run_index=run_idx[rows],
+            execution_index=exec_idx[rows],
             powers_w=powers,
             masks=masks,
         )
         return FineGrainProfile(
             kernel_name=series.kernel_name,
             kind=kind,
-            execution_time_s=self._execution_time(series, golden_runs, which),
+            execution_time_s=self._execution_time(series, golden, which),
             metadata=dict(metadata or {}),
             columns=columns,
         )
 
     @staticmethod
     def _execution_time(
-        series: StitchedRunSeries, golden_runs: Sequence[int] | None, which: int | str
+        series: StitchedRunSeries,
+        golden_runs: GoldenRuns | Iterable[int] | None,
+        which: int | str,
     ) -> float:
         run_indices, durations = series.execution_durations(which)
-        if golden_runs is not None:
-            selected = set(golden_runs)
-            durations = [
-                duration
-                for run_index, duration in zip(run_indices, durations)
-                if run_index in selected
-            ]
-        return mean_duration_or_zero(durations)
+        golden = GoldenRuns.of(golden_runs)
+        if golden is not None:
+            durations = durations[golden.mask(run_indices)]
+        return mean_duration_or_zero(durations.tolist())
 
 
 def mean_duration_or_zero(durations: Sequence[float]) -> float:
@@ -614,4 +726,10 @@ def mean_duration_or_zero(durations: Sequence[float]) -> float:
     return float(sum(durations) / len(durations))
 
 
-__all__ = ["StitchedRunSeries", "ProfileStitcher", "golden_mask", "mean_duration_or_zero"]
+__all__ = [
+    "GoldenRuns",
+    "StitchedRunSeries",
+    "ProfileStitcher",
+    "golden_mask",
+    "mean_duration_or_zero",
+]

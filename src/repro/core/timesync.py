@@ -387,22 +387,48 @@ def gather_powers(
     return powers, masks
 
 
-def extract_lois_batch(
+@dataclass(eq=False)
+class ReadingMatch:
+    """Every reading of a batch of runs in CPU time, matched to an execution.
+
+    The matching stage of :func:`extract_lois_batch`.  Per reading, in run
+    order and then reading order: ``owner`` is the run's position in the
+    batch, ``times_s`` the window-end CPU time and ``positions`` the matched
+    execution's position within its run (``-1`` for idle).  Offsets and the
+    concatenated per-execution table are those of :class:`LOIBatch`.
+    """
+
+    columns: list[ReadingColumns]
+    owner: np.ndarray
+    times_s: np.ndarray
+    positions: np.ndarray
+    reading_offsets: np.ndarray
+    execution_offsets: np.ndarray
+    execution_indices: np.ndarray
+    execution_starts_s: np.ndarray
+    execution_ends_s: np.ndarray
+
+    def last_execution_count(self) -> int:
+        """How many readings are LOIs of their run's last execution."""
+        matched = np.flatnonzero(self.positions >= 0)
+        owner = self.owner[matched]
+        offsets, indices = self.execution_offsets, self.execution_indices
+        execution = indices[offsets[owner] + self.positions[matched]]
+        return int(np.count_nonzero(execution == indices[offsets[owner + 1] - 1]))
+
+
+def match_readings(
     runs: Sequence[RunRecord],
     calibration: DelayCalibration | None = None,
     synchronize: bool = True,
-) -> LOIBatch:
-    """Extract the LOIs of many runs in one vectorized pass (step 7).
+) -> ReadingMatch:
+    """Map every reading of ``runs`` to CPU time and match it to an execution.
 
     All runs' readings are mapped to CPU time in one array expression and,
     when the batch allows it, matched against a single concatenated execution
     table with one binary search.  A batch that does not (overlapping run
     spans, nested executions, runs without executions) is matched run by run
-    with :func:`match_execution_positions`.  No per-LOI object is built: the
-    window-end mapping and the TOI are the float operations of
-    :meth:`ClockSynchronizer.cpu_time_of` and a one-reading-at-a-time walk,
-    so every value -- and every :class:`LogOfInterest` later built from the
-    arrays by :func:`loi_object` -- is bit-identical to that walk.
+    with :func:`match_execution_positions`.
     """
     n = len(runs)
     columns = [run.reading_columns() for run in runs]
@@ -413,7 +439,6 @@ def extract_lois_batch(
     exec_counts = np.fromiter([t[0].shape[0] for t in tables], np.int64, n)
     reading_offsets = np.fromiter(accumulate(reading_counts.tolist(), initial=0), np.int64, n + 1)
     exec_offsets = np.fromiter(accumulate(exec_counts.tolist(), initial=0), np.int64, n + 1)
-    exec_indices = _concat([t[0] for t in tables], np.int64)
     starts = _concat([t[1] for t in tables], float)
     ends = _concat([t[2] for t in tables], float)
     owner = np.arange(n).repeat(reading_counts)
@@ -434,30 +459,60 @@ def extract_lois_batch(
             ],
             np.int64,
         )
+    return ReadingMatch(
+        columns=columns,
+        owner=owner,
+        times_s=times,
+        positions=positions,
+        reading_offsets=reading_offsets,
+        execution_offsets=exec_offsets,
+        execution_indices=_concat([t[0] for t in tables], np.int64),
+        execution_starts_s=starts,
+        execution_ends_s=ends,
+    )
+
+
+def extract_lois_batch(
+    runs: Sequence[RunRecord],
+    calibration: DelayCalibration | None = None,
+    synchronize: bool = True,
+) -> LOIBatch:
+    """Extract the LOIs of many runs in one vectorized pass (step 7).
+
+    :func:`match_readings` matches every reading; the matched ones are then
+    gathered into LOI rows.  No per-LOI object is built: the window-end
+    mapping and the TOI are the float operations of
+    :meth:`ClockSynchronizer.cpu_time_of` and a one-reading-at-a-time walk,
+    so every value -- and every :class:`LogOfInterest` later built from the
+    arrays by :func:`loi_object` -- is bit-identical to that walk.
+    """
+    match = match_readings(runs, calibration, synchronize)
+    positions, times = match.positions, match.times_s
+    exec_offsets, exec_indices = match.execution_offsets, match.execution_indices
     rows = (positions >= 0).nonzero()[0]
-    loi_owner = owner[rows]
+    loi_owner = match.owner[rows]
     execution_position = positions[rows]
     execution_rows = exec_offsets[loi_owner] + execution_position
     window_end = times[rows]
-    powers, masks = gather_powers(columns, rows)
+    powers, masks = gather_powers(match.columns, rows)
     return LOIBatch(
         run_ordinal=loi_owner,
         execution_index=exec_indices[execution_rows],
         execution_position=execution_position,
         last_execution=exec_indices[exec_offsets[loi_owner + 1] - 1],
-        reading_position=rows - reading_offsets[loi_owner],
+        reading_position=rows - match.reading_offsets[loi_owner],
         window_end_s=window_end,
-        toi_s=window_end - starts[execution_rows],
+        toi_s=window_end - match.execution_starts_s[execution_rows],
         powers_w=powers,
         masks=masks,
-        run_index=np.fromiter([run.run_index for run in runs], np.int64, n),
-        reading_offsets=reading_offsets,
+        run_index=np.fromiter([run.run_index for run in runs], np.int64, len(runs)),
+        reading_offsets=match.reading_offsets,
         reading_times_s=times,
         reading_positions=positions,
         execution_offsets=exec_offsets,
         execution_indices=exec_indices,
-        execution_starts_s=starts,
-        execution_ends_s=ends,
+        execution_starts_s=match.execution_starts_s,
+        execution_ends_s=match.execution_ends_s,
     )
 
 
@@ -490,7 +545,9 @@ __all__ = [
     "match_execution",
     "match_execution_positions",
     "extract_lois_batch",
+    "match_readings",
     "LOIBatch",
+    "ReadingMatch",
     "loi_object",
     "synchronizer_for_run",
 ]

@@ -147,11 +147,9 @@ def fig5_from_results(
     misattribution = mismatches / considered if considered else 0.0
 
     # Binning effect: spread of the SSP profile with and without golden-run
-    # selection, again on the same runs.
-    full_stitcher = ProfileStitcher(calibration=synchronized.calibration)
-    full_series = full_stitcher.collect(list(synchronized.runs))
-    unbinned_ssp = full_stitcher.ssp_profile(
-        full_series, golden_runs=None, min_execution_index=synchronized.plan.ssp_index
+    # selection, again on the same (already stitched) runs.
+    unbinned_ssp = sync_stitcher.ssp_profile(
+        sync_series, golden_runs=None, min_execution_index=synchronized.plan.ssp_index
     )
     binned_ssp = synchronized.ssp_profile
     unbinned_spread = profile_spread(unbinned_ssp)

@@ -119,7 +119,7 @@ def _check_parameter_types(values: tuple) -> None:
 
 
 def _count(value, name: str) -> int:
-    """``value`` as a positive execution count; bools and floats are rejected."""
+    """``value`` as a positive count; bools and floats are rejected."""
     if isinstance(value, (bool, np.bool_)):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     try:
@@ -291,8 +291,7 @@ class SimulatedDeviceBackend:
     # ------------------------------------------------------------------ #
     def time_kernel(self, kernel: object, executions: int) -> list[float]:
         """Host-timed back-to-back executions from an idle device (step 1)."""
-        if executions <= 0:
-            raise ValueError("need at least one execution")
+        executions = _count(executions, "executions")
         descriptor = self._descriptor_of(kernel)
         self._device.park(self._config.park_s)
         observed = self._launcher.launch_sequence(
@@ -302,8 +301,7 @@ class SimulatedDeviceBackend:
 
     def calibrate_read_delay(self, samples: int = 32) -> DelayCalibration:
         """Benchmark the GPU timestamp read round trip (step 2)."""
-        if samples <= 0:
-            raise ValueError("need at least one calibration sample")
+        samples = _count(samples, "samples")
         round_trips = [self._device.read_timestamp().round_trip_s for _ in range(samples)]
         return DelayCalibration(
             mean_round_trip_s=float(np.mean(round_trips)),

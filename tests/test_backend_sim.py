@@ -62,6 +62,14 @@ class TestTimeKernel:
         with pytest.raises(ValueError):
             backend.time_kernel(kernel, executions=0)
 
+    @pytest.mark.parametrize(
+        "executions, error",
+        [(True, TypeError), (2.5, TypeError), ("3", TypeError), (-1, ValueError)],
+    )
+    def test_rejects_malformed_counts_by_name(self, backend, kernel, executions, error):
+        with pytest.raises(error, match="executions"):
+            backend.time_kernel(kernel, executions)
+
 
 class TestCalibration:
     def test_calibration_statistics(self, backend):
@@ -75,6 +83,14 @@ class TestCalibration:
     def test_rejects_zero_samples(self, backend):
         with pytest.raises(ValueError):
             backend.calibrate_read_delay(samples=0)
+
+    @pytest.mark.parametrize(
+        "samples, error",
+        [(True, TypeError), (2.5, TypeError), ("3", TypeError), (-1, ValueError)],
+    )
+    def test_rejects_malformed_counts_by_name(self, backend, samples, error):
+        with pytest.raises(error, match="samples"):
+            backend.calibrate_read_delay(samples=samples)
 
 
 class TestRun:

@@ -15,11 +15,13 @@ import numpy as np
 import pytest
 
 from repro.analysis.errors import (
+    CONVERGENCE_BINS,
     StreamingCIEstimator,
     evaluate_profile_convergence,
 )
 from repro.core.binning import ExecutionTimeBinner
 from repro.core.differentiation import build_plan
+from repro.core.profile import FineGrainProfile, ProfileColumns, ProfileKind
 from repro.core.profiler import (
     PROFILE_SECTIONS,
     FinGraVProfiler,
@@ -387,6 +389,159 @@ class TestAdaptiveSession:
     def test_invalid_run_count_rejected_at_session_setup(self):
         with pytest.raises(ValueError, match="run count"):
             adaptive_profiler().session(cb_gemm(2048), runs=0)
+
+
+# --------------------------------------------------------------------------- #
+# Checkpoints: counts, diagnostics and snapshots against a from-scratch build.
+# --------------------------------------------------------------------------- #
+def recompute_checkpoint(session):
+    """Everything one checkpoint reports, rebuilt from the session's records.
+
+    A fresh stitcher collects every record in one batch, a fresh binner bins
+    every duration, and the golden filter is ``np.isin`` -- none of the
+    session's incremental state (ledger appends, the flag table, memoised
+    rows) is reused.
+    """
+    config, plan = session.config, session.plan
+    records = list(session.records)
+    golden = None
+    if config.apply_binning:
+        margin = (
+            config.binning_margin if config.binning_margin is not None
+            else session.guidance.binning_margin
+        )
+        binning = ExecutionTimeBinner(margin).bin(
+            [record.execution_duration("last") for record in records]
+        )
+        golden = [records[i].run_index for i in binning.selected_indices]
+    stitcher = ProfileStitcher(
+        components=config.components,
+        calibration=session._calibration if config.synchronize else None,
+        synchronize=config.synchronize,
+    )
+    series = stitcher.collect(records)
+    run_idx, exec_idx = series.loi_index_arrays()
+    is_golden = np.ones(run_idx.shape, dtype=bool)
+    if golden is not None:
+        is_golden = np.isin(run_idx, np.array(golden, dtype=np.int64))
+    last = exec_idx == series.loi_last_execution_array()
+    sse = (exec_idx == plan.sse_index) & is_golden
+    # Counts and diagnostics read the SSP execution onward (each run's last
+    # execution without differentiation); the SSP profile starts at
+    # _ssp_start_index.
+    ssp_counted = (exec_idx >= plan.ssp_index if config.differentiate else last) & is_golden
+    profile_start = session._profiler._ssp_start_index(plan)
+    ssp_profiled = (exec_idx >= profile_start) & is_golden
+
+    target = session.guidance.recommended_lois(session.execution_time_s)
+    sse_target = min(4, target) if config.differentiate else 0
+    ssp_have = int(np.count_nonzero(ssp_counted))
+    shortfall = max(target - ssp_have, sse_target - int(np.count_nonzero(sse)))
+
+    # An empty ledger (no LOI yet) has no power column.
+    values, presence = series.loi_power_column("total") or (np.zeros(0), None)
+    present = np.ones(values.shape, dtype=bool) if presence is None else presence
+    diagnostics = []
+    sections = [("ssp", ssp_counted)] + ([("sse", sse)] if config.differentiate else [])
+    for section, mask in sections:
+        mask = mask & present
+        diagnostics.append(evaluate_profile_convergence(
+            section,
+            values[mask],
+            series.loi_toi_array()[mask],
+            session.execution_time_s,
+            config.convergence_rtol,
+            bins=CONVERGENCE_BINS if section == "ssp" else 1,
+            min_samples=2 if section == "ssp" else max(2, sse_target),
+        ))
+
+    def profile(mask, kind, which):
+        keep = np.flatnonzero(mask)
+        powers, masks = {}, {}
+        for component in config.components:
+            column = series.loi_power_column(component)
+            if column is not None and keep.size:
+                powers[component] = column[0][keep]
+                if column[1] is not None:
+                    masks[component] = column[1][keep]
+        columns = ProfileColumns(
+            time_s=series.loi_toi_array()[keep],
+            run_index=run_idx[keep],
+            execution_index=exec_idx[keep],
+            powers_w=powers,
+            masks=masks,
+        )
+        durations = [
+            record.execution_duration(which) for record in records
+            if golden is None or record.run_index in golden
+        ]
+        return FineGrainProfile(
+            kernel_name=series.kernel_name,
+            kind=kind,
+            execution_time_s=float(sum(durations) / len(durations)) if durations else 0.0,
+            columns=columns,
+        )
+
+    return {
+        "golden": None if golden is None else tuple(golden),
+        "ssp_have": ssp_have,
+        "shortfall": shortfall,
+        "diagnostics": tuple(diagnostics),
+        "ssp": profile(ssp_profiled, ProfileKind.SSP, profile_start),
+        "sse": profile(sse, ProfileKind.SSE, plan.sse_index),
+    }
+
+
+def assert_profile_bits_equal(actual, expected) -> None:
+    assert actual.execution_time_s == expected.execution_time_s
+    assert np.array_equal(actual.run_indices(), expected.run_indices())
+    assert_profiles_equal(actual, expected)
+
+
+CHECKPOINT_KERNELS = {
+    "CB-2K": (cb_gemm, 2048), "CB-4K": (cb_gemm, 4096), "MB-8K": (mb_gemv, 8192),
+}
+POLICIES = {False: "fixed", True: "adaptive"}
+CHECKPOINT_CASES = [
+    pytest.param(kernel, adaptive, seed, {}, id=f"{kernel}-{POLICIES[adaptive]}-{seed}")
+    for kernel in CHECKPOINT_KERNELS
+    for adaptive in POLICIES
+    for seed in (1, 2, 3)
+] + [
+    pytest.param(
+        kernel, adaptive, 4, {option: False}, id=f"{kernel}-{POLICIES[adaptive]}-no-{option}"
+    )
+    for kernel in ("CB-2K", "MB-8K")
+    for adaptive in POLICIES
+    for option in ("apply_binning", "differentiate")
+]
+
+
+class TestCheckpointEquivalence:
+    """Every checkpoint's counts, diagnostics and snapshot profiles equal,
+    bit for bit, a from-scratch recomputation over the same records."""
+
+    @pytest.mark.parametrize("kernel, adaptive, seed, options", CHECKPOINT_CASES)
+    def test_every_checkpoint_matches_recomputation(self, kernel, adaptive, seed, options):
+        factory, size = CHECKPOINT_KERNELS[kernel]
+        profiler = make_profiler(
+            30 + seed, seed=130 + seed, adaptive=adaptive, max_additional_runs=48, **options
+        )
+        session = profiler.session(factory(size), runs=16)
+        checkpoints = 0
+        for snapshot in session.iter_profiles():
+            expected = recompute_checkpoint(session)
+            assert session.golden_run_indices == expected["golden"]
+            assert session._ssp_have() == expected["ssp_have"]
+            assert session._shortfall() == expected["shortfall"]
+            assert snapshot.diagnostics == expected["diagnostics"]
+            for section in ("ssp", "sse"):
+                assert_profile_bits_equal(snapshot.profiles[section], expected[section])
+            checkpoints += 1
+        result = session.result()
+        assert_profile_bits_equal(result.ssp_profile, expected["ssp"])
+        assert_profile_bits_equal(result.sse_profile, expected["sse"])
+        assert checkpoints >= session.collection_audit()["batches"]
 
 
 # --------------------------------------------------------------------------- #

@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.binning import ExecutionTimeBinner
 from repro.core.differentiation import ssp_execution_count
 from repro.core.guidance import paper_guidance_table
 from repro.core.records import DelayCalibration, TimestampAnchor
+from repro.core.stitching import GoldenRuns, golden_mask
 from repro.core.timesync import ClockSynchronizer
 from repro.gpu.activity import KernelActivityDescriptor
 from repro.gpu.clocks import GPUTimestampCounter, SimulationClock
@@ -52,6 +53,32 @@ class TestBinningProperties:
         narrow = ExecutionTimeBinner(margin).bin(values)
         wide = ExecutionTimeBinner(margin * 2).bin(values)
         assert wide.num_selected >= narrow.num_selected
+
+
+class TestGoldenFilterProperties:
+    @given(
+        rows=st.lists(st.tuples(st.integers(0, 40), st.booleans()), max_size=60),
+        golden=st.none() | st.lists(st.integers(-5, 90), max_size=40),
+    )
+    # An empty ledger; golden runs past the ledger (and below it), with
+    # duplicates; an empty selection; no selection.
+    @example(rows=[], golden=[3, 3, 7])
+    @example(rows=[(0, True), (5, True), (5, False)], golden=[5, 5, 80, -2])
+    @example(rows=[(1, True), (2, True)], golden=[])
+    @example(rows=[(1, True), (2, False)], golden=None)
+    @settings(max_examples=150, deadline=None)
+    def test_flag_table_filter_equals_isin(self, rows, golden):
+        run_idx = np.array([run for run, _ in rows], dtype=np.int64)
+        mask = np.array([keep for _, keep in rows], dtype=bool)
+        filtered = golden_mask(mask, run_idx, golden)
+        if golden is None:
+            assert filtered is mask
+            return
+        expected = mask & np.isin(run_idx, np.array(golden, dtype=np.int64))
+        assert filtered.dtype == bool and np.array_equal(filtered, expected)
+        table = GoldenRuns(golden)
+        assert np.array_equal(golden_mask(mask, run_idx, table), expected)
+        assert list(table) == golden
 
 
 class TestTimesyncProperties:

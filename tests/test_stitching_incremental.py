@@ -88,11 +88,16 @@ class TestExecutionTime:
     def test_durations_extend_incrementally(self, mixed_records):
         stitcher = ProfileStitcher()
         series = stitcher.collect(mixed_records[:4])
-        assert series.execution_durations(15) == ([2], [mixed_records[2].execution(15).duration_s])
+        run_indices, durations = series.execution_durations(15)
+        assert (run_indices.tolist(), durations.tolist()) == (
+            [2], [mixed_records[2].execution(15).duration_s]
+        )
         stitcher.extend(series, mixed_records[4:9])
         run_indices, durations = series.execution_durations(15)
-        assert run_indices == [2, 5, 8]
-        assert durations == [mixed_records[i].execution(15).duration_s for i in run_indices]
+        assert run_indices.tolist() == [2, 5, 8]
+        assert durations.tolist() == [
+            mixed_records[i].execution(15).duration_s for i in run_indices.tolist()
+        ]
 
 
 class TestExtend:
