@@ -50,7 +50,6 @@ from .profiler import (
 from .records import (
     COMPONENT_KEYS,
     DelayCalibration,
-    ExecutionColumns,
     ExecutionRole,
     ExecutionTiming,
     LogOfInterest,
@@ -73,7 +72,6 @@ from .timesync import (
     ClockSynchronizer,
     NaiveIndexSynchronizer,
     match_execution,
-    match_execution_positions,
     synchronizer_for_run,
 )
 
@@ -118,7 +116,6 @@ __all__ = [
     "normalize_profile_sections",
     "COMPONENT_KEYS",
     "DelayCalibration",
-    "ExecutionColumns",
     "ExecutionRole",
     "ExecutionTiming",
     "LogOfInterest",
@@ -140,6 +137,5 @@ __all__ = [
     "ClockSynchronizer",
     "NaiveIndexSynchronizer",
     "match_execution",
-    "match_execution_positions",
     "synchronizer_for_run",
 ]

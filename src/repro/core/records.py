@@ -439,11 +439,13 @@ class ReadingColumns:
     @property
     def window_s(self) -> np.ndarray:
         if self._window_s is None:
-            self._window_s = np.fromiter(
-                (r.window_s for r in self._readings),
-                dtype=float,
-                count=len(self._readings),
-            )
+            readings = self._readings
+            if isinstance(readings, PowerReadings):
+                self._window_s = np.full(len(readings), readings.window_s, dtype=float)
+            else:
+                self._window_s = np.fromiter(
+                    (r.window_s for r in readings), dtype=float, count=len(readings)
+                )
         return self._window_s
 
     @property
@@ -460,6 +462,14 @@ class ReadingColumns:
 
     def _build_powers(self) -> None:
         readings = self._readings
+        if isinstance(readings, PowerReadings):
+            powers = {"total": readings.total_w}
+            names = readings.component_names
+            for name in sorted(names):
+                powers[name] = readings.components_w[:, names.index(name)]
+            self._powers_w = powers
+            self._uniform = True
+            return
         if not readings:
             self._powers_w = {"total": np.empty(0, dtype=float)}
             self._uniform = True
@@ -509,22 +519,20 @@ class ReadingColumns:
 
     @classmethod
     def _adopt(cls, view: PowerReadings) -> "ReadingColumns":
-        """Adopt a :class:`PowerReadings` view's arrays directly (zero copy).
+        """Adopt a :class:`PowerReadings` view's arrays directly (zero copy, O(1)).
 
         Produces the identical columns :meth:`__init__` + :meth:`_build_powers`
         would derive by iterating materialised readings: the same ticks, a
         constant window column, ``total`` first then the component keys in
         sorted order, and ``uniform_components=True`` (every reading of a view
-        shares one component set by construction).
+        shares one component set by construction).  The window and power
+        columns are built on first access, from the view's arrays.
         """
         columns = cls.__new__(cls)
         columns._readings = view
         columns.gpu_timestamp_ticks = view.gpu_timestamp_ticks
-        columns._window_s = np.full(len(view), view.window_s, dtype=float)
-        powers: dict[str, np.ndarray] = {"total": view.total_w}
-        for name in sorted(view.component_names):
-            powers[name] = view.components_w[:, view.component_names.index(name)]
-        columns._powers_w = powers
+        columns._window_s = None
+        columns._powers_w = None
         columns._uniform = True
         return columns
 
@@ -560,46 +568,6 @@ def component_column(
 
 
 @dataclass(frozen=True)
-class ExecutionColumns:
-    """Structure-of-arrays view over a run's executions, sorted by start time.
-
-    ``positions[i]`` maps the i-th sorted entry back to its position in the
-    run's ``executions`` tuple, so consumers can recover the original
-    :class:`ExecutionTiming` object after a vectorized match.
-    """
-
-    indices: np.ndarray
-    starts_s: np.ndarray
-    ends_s: np.ndarray
-    positions: np.ndarray
-
-    @property
-    def num_executions(self) -> int:
-        return int(self.indices.shape[0])
-
-    @staticmethod
-    def from_executions(executions: Sequence[ExecutionTiming]) -> "ExecutionColumns":
-        if isinstance(executions, ExecutionTimings):
-            # Columnar source: sort the adopted arrays, no object iteration.
-            starts = executions.starts_s
-            order = np.argsort(starts, kind="stable")
-            return ExecutionColumns(
-                indices=executions.indices[order],
-                starts_s=starts[order],
-                ends_s=executions.ends_s[order],
-                positions=order.astype(np.int64),
-            )
-        starts = np.asarray([e.cpu_start_s for e in executions], dtype=float)
-        order = np.argsort(starts, kind="stable")
-        return ExecutionColumns(
-            indices=np.asarray([executions[i].index for i in order], dtype=np.int64),
-            starts_s=starts[order],
-            ends_s=np.asarray([executions[i].cpu_end_s for i in order], dtype=float),
-            positions=order.astype(np.int64),
-        )
-
-
-@dataclass(frozen=True)
 class RunRecord:
     """Everything collected during one profiling run.
 
@@ -612,7 +580,7 @@ class RunRecord:
     tuples of the record objects (the reference backend path) or the
     tuple-compatible columnar views :class:`PowerReadings` /
     :class:`ExecutionTimings` (the compiled arena path).  Both compare equal
-    element-wise; the ``*_columns`` accessors adopt a view's arrays directly.
+    element-wise; :meth:`reading_columns` adopts a view's arrays directly.
     """
 
     run_index: int
@@ -704,21 +672,12 @@ class RunRecord:
             object.__setattr__(self, "_reading_columns", cached)
         return cached
 
-    def execution_columns(self) -> ExecutionColumns:
-        """Columnar view over the executions (sorted by start), built once."""
-        cached = self.__dict__.get("_execution_columns")
-        if cached is None:
-            cached = ExecutionColumns.from_executions(self.executions)
-            object.__setattr__(self, "_execution_columns", cached)
-        return cached
-
     def __getstate__(self) -> dict:
-        # The cached columnar views are cheap to rebuild but expensive to
-        # serialise (and the reading columns pin materialised objects); keep
-        # them out of pickles so IPC/cache payloads carry only the record data.
+        # The cached reading columns are cheap to rebuild but expensive to
+        # serialise (and can pin materialised objects); keep them out of
+        # pickles so IPC/cache payloads carry only the record data.
         state = dict(self.__dict__)
         state.pop("_reading_columns", None)
-        state.pop("_execution_columns", None)
         return state
 
     def role_of(self, index: int, warmup_executions: int, sse_index: int) -> ExecutionRole:
@@ -773,7 +732,6 @@ __all__ = [
     "ExecutionTimings",
     "ExecutionArena",
     "ReadingColumns",
-    "ExecutionColumns",
     "component_column",
     "ExecutionRole",
     "ExecutionTiming",

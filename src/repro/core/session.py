@@ -437,27 +437,27 @@ class ProfileSession:
         The binner keeps its sorted state and the stitcher extracts only the
         new records into the series' LOI ledger
         (ExecutionTimeBinner.extend / ProfileStitcher.extend).  The golden
-        selection becomes one flag table here; the series memoises each
-        section's golden rows against it until the next ingest, so the
-        checkpoint's counts, diagnostics and profiles select them once.
+        selection becomes one flag table here, gathered straight from the
+        binner's selection array; the series memoises each section's golden
+        rows against it until the next ingest, so the checkpoint's counts,
+        diagnostics and profiles select them once.
         """
         self._records.extend(new_records)
         self._batches += 1
         if self._binner is not None and new_records:
-            self._binning = self._binner.extend(
-                record.execution_duration("last") for record in new_records
-            )
+            count = len(new_records)
+            self._binning = self._binner.extend(np.fromiter(
+                (record.execution_duration("last") for record in new_records),
+                dtype=float,
+                count=count,
+            ))
             self._run_indices = np.concatenate((
                 self._run_indices,
                 np.fromiter(
-                    (record.run_index for record in new_records),
-                    dtype=np.int64,
-                    count=len(new_records),
+                    (record.run_index for record in new_records), dtype=np.int64, count=count
                 ),
             ))
-            self._golden = GoldenRuns(self._run_indices[
-                np.array(self._binning.selected_indices, dtype=np.int64)
-            ])
+            self._golden = GoldenRuns(self._run_indices.take(self._binning.selected))
         if self._series is None:
             self._series = self._stitcher.collect(new_records)
         else:
@@ -492,7 +492,7 @@ class ProfileSession:
         rows = self._rows(section)
         if presence is not None:
             rows = rows[presence[rows]]
-        return values[rows], series.loi_toi_array()[rows]
+        return values.take(rows), series.loi_toi_array().take(rows)
 
     def _evaluate_diagnostics(self) -> tuple[ConvergenceDiagnostics, ...]:
         """Per-section convergence diagnostics for the current record set.

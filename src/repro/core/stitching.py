@@ -16,16 +16,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import _kernels as _CK
 from .profile import FineGrainProfile, ProfileColumns, ProfileKind
 from .records import COMPONENT_KEYS, DelayCalibration, LogOfInterest, RunRecord
-from .timesync import (
-    LOIBatch,
-    ReadingMatch,
-    extract_lois_batch,
-    gather_powers,
-    loi_object,
-    match_readings,
-)
+from .timesync import LOIBatch, extract_lois_batch, gather_powers, loi_object
 
 
 class _GrowableColumns:
@@ -66,15 +60,22 @@ class _GrowableColumns:
         self._buffer[position, : self._size] = fill
         return position
 
-    def extend(self, columns: Sequence, count: int) -> None:
+    def extend(self, columns: Sequence | np.ndarray, count: int) -> None:
         """Append ``count`` rows: ``columns[i]`` (an array or a fill value) is
-        column ``i``'s part of them."""
+        column ``i``'s part of them; a 2-D array is copied as one block."""
         start, size = self._size, self._size + count
         self._reserve(self.width, size)
         buffer = self._buffer
-        for position, values in enumerate(columns):
-            buffer[position, start:size] = values
+        if isinstance(columns, np.ndarray):
+            buffer[: columns.shape[0], start:size] = columns
+        else:
+            for position, values in enumerate(columns):
+                buffer[position, start:size] = values
         self._size = size
+
+    def shift(self, position: int, count: int, offset: int) -> None:
+        """Add ``offset`` to column ``position`` of the last ``count`` rows."""
+        self._buffer[position, self._size - count : self._size] += offset
 
     def column(self, position: int = 0) -> np.ndarray:
         view = self._views.get(position)
@@ -84,10 +85,11 @@ class _GrowableColumns:
         return view
 
 
-# Columns of the per-LOI integer ledger.
-_ORDINAL, _RUN, _EXECUTION, _LAST, _EXECUTION_POSITION, _READING_POSITION = range(6)
-# Columns of the per-LOI float ledger.
-_WINDOW_END, _TOI = range(2)
+# Columns of the per-LOI integer and float ledgers: the order of the LOI
+# blocks k_match writes, so a batch is appended as one block each.
+_ORDINAL, _RUN, _EXECUTION = _CK.I_ORDINAL, _CK.I_RUN, _CK.I_EXECUTION
+_LAST, _EXECUTION_POSITION, _READING_POSITION = _CK.I_LAST, _CK.I_EXEC_POS, _CK.I_READING
+_WINDOW_END, _TOI = _CK.F_WINDOW_END, _CK.F_TOI
 
 
 class StitchedRunSeries:
@@ -108,8 +110,8 @@ class StitchedRunSeries:
         self.kernel_name = kernel_name
         self._runs: dict[int, RunRecord] = {}
         self._records: list[RunRecord] = []
-        self._loi_ints = _GrowableColumns(np.int64, 6)
-        self._loi_floats = _GrowableColumns(float, 2)
+        self._loi_ints = _GrowableColumns(np.int64, _CK.I_LOI_LEN)
+        self._loi_floats = _GrowableColumns(float, _CK.F_LOI_LEN)
         self._powers = _GrowableColumns(float, 0)
         self._presence = _GrowableColumns(bool, 0)
         self._power_columns: dict[str, int] = {}
@@ -176,19 +178,12 @@ class StitchedRunSeries:
     def _append_lois(self, batch: LOIBatch, base_ordinal: int) -> None:
         """Append a batch's LOIs as ledger rows; its runs start at ``base_ordinal``."""
         size, count = self.num_lois, batch.num_lois
-        ordinal = batch.run_ordinal
-        self._loi_ints.extend(
-            (
-                ordinal + base_ordinal,
-                batch.run_index[ordinal],
-                batch.execution_index,
-                batch.last_execution,
-                batch.execution_position,
-                batch.reading_position,
-            ),
-            count,
-        )
-        self._loi_floats.extend((batch.window_end_s, batch.toi_s), count)
+        # The batch's LOI blocks are in the ledger's column order; only the
+        # run ordinals move from the batch's to the series'.
+        self._loi_ints.extend(batch.loi_ints, count)
+        if base_ordinal:
+            self._loi_ints.shift(_ORDINAL, count, base_ordinal)
+        self._loi_floats.extend(batch.loi_floats, count)
         self._objects.extend([None] * count)
 
         powers, masks = batch.powers_w, batch.masks
@@ -396,9 +391,7 @@ class StitchedRunSeries:
         positions = np.concatenate([batch.reading_positions for batch in batches])[rows[keep]]
         execution_indices = np.concatenate([batch.execution_indices for batch in batches])
         records = self._records
-        powers, masks = gather_powers(
-            [records[i].reading_columns() for i in selected.tolist()], keep
-        )
+        powers, masks = gather_powers([records[i] for i in selected.tolist()], keep)
         return [ProfileColumns(
             time_s=times[keep] - origin[owner],
             run_index=run_index[selected][owner],
@@ -522,13 +515,13 @@ class ProfileStitcher:
         self._stitch_into(series, new_records)
         return series
 
-    def match(self, runs: Sequence[RunRecord]) -> ReadingMatch:
-        """The matching stage of stitching ``runs``, without ledger rows.
+    def match(self, runs: Sequence[RunRecord]) -> LOIBatch:
+        """The LOIs stitching ``runs`` would add, without appending them.
 
-        Enough to count the LOIs the runs would add
-        (:meth:`ReadingMatch.last_execution_count`) before stitching them.
+        Enough to count them (:meth:`LOIBatch.last_execution_count`) before
+        stitching the runs.
         """
-        return match_readings(runs, self._calibration, self._synchronize)
+        return extract_lois_batch(runs, self._calibration, self._synchronize)
 
     def _stitch_into(self, series: StitchedRunSeries, runs: Sequence[RunRecord]) -> None:
         if not runs:
@@ -677,9 +670,9 @@ class ProfileStitcher:
         """
         golden = GoldenRuns.of(golden_runs)
         rows = series.rows(golden_runs=golden, **filters)
-        toi = series.loi_toi_array()[rows]
+        toi = series.loi_toi_array().take(rows)
         order = np.argsort(toi, kind="stable")
-        rows, toi = rows[order], toi[order]
+        rows, toi = rows.take(order), toi.take(order)
         run_idx, exec_idx = series.loi_index_arrays()
         powers: dict[str, np.ndarray] = {}
         masks: dict[str, np.ndarray] = {}
@@ -689,13 +682,13 @@ class ProfileStitcher:
                 if column is None:
                     continue
                 values, presence = column
-                powers[component] = values[rows]
+                powers[component] = values.take(rows)
                 if presence is not None:
-                    masks[component] = presence[rows]
+                    masks[component] = presence.take(rows)
         columns = ProfileColumns(
             time_s=toi,
-            run_index=run_idx[rows],
-            execution_index=exec_idx[rows],
+            run_index=run_idx.take(rows),
+            execution_index=exec_idx.take(rows),
             powers_w=powers,
             masks=masks,
         )

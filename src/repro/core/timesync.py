@@ -24,13 +24,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import _kernels as _CK
 from .records import (
     DelayCalibration,
     ExecutionTiming,
     ExecutionTimings,
     LogOfInterest,
     PowerReading,
-    ReadingColumns,
+    PowerReadings,
     RunRecord,
     TimestampAnchor,
 )
@@ -103,59 +104,6 @@ def match_execution(
     return None
 
 
-def match_execution_positions(run: RunRecord, cpu_times_s: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`match_execution` over an array of CPU times.
-
-    Returns, for every time, the position into ``run.executions`` of the
-    execution whose (inclusive) span contains it, or ``-1`` when the time
-    falls into idle.  Each time is matched against the sorted execution
-    start/end arrays with one :func:`np.searchsorted`; a time landing exactly
-    on a boundary shared by two back-to-back executions is attributed to the
-    earlier one, matching the scalar first-match semantics for chronologically
-    ordered executions.
-    """
-    times = np.asarray(cpu_times_s, dtype=float)
-    result = np.full(times.shape, -1, dtype=np.int64)
-    if not run.executions or times.size == 0:
-        return result
-    cols = run.execution_columns()
-    starts, ends = cols.starts_s, cols.ends_s
-    if cols.num_executions > 1 and bool(
-        np.any(np.diff(ends) < 0)
-        or np.any(cols.positions != np.arange(cols.num_executions))
-    ):
-        # Nested executions or a non-chronological tuple: binary search cannot
-        # reproduce first-match semantics, fall back to the scalar scan.
-        for i, t in enumerate(times):
-            execution = match_execution(run.executions, float(t))
-            if execution is not None:
-                result[i] = run.executions.index(execution)
-        return result
-    pos = _first_containing_positions(starts, ends, times)
-    valid = pos >= 0
-    result[valid] = cols.positions[pos[valid]]
-    return result
-
-
-def _first_containing_positions(
-    starts: np.ndarray, ends: np.ndarray, times: np.ndarray
-) -> np.ndarray:
-    """Index of the first execution containing each time (-1 when none).
-
-    ``starts`` and ``ends`` must both be non-decreasing and non-empty
-    (host-observed back-to-back executions may *slightly* overlap because of
-    observation jitter, but their ends stay ordered).  The executions ending
-    at or after a time are then a suffix, found by one binary search on the
-    ends; its first execution contains the time exactly when it starts at or
-    before it -- every later one starts no earlier.  That is the scalar first
-    match, including shared-boundary and small-overlap cases.
-    """
-    first = ends.searchsorted(times, side="left")
-    last = ends.shape[0] - 1
-    found = (first <= last) & (starts[np.minimum(first, last)] <= times)
-    return np.where(found, first, -1)
-
-
 def _loi_from(
     run_index: int,
     reading: PowerReading,
@@ -193,8 +141,9 @@ def _execution_table(run: RunRecord) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
+    """``parts`` joined into one C-contiguous array (one part is not copied)."""
     if len(parts) == 1:
-        return parts[0]
+        return np.ascontiguousarray(parts[0])
     return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
 
@@ -211,6 +160,11 @@ class LOIBatch:
     the time of interest.  ``powers_w`` maps every component carried by the
     batch's readings to its per-LOI watts; ``masks`` marks presence for a
     component some LOI readings lack (their value is ``NaN``).
+
+    ``loi_ints`` / ``loi_floats`` hold those per-LOI columns as two blocks,
+    one row per column, in the LOI ledger's order: run ordinal, run index,
+    execution index, last execution, execution position and reading
+    position; window end and time of interest.
 
     Per run: ``run_index`` and the ``reading_offsets`` /
     ``execution_offsets`` into the per-reading and per-execution columns.
@@ -236,10 +190,16 @@ class LOIBatch:
     execution_indices: np.ndarray
     execution_starts_s: np.ndarray
     execution_ends_s: np.ndarray
+    loi_ints: np.ndarray
+    loi_floats: np.ndarray
 
     @property
     def num_lois(self) -> int:
         return int(self.run_ordinal.shape[0])
+
+    def last_execution_count(self) -> int:
+        """How many LOIs belong to their run's last execution."""
+        return int(np.count_nonzero(self.execution_index == self.last_execution))
 
     def reading_match(self, ordinal: int) -> tuple[np.ndarray, np.ndarray]:
         """(window-end times, matched execution positions) of one run."""
@@ -252,114 +212,50 @@ class LOIBatch:
         ``which`` is ``"last"`` or an execution index (its first occurrence
         in a run counts, as :meth:`RunRecord.execution_duration` finds it);
         runs without that execution are left out.  A duration is the float
-        subtraction of :attr:`ExecutionTiming.duration_s`.
+        subtraction of :attr:`ExecutionTiming.duration_s`, taken by the
+        ``k_durations`` kernel body.
         """
-        offsets = self.execution_offsets
-        if which == "last":
-            ordinals = np.flatnonzero(offsets[1:] > offsets[:-1])
-            rows = offsets[ordinals + 1] - 1
-        else:
-            rows = np.flatnonzero(self.execution_indices == int(which))
-            owners = np.searchsorted(offsets, rows, side="right") - 1
-            first = np.ones(owners.shape[0], dtype=bool)
-            first[1:] = owners[1:] != owners[:-1]
-            ordinals, rows = owners[first], rows[first]
-        return (
-            self.run_index[ordinals],
-            self.execution_ends_s[rows] - self.execution_starts_s[rows],
-        )
+        # Imported here: repro.gpu imports repro.core.
+        from ..gpu.fastcore import kernels
 
-
-def _window_end_times(
-    runs: Sequence[RunRecord],
-    ticks: np.ndarray,
-    owner: np.ndarray,
-    reading_offsets: np.ndarray,
-    calibration: DelayCalibration | None,
-    synchronize: bool,
-) -> np.ndarray:
-    """Every reading's window-end CPU time, for all runs at once.
-
-    ``owner`` maps each reading to its run.  Synchronised, this is
-    :meth:`ClockSynchronizer.cpu_time_of`: the float operations of
-    :attr:`ClockSynchronizer.anchor_capture_cpu_s` per run anchor, then the
-    tick conversion element-wise; unsynchronised, the
-    :class:`NaiveIndexSynchronizer` grid.  Both are bit-identical to the
-    per-run mappings.
-    """
-    n = len(runs)
-    if synchronize:
-        anchors = [run.anchor for run in runs]
-        if calibration is not None:
-            one_way = calibration.one_way_delay_s
-            captures = [(a.cpu_time_after_s - a.round_trip_s) + one_way for a in anchors]
-        else:
-            captures = [
-                (a.cpu_time_after_s - a.round_trip_s) + a.round_trip_s / 2.0 for a in anchors
-            ]
-        capture = np.fromiter(captures, float, n)
-        anchor_ticks = np.fromiter([a.gpu_ticks for a in anchors], np.int64, n)
-        frequency = np.fromiter([run.counter_frequency_hz for run in runs], float, n)
-        return capture[owner] + (ticks - anchor_ticks[owner]) / frequency[owner]
-    grid = np.array(
-        [
-            (
-                float(run.metadata.get("logger_start_cpu_s", run.anchor.cpu_time_after_s)),
-                run.logger_period_s,
+        code = -1 if which == "last" else int(which)
+        n = self.run_index.shape[0]
+        ordinals = np.empty(n, dtype=np.int64)
+        durations = np.empty(n)
+        found = 0
+        if code >= 0 or which == "last":  # execution indices are never negative
+            found = kernels().durations(
+                self.execution_offsets, self.execution_indices, self.execution_starts_s,
+                self.execution_ends_s, code, ordinals, durations,
             )
-            for run in runs
-        ],
-        dtype=float,
-    ).reshape(n, 2)
-    sample_index = np.arange(owner.shape[0]) - reading_offsets[owner]
-    return grid[owner, 0] + (sample_index + 1) * grid[owner, 1]
-
-
-def _match_batch(
-    starts: np.ndarray,
-    ends: np.ndarray,
-    exec_counts: np.ndarray,
-    exec_offsets: np.ndarray,
-    times: np.ndarray,
-    owner: np.ndarray,
-) -> np.ndarray | None:
-    """Match every reading of a batch against one concatenated execution table.
-
-    Returns each reading's execution position within its own run (``-1`` for
-    idle), or ``None`` when the batch does not meet the preconditions of one
-    binary search: every run has executions, the concatenated starts *and*
-    ends are non-decreasing (true for backend records even when observation
-    jitter makes back-to-back executions overlap slightly), and the runs'
-    execution spans are strictly disjoint, so every execution containing a
-    time belongs to one run and the first of them is that run's first match.
-    A run-ownership check keeps a reading from ever matching another run's
-    execution.
-    """
-    n = exec_counts.shape[0]
-    if n == 0 or np.count_nonzero(exec_counts) < n:
-        return None
-    if starts.shape[0] > 1 and (
-        np.count_nonzero(starts[1:] < starts[:-1]) or np.count_nonzero(ends[1:] < ends[:-1])
-    ):
-        return None
-    boundaries = exec_offsets[1:-1]
-    if n > 1 and np.count_nonzero(ends[boundaries - 1] >= starts[boundaries]):
-        return None
-    # An unmatched time (-1) lands below its run's offset too.
-    local = _first_containing_positions(starts, ends, times) - exec_offsets[owner]
-    return np.where((local >= 0) & (local < exec_counts[owner]), local, -1)
+        return self.run_index.take(ordinals[:found]), durations[:found]
 
 
 def gather_powers(
-    columns: Sequence[ReadingColumns], rows: np.ndarray
+    runs: Sequence[RunRecord], rows: np.ndarray
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Per-component powers (and presence masks) of the readings at ``rows``.
 
-    ``rows`` index the concatenation of the runs' readings.  Runs whose readings
-    share one component set -- every compiled-engine record -- are gathered
-    one concatenation per component; otherwise each run contributes its
+    ``rows`` index the concatenation of the runs' readings.  Compiled records
+    sharing one component set are gathered from their :class:`PowerReadings`
+    arrays; otherwise each run contributes its
     :meth:`ReadingColumns.component` column, NaN-filled where absent.
     """
+    return _gather(_uniform_readings(runs), runs, rows)
+
+
+def _gather(
+    uniform: list[PowerReadings] | None, runs: Sequence[RunRecord], rows: np.ndarray
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    if uniform is not None:
+        names = uniform[0].component_names
+        # One row per component.
+        matrix = _concat([r.components_w for r in uniform], float).take(rows, axis=0).T
+        powers = {"total": _concat([r.total_w for r in uniform], float).take(rows)}
+        for name in sorted(names):
+            powers[name] = matrix[names.index(name)]
+        return powers, {}
+    columns = [run.reading_columns() for run in runs]
     names = tuple(columns[0].powers_w) if columns else ("total",)
     if all(c.uniform_components and tuple(c.powers_w) == names for c in columns):
         return {
@@ -387,89 +283,44 @@ def gather_powers(
     return powers, masks
 
 
-@dataclass(eq=False)
-class ReadingMatch:
-    """Every reading of a batch of runs in CPU time, matched to an execution.
+def _mapping(
+    runs: Sequence[RunRecord], calibration: DelayCalibration | None, synchronize: bool
+) -> tuple[list, list, list]:
+    """Per run, ``(anchor ticks, origin, scale)`` of the window-end mapping.
 
-    The matching stage of :func:`extract_lois_batch`.  Per reading, in run
-    order and then reading order: ``owner`` is the run's position in the
-    batch, ``times_s`` the window-end CPU time and ``positions`` the matched
-    execution's position within its run (``-1`` for idle).  Offsets and the
-    concatenated per-execution table are those of :class:`LOIBatch`.
+    Synchronised, a reading's window end is ``origin + (ticks - anchor) /
+    scale``: :meth:`ClockSynchronizer.cpu_time_of`, with the origin
+    computed by the float operations of
+    :attr:`ClockSynchronizer.anchor_capture_cpu_s`.  Unsynchronised, the
+    k-th reading's is ``origin + (k + 1) * scale``: the
+    :class:`NaiveIndexSynchronizer` grid from the logger start.
     """
-
-    columns: list[ReadingColumns]
-    owner: np.ndarray
-    times_s: np.ndarray
-    positions: np.ndarray
-    reading_offsets: np.ndarray
-    execution_offsets: np.ndarray
-    execution_indices: np.ndarray
-    execution_starts_s: np.ndarray
-    execution_ends_s: np.ndarray
-
-    def last_execution_count(self) -> int:
-        """How many readings are LOIs of their run's last execution."""
-        matched = np.flatnonzero(self.positions >= 0)
-        owner = self.owner[matched]
-        offsets, indices = self.execution_offsets, self.execution_indices
-        execution = indices[offsets[owner] + self.positions[matched]]
-        return int(np.count_nonzero(execution == indices[offsets[owner + 1] - 1]))
-
-
-def match_readings(
-    runs: Sequence[RunRecord],
-    calibration: DelayCalibration | None = None,
-    synchronize: bool = True,
-) -> ReadingMatch:
-    """Map every reading of ``runs`` to CPU time and match it to an execution.
-
-    All runs' readings are mapped to CPU time in one array expression and,
-    when the batch allows it, matched against a single concatenated execution
-    table with one binary search.  A batch that does not (overlapping run
-    spans, nested executions, runs without executions) is matched run by run
-    with :func:`match_execution_positions`.
-    """
-    n = len(runs)
-    columns = [run.reading_columns() for run in runs]
-    tables = [_execution_table(run) for run in runs]
-    reading_counts = np.fromiter(
-        [c.gpu_timestamp_ticks.shape[0] for c in columns], np.int64, n
-    )
-    exec_counts = np.fromiter([t[0].shape[0] for t in tables], np.int64, n)
-    reading_offsets = np.fromiter(accumulate(reading_counts.tolist(), initial=0), np.int64, n + 1)
-    exec_offsets = np.fromiter(accumulate(exec_counts.tolist(), initial=0), np.int64, n + 1)
-    starts = _concat([t[1] for t in tables], float)
-    ends = _concat([t[2] for t in tables], float)
-    owner = np.arange(n).repeat(reading_counts)
-    times = _window_end_times(
-        runs,
-        _concat([c.gpu_timestamp_ticks for c in columns], np.int64),
-        owner,
-        reading_offsets,
-        calibration,
-        synchronize,
-    )
-    positions = _match_batch(starts, ends, exec_counts, exec_offsets, times, owner)
-    if positions is None:
-        positions = _concat(
+    if not synchronize:
+        return (
+            [0] * len(runs),
             [
-                match_execution_positions(run, times[reading_offsets[i]:reading_offsets[i + 1]])
-                for i, run in enumerate(runs)
+                float(run.metadata.get("logger_start_cpu_s", run.anchor.cpu_time_after_s))
+                for run in runs
             ],
-            np.int64,
+            [run.logger_period_s for run in runs],
         )
-    return ReadingMatch(
-        columns=columns,
-        owner=owner,
-        times_s=times,
-        positions=positions,
-        reading_offsets=reading_offsets,
-        execution_offsets=exec_offsets,
-        execution_indices=_concat([t[0] for t in tables], np.int64),
-        execution_starts_s=starts,
-        execution_ends_s=ends,
-    )
+    anchors = [run.anchor for run in runs]
+    if calibration is not None:
+        one_way = calibration.one_way_delay_s
+        origins = [(a.cpu_time_after_s - a.round_trip_s) + one_way for a in anchors]
+    else:
+        origins = [(a.cpu_time_after_s - a.round_trip_s) + a.round_trip_s / 2.0 for a in anchors]
+    return [a.gpu_ticks for a in anchors], origins, [run.counter_frequency_hz for run in runs]
+
+
+def _uniform_readings(runs: Sequence[RunRecord]) -> list[PowerReadings] | None:
+    """The runs' columnar readings when all share one component set, else None."""
+    readings = [run.readings for run in runs]
+    if readings and all(type(r) is PowerReadings for r in readings):
+        names = readings[0].component_names
+        if all(r.component_names == names for r in readings):
+            return readings
+    return None
 
 
 def extract_lois_batch(
@@ -477,42 +328,74 @@ def extract_lois_batch(
     calibration: DelayCalibration | None = None,
     synchronize: bool = True,
 ) -> LOIBatch:
-    """Extract the LOIs of many runs in one vectorized pass (step 7).
+    """Extract the LOIs of many runs in one compiled pass (step 7).
 
-    :func:`match_readings` matches every reading; the matched ones are then
-    gathered into LOI rows.  No per-LOI object is built: the window-end
-    mapping and the TOI are the float operations of
-    :meth:`ClockSynchronizer.cpu_time_of` and a one-reading-at-a-time walk,
-    so every value -- and every :class:`LogOfInterest` later built from the
-    arrays by :func:`loi_object` -- is bit-identical to that walk.
+    The ``k_match`` kernel body (:mod:`repro.core._kernels`, run by the
+    active provider) maps every reading's window end to CPU time, matches it
+    against its own run's executions and gathers the matched readings into
+    LOI rows; their powers are then gathered per component.  Compiled
+    records' ticks and powers are read straight from their
+    :class:`PowerReadings` arrays.  The window-end mapping and the TOI are
+    the float operations of :meth:`ClockSynchronizer.cpu_time_of` and a
+    one-reading-at-a-time walk, and the match is :func:`match_execution`'s
+    first match, so every value -- and every :class:`LogOfInterest` later
+    built from the arrays by :func:`loi_object` -- is bit-identical to that
+    walk.
     """
-    match = match_readings(runs, calibration, synchronize)
-    positions, times = match.positions, match.times_s
-    exec_offsets, exec_indices = match.execution_offsets, match.execution_indices
-    rows = (positions >= 0).nonzero()[0]
-    loi_owner = match.owner[rows]
-    execution_position = positions[rows]
-    execution_rows = exec_offsets[loi_owner] + execution_position
-    window_end = times[rows]
-    powers, masks = gather_powers(match.columns, rows)
+    # Imported here: repro.gpu imports repro.core.
+    from ..gpu.fastcore import kernels
+
+    n = len(runs)
+    uniform = _uniform_readings(runs)
+    sources = [run.reading_columns() for run in runs] if uniform is None else uniform
+    tables = [_execution_table(run) for run in runs]
+    ticks = _concat([source.gpu_timestamp_ticks for source in sources], np.int64)
+    indices = _concat([t[0] for t in tables], np.int64)
+    starts = _concat([t[1] for t in tables], float)
+    ends = _concat([t[2] for t in tables], float)
+    # The kernel's per-run inputs, packed (see repro.core._kernels).
+    offsets = np.array(
+        [
+            *accumulate([source.gpu_timestamp_ticks.shape[0] for source in sources], initial=0),
+            *accumulate([t[0].shape[0] for t in tables], initial=0),
+        ],
+        dtype=np.int64,
+    )
+    anchors, origins, scales = _mapping(runs, calibration, synchronize)
+    run_ints = np.array([*(run.run_index for run in runs), *anchors], dtype=np.int64)
+    run_floats = np.array([*origins, *scales], dtype=float)
+    total = ticks.shape[0]
+    flat_ints = np.empty(_CK.I_LEN * total, dtype=np.int64)
+    flat_floats = np.empty(_CK.F_LEN * total)
+    count = kernels().match(
+        ticks, offsets, run_ints, run_floats, n, int(synchronize), starts, ends, indices,
+        flat_ints, flat_floats,
+    )
+    # The kernel's output blocks, one row each.
+    ints = flat_ints.reshape(_CK.I_LEN, total)
+    floats = flat_floats.reshape(_CK.F_LEN, total)
+    loi_ints, loi_floats = ints[:_CK.I_LOI_LEN, :count], floats[:_CK.F_LOI_LEN, :count]
+    powers, masks = _gather(uniform, runs, ints[_CK.I_ROW, :count])
     return LOIBatch(
-        run_ordinal=loi_owner,
-        execution_index=exec_indices[execution_rows],
-        execution_position=execution_position,
-        last_execution=exec_indices[exec_offsets[loi_owner + 1] - 1],
-        reading_position=rows - match.reading_offsets[loi_owner],
-        window_end_s=window_end,
-        toi_s=window_end - match.execution_starts_s[execution_rows],
+        run_ordinal=loi_ints[_CK.I_ORDINAL],
+        execution_index=loi_ints[_CK.I_EXECUTION],
+        execution_position=loi_ints[_CK.I_EXEC_POS],
+        last_execution=loi_ints[_CK.I_LAST],
+        reading_position=loi_ints[_CK.I_READING],
+        window_end_s=loi_floats[_CK.F_WINDOW_END],
+        toi_s=loi_floats[_CK.F_TOI],
         powers_w=powers,
         masks=masks,
-        run_index=np.fromiter([run.run_index for run in runs], np.int64, len(runs)),
-        reading_offsets=match.reading_offsets,
-        reading_times_s=times,
-        reading_positions=positions,
-        execution_offsets=exec_offsets,
-        execution_indices=exec_indices,
-        execution_starts_s=match.execution_starts_s,
-        execution_ends_s=match.execution_ends_s,
+        run_index=run_ints[:n],
+        reading_offsets=offsets[: n + 1],
+        reading_times_s=floats[_CK.F_TIME],
+        reading_positions=ints[_CK.I_POSITION],
+        execution_offsets=offsets[n + 1 :],
+        execution_indices=indices,
+        execution_starts_s=starts,
+        execution_ends_s=ends,
+        loi_ints=loi_ints,
+        loi_floats=loi_floats,
     )
 
 
@@ -543,11 +426,8 @@ __all__ = [
     "ClockSynchronizer",
     "NaiveIndexSynchronizer",
     "match_execution",
-    "match_execution_positions",
     "extract_lois_batch",
-    "match_readings",
     "LOIBatch",
-    "ReadingMatch",
     "loi_object",
     "synchronizer_for_run",
 ]

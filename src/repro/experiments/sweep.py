@@ -120,8 +120,9 @@ from .common import (
 #: ``vectorized``/``columnar`` switches.  Schema 6: ``ProfileJob.study``
 #: enters the key.  Schema 7: the key encodes the profiler and backend
 #: configs a job runs (``ProfileJob.configs``, resolved engine included),
-#: floats by ``float.hex()``.  Older entries recompute cleanly.
-_CACHE_SCHEMA = 7
+#: floats by ``float.hex()``.  Schema 8: a pickled ``BinningResult`` holds
+#: its selection and values as arrays.  Older entries recompute cleanly.
+_CACHE_SCHEMA = 8
 
 #: Staging files older than this are considered orphaned by a dead writer.
 _STALE_STAGING_S = 3600.0

@@ -1,16 +1,18 @@
-"""Translate the kernel bodies of ``_fastcore_kernels`` into C.
+"""Translate the kernel bodies of the provider chain's body modules into C.
 
-:func:`translate` emits every module-level function of the kernel module as
-C, in source order: the ``k_*`` entry points are exported, the cores are
-``static``.  It accepts only the small subset the kernel bodies use (they
-compile under ``@njit`` too) and spells it so C evaluates exactly what
-Python evaluates:
+:func:`translate` emits every module-level function of the body modules
+(``repro.gpu._fastcore_kernels`` and ``repro.core._kernels``) as one C
+source, in module then source order: the ``k_*`` entry points are exported,
+the cores are ``static``; a name defined by two modules is an error.  It
+accepts only the small subset the kernel bodies use (they compile under
+``@njit`` too) and spells it so C evaluates exactly what Python evaluates:
 
 * every binary operation is parenthesised, so C groups as Python parsed;
 * ``max(a, b)`` is ``(b > a) ? b : a`` and ``min(a, b)`` is
   ``(b < a) ? b : a`` -- Python's tie and NaN behaviour, not ``fmax``;
 * ``**`` is ``pow``; ``ceil``/``floor`` are ``(long)ceil``/``(long)floor``;
   ``int``/``float`` are casts; ``/`` between two integers casts to double;
+  ``>>`` takes integers only;
 * ``range`` bounds are evaluated once;
 * parameters take their C type from :data:`PARAM_TYPES` by name, 2-D arrays
   their row width from :data:`ROW_WIDTHS`; an index or slice of a 2-D array
@@ -33,14 +35,22 @@ import math
 PARAM_TYPES: dict[str, str] = {
     **dict.fromkeys(
         """st pp rp desc descs cache variates out8 out cpu_starts cpu_ends
-        seg ev smp exec_rows seqs caches""".split(),
+        seg ev smp exec_rows seqs caches held batch merged run_floats starts ends
+        floats durations""".split(),
         "double *",
     ),
-    "lens": "int64_t *",
-    **dict.fromkeys("state resident record cold executions has_rv".split(), "long"),
+    **dict.fromkeys(
+        """lens window held_index order merged_index ticks offsets run_ints
+        exec_offsets exec_indices ints ordinals""".split(),
+        "int64_t *",
+    ),
+    **dict.fromkeys(
+        "state resident record cold executions has_rv synchronize base which run_count".split(),
+        "long",
+    ),
     **dict.fromkeys(
         """now freq power dt duration time_factor run_factor execution_cv
-        latency_mean latency_jitter error_std gap_s""".split(),
+        latency_mean latency_jitter error_std gap_s margin""".split(),
         "double",
     ),
 }
@@ -152,6 +162,8 @@ class _Function:
             kind = _widest(left_kind, right_kind)
             if isinstance(node.op, ast.Pow) and kind == "double":
                 return f"pow({left}, {right})", kind
+            if isinstance(node.op, ast.RShift) and kind == "long":
+                return f"({left} >> {right})", kind
             if type(node.op) not in _BINOPS:
                 self.fail(node, f"unsupported operator {type(node.op).__name__}")
             if isinstance(node.op, ast.Div) and kind == "long":
@@ -314,18 +326,23 @@ class _Function:
         return [head, *self.body(node.body, depth + 1), f"{pad}}}"]
 
 
+def _is_constant(node: ast.stmt) -> bool:
+    """A module-level ``NAME = <int>``: a ``#define`` of the C source."""
+    return (
+        isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and isinstance(node.value, ast.Constant)
+        and type(node.value.value) is int
+    )
+
+
 class _Module:
     """The kernel module: its integer constants and functions."""
 
     def __init__(self, tree: ast.Module) -> None:
         self.constants = {
-            node.targets[0].id: node.value.value
-            for node in tree.body
-            if isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and isinstance(node.value, ast.Constant)
-            and type(node.value.value) is int
+            node.targets[0].id: node.value.value for node in tree.body if _is_constant(node)
         }
         defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
         #: Parameter names of every kernel, known before any body is read.
@@ -366,9 +383,24 @@ class _Module:
         self.functions = {node.name: _Function(node, self) for node in defs}
 
 
-def translate(source: str) -> str:
-    """The C source of every module-level function of the kernel ``source``."""
-    module = _Module(ast.parse(source))
+def translate(*sources: str) -> str:
+    """The C source of every module-level function of the body ``sources``."""
+    body: list[ast.stmt] = []
+    defined: set[str] = set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                name = node.name
+            elif _is_constant(node):
+                name = node.targets[0].id
+            else:
+                continue
+            if name in defined:
+                raise TranslationError(f"line {node.lineno}: {name!r} is defined twice")
+            defined.add(name)
+        body += tree.body
+    module = _Module(ast.Module(body=body, type_ignores=[]))
     exported = {name: name.startswith("k_") for name in module.functions}
     lines = ["#include <math.h>", "#include <stdint.h>", ""]
     lines += [f"#define {name} {value}" for name, value in module.constants.items()]

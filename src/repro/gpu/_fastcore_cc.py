@@ -1,9 +1,9 @@
 """C provider of the compiled slice/boundary core.
 
-The C source is generated from the kernel bodies of ``_fastcore_kernels`` by
-:mod:`repro.gpu._fastcore_c`, compiled once with the system C compiler
-(``$CC``, ``gcc`` or ``cc``) into a shared library, and bound through
-:mod:`ctypes`.  This is the compiled tier for environments without Numba
+The C source is generated from the kernel bodies of ``_fastcore_kernels``
+and ``repro.core._kernels`` by :mod:`repro.gpu._fastcore_c`, compiled once
+with the system C compiler (``$CC``, ``gcc`` or ``cc``) into a shared
+library, and bound through :mod:`ctypes`.  This is the compiled tier for environments without Numba
 (the repo's own CI container, for one): same data layout, same return-code
 protocol, and -- because the build pins ``-fno-fast-math
 -ffp-contract=off`` -- the same IEEE-754 doubles as the Python bodies (libm
@@ -14,7 +14,7 @@ kernel bodies before the provider is ever selected.
 
 The compiled library is cached under ``$REPRO_FASTCORE_CACHE`` (default: a
 ``repro-fastcore`` directory in the system temp dir), keyed by the bytes of
-the kernel and translator modules, the compiler path and the flags.  A
+both body modules and the translator, the compiler path and the flags.  A
 cached library is loaded without translating anything, and concurrent
 processes -- e.g. a sweep worker pool -- land on the same file via an atomic
 rename.
@@ -37,7 +37,8 @@ import numpy as np
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off")
 
 _HERE = Path(__file__).resolve().parent
-_KERNELS = _HERE / "_fastcore_kernels.py"
+#: The kernel body modules, in translation order.
+_BODIES = (_HERE / "_fastcore_kernels.py", _HERE.parent / "core" / "_kernels.py")
 _TRANSLATOR = _HERE / "_fastcore_c.py"
 
 #: ctypes argument type of each C parameter type the translator emits.
@@ -69,7 +70,8 @@ def cache_dir() -> Path:
 def library_path(compiler: str) -> Path:
     """Where the library ``compiler`` builds from the current sources lives."""
     digest = hashlib.sha256()
-    for part in (_KERNELS.read_bytes(), _TRANSLATOR.read_bytes(), compiler, *_CFLAGS):
+    parts = (*(body.read_bytes() for body in _BODIES), _TRANSLATOR.read_bytes(), compiler, *_CFLAGS)
+    for part in parts:
         part = part.encode() if isinstance(part, str) else part
         digest.update(len(part).to_bytes(8, "little") + part)
     return cache_dir() / f"fastcore-{digest.hexdigest()[:16]}.so"
@@ -89,7 +91,7 @@ def build_library(compiler: str | None = None) -> Path:
         return lib_path
     from . import _fastcore_c
 
-    source = _fastcore_c.translate(_KERNELS.read_text())
+    source = _fastcore_c.translate(*(body.read_text() for body in _BODIES))
     lib_path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_src = tempfile.mkstemp(suffix=".c", dir=lib_path.parent)
     tmp_lib = tmp_src[:-2] + ".so"
@@ -134,21 +136,25 @@ def _address(arr: np.ndarray) -> int:
     """The data address of a C-contiguous array the kernels read or write.
 
     A ``c_char`` over the array's buffer yields it several times faster
-    than ``arr.ctypes.data``; an empty array has no buffer to cover.
+    than ``arr.ctypes.data``.  NumPy lends that buffer only for a writable,
+    C-contiguous, non-empty array; an empty array has no buffer to cover,
+    and a read-only one (an input the kernels only read) cannot lend it.
     """
-    if not arr.flags.c_contiguous:
-        raise ValueError("fastcore kernel arrays must be C-contiguous")
-    if not arr.nbytes:
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+    except (TypeError, ValueError):
+        if not arr.flags.c_contiguous:
+            raise ValueError("fastcore kernel arrays must be C-contiguous") from None
         return arr.ctypes.data
-    return ctypes.addressof(ctypes.c_char.from_buffer(arr))
 
 
 class CcKernels:
     """ctypes binding presenting the uniform fastcore kernel API.
 
     Every exported ``k_<name>`` of the library becomes the method ``<name>``
-    (``idle`` / ``execute`` / ``sequence`` / ``run``), taking the same
-    numpy-array arguments as the ``_fastcore_kernels`` entry point.  The
+    (``idle`` / ``execute`` / ``sequence`` / ``run`` / ``window`` /
+    ``match``), taking the same numpy-array arguments as the body module's
+    entry point.  The
     argument types come from the library's own ``fastcore_signatures``;
     each ``X_cap`` parameter is filled with ``X.shape[0]``.
 

@@ -11,11 +11,14 @@ The device has two engines:
     same bodies translated to C by :mod:`repro.gpu._fastcore_c`, compiled
     once with the system C compiler and bound through ctypes,
     :mod:`repro.gpu._fastcore_cc`) and ``python`` (the bodies as plain
-    Python: slow, but available on every host).  A one-time self-check
-    replays a fixed scenario through the candidate provider and through the
-    pure-Python kernel bodies and requires bit-for-bit agreement before the
-    provider is selected; a provider that fails to build or fails the check
-    warns once and the next one is tried.  A provider that is simply absent
+    Python: slow, but available on every host).  The same provider runs the
+    profiler's checkpoint-ingest bodies, :mod:`repro.core._kernels` (the
+    golden-run window, the LOI matcher and the per-run durations), whatever
+    the engine.  A one-time self-check replays fixed scenarios through the
+    candidate provider and through the pure-Python bodies of both modules
+    and requires bit-for-bit agreement before the provider is selected; a
+    provider that fails to build or fails the check warns once and the next
+    one is tried.  A provider that is simply absent
     (no Numba, no C compiler) is skipped silently.
 ``reference``
     The per-slice object path -- the executable specification.
@@ -38,6 +41,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from ..core import _kernels as _CK
 from . import _fastcore_kernels as _K
 
 #: Engines accepted by BackendConfig.engine / SimulatedGPU(engine=...).
@@ -76,8 +80,11 @@ def _bind_arrays(run):
 
 
 class KernelBundle:
-    """One provider's uniform kernel API (idle / execute / sequence / bind_run).
+    """One provider's uniform kernel API.
 
+    ``idle`` / ``execute`` / ``sequence`` / ``bind_run`` run the device
+    bodies; ``window``, ``match`` and ``durations`` are ``k_window``,
+    ``k_match`` and ``k_durations`` of :mod:`repro.core._kernels`.
     ``bind_run(st, pp, rp, descs, seqs, caches, variates, seg, ev, lens,
     exec_rows, smp, out)`` binds ``k_run`` to a run plan's arrays; the
     returned call takes no argument, writes every execution's host-observed
@@ -85,16 +92,23 @@ class KernelBundle:
     then ends).
     """
 
-    __slots__ = ("name", "idle", "execute", "sequence", "bind_run", "numba_version", "lib_path")
+    __slots__ = (
+        "name", "idle", "execute", "sequence", "bind_run", "window", "match", "durations",
+        "numba_version", "lib_path",
+    )
 
     def __init__(
-        self, name, idle, execute, sequence, bind_run, numba_version=None, lib_path=None
+        self, name, idle, execute, sequence, bind_run, window, match, durations,
+        numba_version=None, lib_path=None,
     ):
         self.name = name
         self.idle = idle
         self.execute = execute
         self.sequence = sequence
         self.bind_run = bind_run
+        self.window = window
+        self.match = match
+        self.durations = durations
         self.numba_version = numba_version
         self.lib_path = lib_path
 
@@ -116,26 +130,11 @@ def _load_provider(name: str) -> tuple[KernelBundle | None, str | None]:
             return None, "numba: not importable"
         import numba
 
-        return (
-            KernelBundle(
-                "numba",
-                _K.k_idle,
-                _K.k_execute,
-                _K.k_sequence,
-                _bind_arrays(_K.k_run),
-                numba_version=numba.__version__,
-            ),
-            None,
-        )
+        return _module_bundle("numba", numba_version=numba.__version__), None
     if name == "python":
-        # The kernels module as imported: pure Python without Numba, jitted
+        # The body modules as imported: pure Python without Numba, jitted
         # when Numba is present.
-        return (
-            KernelBundle(
-                "python", _K.k_idle, _K.k_execute, _K.k_sequence, _bind_arrays(_K.k_run)
-            ),
-            None,
-        )
+        return _module_bundle("python"), None
     if name == "cc":
         from . import _fastcore_cc
 
@@ -151,11 +150,20 @@ def _load_provider(name: str) -> tuple[KernelBundle | None, str | None]:
             return None, f"cc: {exc}"
         return (
             KernelBundle(
-                "cc", cc.idle, cc.execute, cc.sequence, cc.bind_run, lib_path=cc.lib_path
+                "cc", cc.idle, cc.execute, cc.sequence, cc.bind_run, cc.window, cc.match,
+                cc.durations, lib_path=cc.lib_path,
             ),
             None,
         )
     return None, f"unknown provider {name!r}"
+
+
+def _module_bundle(name: str, numba_version: str | None = None) -> KernelBundle:
+    """The body modules' entry points, as they are bound right now."""
+    return KernelBundle(
+        name, _K.k_idle, _K.k_execute, _K.k_sequence, _bind_arrays(_K.k_run),
+        _CK.k_window, _CK.k_match, _CK.k_durations, numba_version=numba_version,
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -351,44 +359,106 @@ def _run_scenario(bundle: KernelBundle) -> dict[str, np.ndarray]:
     }
 
 
+def _run_core_scenario(bundle: KernelBundle) -> dict[str, np.ndarray]:
+    """Drive ``window``, ``match`` and ``durations`` through a fixed batch."""
+    # Windows over tied durations, the batch merged into held ones.
+    held = np.array([1.0, 1.02, 1.04, 1.31, 2.0]) * 1e-4
+    held_index = np.array([4, 0, 7, 2, 9], dtype=np.int64)
+    batch = np.array([1.31, 1.0, 1.04, 1.3, 1.05]) * 1e-4
+    order = np.argsort(batch, kind="stable")
+    windows = np.zeros((3, 2), dtype=np.int64)
+    merged = np.zeros((3, 10))
+    merged_index = np.zeros((3, 10), dtype=np.int64)
+    for row, margin in enumerate((0.05, 1e-9, 0.3)):
+        bundle.window(
+            held, held_index, batch, order, 10, margin, merged[row], merged_index[row],
+            windows[row],
+        )
+    # Four runs: back-to-back executions with a shared boundary, nested
+    # executions (the scalar scan), no executions, and executions that
+    # overlap the first run's span.
+    starts = np.array([2.0, 2.0002, 2.0004, 3.0, 3.0001, 3.0003, 2.00015, 2.0003])
+    ends = np.array([2.0002, 2.0004, 2.0006, 3.0004, 3.0002, 3.0005, 2.00035, 2.0007])
+    exec_indices = np.array([0, 1, 2, 0, 1, 2, 5, 6], dtype=np.int64)
+    exec_offsets = np.array([0, 3, 6, 6, 8], dtype=np.int64)
+    reading_offsets = np.array([0, 5, 9, 11, 14], dtype=np.int64)
+    times = np.array([
+        1.9999, 2.0001, 2.0002, 2.0005, 2.0009, 3.00005, 3.00015, 3.00035, 3.0006,
+        4.0, 4.001, 2.0001, 2.00032, 2.00068,
+    ])
+    run_indices = np.array([3, 4, 8, 9], dtype=np.int64)
+    anchors = np.array([700, 800, 900, 1000], dtype=np.int64)
+    scales = np.array([1e8, 1e8 * (1 + 3e-6), 1e8, 1e8])
+    origins = np.array([1.5, 2.5, 3.5, 1.25])
+    owner = np.repeat(np.arange(4), np.diff(reading_offsets))
+    ticks = anchors[owner] + np.rint((times - origins[owner]) * scales[owner]).astype(np.int64)
+    outs = {"windows": windows, "merged": merged, "merged_index": merged_index}
+    # Unsynchronised: each run's sample grid from its logger start.
+    grid = (np.array([1.99985, 2.9999, 3.9999, 1.9999]), np.full(4, 2.5e-4))
+    for synchronize, (starts_at, steps) in ((1, (origins, scales)), (0, grid)):
+        total = ticks.shape[0]
+        ints = np.zeros(_CK.I_LEN * total, dtype=np.int64)
+        floats = np.zeros(_CK.F_LEN * total)
+        lois = bundle.match(
+            ticks, np.concatenate((reading_offsets, exec_offsets)),
+            np.concatenate((run_indices, anchors)), np.concatenate((starts_at, steps)), 4,
+            synchronize, starts, ends, exec_indices, ints, floats,
+        )
+        outs[f"match_{synchronize}"] = np.concatenate(([lois], ints, floats.view(np.int64)))
+    # Per-run durations of the last execution, of index 2 and of index 6.
+    for which in (-1, 2, 6):
+        ordinals = np.zeros(4, dtype=np.int64)
+        durations = np.zeros(4)
+        found = bundle.durations(
+            exec_offsets, exec_indices, starts, ends, which, ordinals, durations
+        )
+        outs[f"durations_{which}"] = np.concatenate(([found], ordinals, durations.view(np.int64)))
+    return outs
+
+
 @contextlib.contextmanager
 def pure_kernels() -> Iterator[KernelBundle]:
     """The pure-Python kernel bodies as a bundle, for the ``with`` block.
 
-    When Numba is active the module-level kernels are dispatchers; every
-    one's original body is temporarily swapped back in (nested calls resolve
-    through the module globals at call time, so the whole chain runs pure).
+    When Numba is active the module-level kernels of both body modules are
+    dispatchers; every one's original body is temporarily swapped back in
+    (nested calls resolve through the module globals at call time, so the
+    whole chain runs pure).
     """
-    swapped = {
-        name: func for name, func in vars(_K).items() if hasattr(func, "py_func")
-    }
-    for name, func in swapped.items():
-        setattr(_K, name, func.py_func)
+    swapped = [
+        (module, name, func)
+        for module in (_K, _CK)
+        for name, func in vars(module).items()
+        if hasattr(func, "py_func")
+    ]
+    for module, name, func in swapped:
+        setattr(module, name, func.py_func)
     try:
-        yield KernelBundle(
-            "python", _K.k_idle, _K.k_execute, _K.k_sequence, _bind_arrays(_K.k_run)
-        )
+        yield _module_bundle("python")
     finally:
-        for name, func in swapped.items():
-            setattr(_K, name, func)
+        for module, name, func in swapped:
+            setattr(module, name, func)
 
 
 def self_check(bundle: KernelBundle) -> str | None:
     """Bit-for-bit comparison of a provider against the Python kernel bodies.
 
     Returns ``None`` when every recorded slice, firmware event, state vector
-    and execution row agrees exactly, else a short failure description.
+    and execution row of the device scenario, and every window and matched
+    batch of the ingest scenario, agrees exactly, else a short failure
+    description.
     """
-    try:
-        got = _run_scenario(bundle)
-        with pure_kernels() as pure:
-            want = _run_scenario(pure)
-    except Exception as exc:
-        return f"self-check scenario failed: {exc!r}"
-    for key, expected in want.items():
-        actual = got[key]
-        if expected.shape != actual.shape or not np.array_equal(expected, actual):
-            return f"self-check mismatch in {key!r}"
+    for scenario in (_run_scenario, _run_core_scenario):
+        try:
+            got = scenario(bundle)
+            with pure_kernels() as pure:
+                want = scenario(pure)
+        except Exception as exc:
+            return f"self-check scenario failed: {exc!r}"
+        for key, expected in want.items():
+            actual = got[key]
+            if expected.shape != actual.shape or not np.array_equal(expected, actual):
+                return f"self-check mismatch in {key!r}"
     return None
 
 

@@ -68,6 +68,26 @@ def test_validation_matches_reference():
         binner.extend([1e-6, -1e-6])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_rejected_by_both_paths(bad):
+    # bin() used to keep a NaN in the golden bin while extend() dropped it.
+    values = [1e-4, bad, 1.01e-4]
+    with pytest.raises(ValueError, match="position 1"):
+        ExecutionTimeBinner(0.05).bin(values)
+    with pytest.raises(ValueError, match="position 1"):
+        ExecutionTimeBinner(0.05).extend(values)
+
+
+def test_array_batches_match_bin():
+    rng = np.random.default_rng(3)
+    values = 1e-4 * (1.0 + rng.normal(0, 0.01, size=60))
+    binner = ExecutionTimeBinner(0.02)
+    for start in range(0, 60, 12):
+        result = binner.extend(values[start:start + 12])
+        assert_same_selection(result, ExecutionTimeBinner(0.02).bin(values[:start + 12]))
+        assert result == ExecutionTimeBinner(0.02).bin(values[:start + 12].tolist())
+
+
 def test_tie_breaks_prefer_tighter_then_earlier_window():
     # Two windows of equal count; the tighter one must win in both paths.
     values = [100e-6, 100e-6, 200e-6, 209e-6]

@@ -16,7 +16,6 @@ import pytest
 
 from repro.core.records import (
     ExecutionArena,
-    ExecutionColumns,
     ExecutionTiming,
     ExecutionTimings,
     PowerReading,
@@ -126,14 +125,6 @@ class TestPowerReadingsView:
         for name, values in rebuilt.powers_w.items():
             assert np.array_equal(adopted.powers_w[name], values)
 
-    def test_execution_columns_adoption_matches_object_build(self):
-        view = make_view(5)
-        adopted = ExecutionColumns.from_executions(view)
-        rebuilt = ExecutionColumns.from_executions(tuple(view))
-        for attribute in ("indices", "starts_s", "ends_s", "positions"):
-            assert np.array_equal(
-                getattr(adopted, attribute), getattr(rebuilt, attribute)
-            )
 
 
 class TestExecutionArena:
@@ -204,11 +195,9 @@ class TestBackendRecordViews:
     def test_record_pickle_round_trip_drops_caches(self, record_pair):
         fast, _ = record_pair
         fast.reading_columns()
-        fast.execution_columns()
         clone = pickle.loads(pickle.dumps(fast, protocol=pickle.HIGHEST_PROTOCOL))
         assert clone == fast
         assert "_reading_columns" not in clone.__dict__
-        assert "_execution_columns" not in clone.__dict__
         # and the clone can rebuild its columns
         assert np.array_equal(
             clone.reading_columns().gpu_timestamp_ticks,

@@ -161,6 +161,7 @@ class TestSelfCheckFailure:
                 fastcore.KernelBundle(
                     name, python_bundle.idle, python_bundle.execute,
                     python_bundle.sequence, python_bundle.bind_run,
+                    python_bundle.window, python_bundle.match, python_bundle.durations,
                 ),
                 None,
             ),
@@ -193,7 +194,8 @@ class TestSelfCheckFailure:
             return rc
 
         corrupted = fastcore.KernelBundle(
-            "corrupted", corrupted_idle, bundle.execute, bundle.sequence, bundle.bind_run
+            "corrupted", corrupted_idle, bundle.execute, bundle.sequence, bundle.bind_run,
+            bundle.window, bundle.match, bundle.durations,
         )
         failure = fastcore.self_check(corrupted)
         assert failure is not None and "mismatch" in failure
@@ -211,7 +213,8 @@ class TestSelfCheckFailure:
             return corrupted
 
         corrupted = fastcore.KernelBundle(
-            "corrupted", bundle.idle, bundle.execute, bundle.sequence, reversed_times
+            "corrupted", bundle.idle, bundle.execute, bundle.sequence, reversed_times,
+            bundle.window, bundle.match, bundle.durations,
         )
         assert fastcore.self_check(corrupted) == "self-check mismatch in 'run_times'"
 
@@ -321,9 +324,41 @@ class TestTranslator:
             assert f"static long {name}(" in c
         assert "\nlong k_run(" in c
 
+    def test_right_shift_takes_integers_only(self):
+        source = self.kernel(
+            "st[0] = (record + 3) >> 1", "st[1] = now >> 1", params="st, record, now"
+        )
+        with pytest.raises(
+            _fastcore_c.TranslationError, match=r"k_probe\(\) line 5: unsupported operator RShift"
+        ):
+            _fastcore_c.translate(source)
+        c = _fastcore_c.translate(self.kernel("st[0] = (record + 3) >> 1", params="st, record"))
+        assert "st[0] = ((record + 3) >> 1);" in c
+
+    def test_a_name_defined_by_two_modules_is_rejected(self):
+        first = self.kernel("st[0] = 1.0")
+        with pytest.raises(_fastcore_c.TranslationError, match="'C' is defined twice"):
+            _fastcore_c.translate(first, "C = 2\n")
+        with pytest.raises(_fastcore_c.TranslationError, match="'k_probe' is defined twice"):
+            _fastcore_c.translate(first, first.replace("C = 1", "D = 1"))
+
+    def test_library_key_covers_both_body_modules(self, clean_fastcore, tmp_path):
+        gcc = _fastcore_cc.library_path("/usr/bin/gcc")
+        copies = []
+        for body in _fastcore_cc._BODIES:
+            copy = tmp_path / body.name
+            copy.write_text(body.read_text())
+            copies.append(copy)
+        clean_fastcore.setattr(_fastcore_cc, "_BODIES", tuple(copies))
+        assert _fastcore_cc.library_path("/usr/bin/gcc") == gcc
+        copies[1].write_text(copies[1].read_text() + "\n")
+        assert _fastcore_cc.library_path("/usr/bin/gcc") != gcc
+
     @needs_cc
     def test_translation_compiles_without_warnings(self, tmp_path):
-        c = _fastcore_c.translate(Path(K.__file__).read_text())
+        c = _fastcore_c.translate(*(body.read_text() for body in _fastcore_cc._BODIES))
+        assert "\nlong k_window(double *held, long held_cap, int64_t *held_index," in c
+        assert "\nlong k_match(int64_t *ticks, long ticks_cap," in c
         # Caps only where a body reads X.shape[0] or passes X on to one that
         # does; the exported entry points keep every cap they had.
         assert "static long sample_core(double *pp, double *rp, double *seg, int64_t *lens," in c

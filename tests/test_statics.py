@@ -213,13 +213,12 @@ class TestJobKeyHardening:
         )
 
     def test_key_digest_pinned(self, monkeypatch):
-        # Byte-identity guard: this exact digest is what schema-7 warm caches
+        # Byte-identity guard: this exact digest is what schema-8 warm caches
         # hold for this job on the compiled engine.  It may only change with
         # a _CACHE_SCHEMA bump.
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
         assert job_key(self.make_job()) == (
-            "f05b97105f1ec5a01cdb44c20eda048c810d7f2d57977ea06e4b965d"
-            "7a5286bb"
+            "09804d44140e5970df44c563144193eeaeba68e5a5099e5414e53286862c519d"
         )
 
     def test_key_ignores_job_id(self):

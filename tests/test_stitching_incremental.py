@@ -198,7 +198,6 @@ class TestColumnarCaches:
     def test_reading_columns_cached_per_record(self, records):
         run = records[0]
         assert run.reading_columns() is run.reading_columns()
-        assert run.execution_columns() is run.execution_columns()
 
     def test_reading_columns_values(self, records):
         run = records[0]
@@ -222,10 +221,3 @@ class TestColumnarCaches:
         assert columns.num_readings == 0
         assert columns.uniform_components
 
-    def test_execution_columns_sorted(self, records):
-        run = records[0]
-        columns = run.execution_columns()
-        assert np.all(np.diff(columns.starts_s) >= 0)
-        for sorted_pos, tuple_pos in enumerate(columns.positions):
-            assert run.executions[tuple_pos].cpu_start_s == columns.starts_s[sorted_pos]
-            assert run.executions[tuple_pos].index == columns.indices[sorted_pos]

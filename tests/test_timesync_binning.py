@@ -1,5 +1,7 @@
 """Unit tests for CPU-GPU time sync, LOI extraction and execution-time binning."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -170,3 +172,64 @@ class TestBinning:
         values = [100.0, 100.1, 200.0, 209.0]
         result = ExecutionTimeBinner(0.05).bin(values)
         assert set(result.selected_indices) == {0, 1}
+
+    @pytest.mark.parametrize(
+        "bad, complaint",
+        [
+            (float("nan"), "finite: position 1 is nan"),
+            (float("inf"), "finite: position 1 is inf"),
+            (-float("inf"), "finite: position 1 is -inf"),
+            (0.0, "positive: position 1 is 0.0"),
+        ],
+    )
+    def test_rejects_non_finite_and_non_positive_by_position(self, bad, complaint):
+        values = [1e-4, bad, 1.01e-4]
+        binner = ExecutionTimeBinner(0.05)
+        with pytest.raises(ValueError, match=complaint):
+            binner.bin(values)
+        with pytest.raises(ValueError, match=complaint):
+            binner.extend(values)
+        # The rejected batch is not held: the binner still bins cleanly.
+        assert binner.num_values == 0
+        assert binner.extend([1e-4]).selected_indices == (0,)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_bin_around_rejects_non_finite_by_position(self, bad):
+        with pytest.raises(ValueError, match="finite: position 2"):
+            ExecutionTimeBinner(0.05).bin_around([100.0, 101.0, bad], target_s=100.0)
+
+    def test_extend_reports_positions_across_batches(self):
+        binner = ExecutionTimeBinner(0.05)
+        binner.extend([1e-4, 1.01e-4])
+        with pytest.raises(ValueError, match="finite: position 3 is nan"):
+            binner.extend([1e-4, float("nan")])
+
+    def test_numpy_arrays_accepted(self):
+        values = np.array([100.0, 101.0, 125.0, 126.0, 99.5])
+        binner = ExecutionTimeBinner(0.05)
+        assert binner.bin(values) == binner.bin(values.tolist())
+        around = binner.bin_around(values, target_s=125.0)
+        assert around == binner.bin_around(values.tolist(), target_s=125.0)
+        assert around.selected_indices == (2, 3)
+        counts, _ = histogram_of_durations(values, bins=2)
+        assert counts.sum() == 5
+        with pytest.raises(ValueError):
+            binner.bin(np.array([]))
+        with pytest.raises(ValueError):
+            histogram_of_durations(np.array([]))
+
+    def test_result_keeps_arrays_and_builds_tuples_on_access(self):
+        result = ExecutionTimeBinner(0.05).bin([100.0, 130.0, 101.0])
+        assert result.selected.tolist() == [0, 2]
+        assert result.values.tolist() == [100.0, 130.0, 101.0]
+        assert result.selected_indices == (0, 2)
+        assert result.outlier_indices == (1,)
+        assert result.values_s == (100.0, 130.0, 101.0)
+        assert result.num_outliers == 1 and result.selection_ratio == pytest.approx(2 / 3)
+
+    def test_empty_bin_around_results_compare_equal(self):
+        binner = ExecutionTimeBinner(0.05)
+        empty = binner.bin_around([100.0, 101.0], target_s=300.0)
+        assert empty.is_empty and math.isnan(empty.bin_low_s)
+        assert empty == binner.bin_around([100.0, 101.0], target_s=300.0)
+        assert empty != binner.bin_around([100.0, 102.0], target_s=300.0)

@@ -28,13 +28,9 @@ from repro.core.records import (
     TimestampAnchor,
 )
 from repro.core.stitching import ProfileStitcher
-from repro.core.timesync import (
-    _match_batch,
-    extract_lois_batch,
-    match_execution,
-    match_execution_positions,
-    synchronizer_for_run,
-)
+from repro.core import _kernels as CK
+from repro.core.timesync import extract_lois_batch, match_execution, synchronizer_for_run
+from repro.gpu import fastcore
 from repro.gpu.backend import BackendConfig, SimulatedDeviceBackend
 from repro.gpu.spec import mi300x_spec
 from repro.kernels.workloads import cb_gemm
@@ -153,6 +149,34 @@ class TestExtractionEquivalence:
             )
 
 
+#: Ticks per second of :func:`kernel_positions`: ``ticks / TICK_HZ`` is the
+#: double nearest the decimal, as the literal ``2.0002`` is.
+TICK_HZ = 1e5
+
+
+def kernel_positions(run, times_s):
+    """``k_match`` of the active provider on one run: each time's position.
+
+    The run is mapped with a zero anchor and origin, so a reading's window
+    end is exactly ``round(t * TICK_HZ) / TICK_HZ`` (``t`` for decimals of at
+    most five places).
+    """
+    ticks = np.rint(np.asarray(times_s) * TICK_HZ).astype(np.int64)
+    total = ticks.shape[0]
+    starts = np.array([e.cpu_start_s for e in run.executions])
+    ends = np.array([e.cpu_end_s for e in run.executions])
+    ints = np.empty(CK.I_LEN * total, dtype=np.int64)
+    floats = np.empty(CK.F_LEN * total)
+    fastcore.kernels().match(
+        ticks, np.array([0, total, 0, starts.shape[0]]), np.zeros(2, dtype=np.int64),
+        np.array([0.0, TICK_HZ]), 1, 1,
+        starts, ends, np.array([e.index for e in run.executions], dtype=np.int64),
+        ints, floats,
+    )
+    assert floats.reshape(CK.F_LEN, total)[CK.F_TIME].tolist() == (ticks / TICK_HZ).tolist()
+    return ints.reshape(CK.I_LEN, total)[CK.I_POSITION]
+
+
 class TestBoundaryMatching:
     def test_shared_boundary_attributed_to_earlier_execution(self):
         # Back-to-back executions: a time exactly on the shared boundary is
@@ -164,15 +188,13 @@ class TestBoundaryMatching:
         )
         boundary = 2.0002
         scalar = match_execution(run.executions, boundary)
-        positions = match_execution_positions(run, np.asarray([boundary]))
+        positions = kernel_positions(run, [boundary])
         assert scalar is run.executions[positions[0]]
         assert positions[0] == 0
 
     def test_exact_start_and_end_included(self):
         run = synthetic_run(readings_at=(), executions_spec=[(2.0, 2.0002)])
-        positions = match_execution_positions(
-            run, np.asarray([2.0, 2.0002, 1.9999, 2.00021])
-        )
+        positions = kernel_positions(run, [2.0, 2.0002, 1.9999, 2.00021])
         assert positions.tolist() == [0, 0, -1, -1]
 
     def test_idle_times_marked_minus_one(self):
@@ -180,7 +202,7 @@ class TestBoundaryMatching:
             readings_at=(),
             executions_spec=[(2.0, 2.0002), (2.0005, 2.0007)],
         )
-        positions = match_execution_positions(run, np.asarray([2.0003, 2.00045]))
+        positions = kernel_positions(run, [2.0003, 2.00045])
         assert positions.tolist() == [-1, -1]
 
     def test_matches_scalar_on_dense_grid(self):
@@ -188,8 +210,8 @@ class TestBoundaryMatching:
             readings_at=(),
             executions_spec=[(2.0, 2.0002), (2.0002, 2.00045), (2.0005, 2.0007)],
         )
-        grid = np.linspace(1.9995, 2.00085, 400)
-        positions = match_execution_positions(run, grid)
+        grid = np.arange(199950, 200086) / TICK_HZ
+        positions = kernel_positions(run, grid)
         for t, position in zip(grid, positions):
             scalar = match_execution(run.executions, float(t))
             if scalar is None:
@@ -220,21 +242,15 @@ def overlapping_runs():
     ]
 
 
-def batch_positions(runs):
-    """The concatenated-table match of a batch, or None when it declines."""
-    batch = extract_lois_batch(runs)
-    owner = np.repeat(np.arange(len(runs)), np.diff(batch.reading_offsets))
-    counts = np.diff(batch.execution_offsets)
-    return _match_batch(
-        batch.execution_starts_s, batch.execution_ends_s, counts,
-        batch.execution_offsets, batch.reading_times_s, owner,
-    )
+def scalar_positions(run, times):
+    """Each time's position in ``run.executions`` by the scalar first match."""
+    matched = [match_execution(run.executions, float(t)) for t in times]
+    return [-1 if e is None else run.executions.index(e) for e in matched]
 
 
 class TestBatchExtraction:
     def test_batch_matches_per_run_on_sequential_runs(self):
         runs = sequential_runs()
-        assert batch_positions(runs) is not None
         batch = extract_lois_batch(runs)
         series = ProfileStitcher().collect(runs)
         for ordinal, run in enumerate(runs):
@@ -245,12 +261,16 @@ class TestBatchExtraction:
             times, positions = batch.reading_match(ordinal)
             expected = [sync.cpu_time_of(r.gpu_timestamp_ticks) for r in run.readings]
             assert times.tolist() == expected
-            assert np.array_equal(positions, match_execution_positions(run, times))
+            assert positions.tolist() == scalar_positions(run, times)
 
-    def test_overlapping_run_spans_rejected(self):
+    def test_overlapping_run_spans_match_per_run(self):
         runs = overlapping_runs()
-        assert batch_positions(runs) is None
-        # The batch is then matched run by run, with the same result.
+        batch = extract_lois_batch(runs)
+        # Each reading matches its own run's executions only, though every
+        # time also falls inside another run's span.
+        for ordinal, run in enumerate(runs):
+            times, positions = batch.reading_match(ordinal)
+            assert positions.tolist() == scalar_positions(run, times)
         series = ProfileStitcher().collect(runs)
         assert_identical_lois(series.all_lois(), reference_lois(runs))
         assert series.num_lois == 2
