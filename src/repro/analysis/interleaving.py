@@ -105,9 +105,8 @@ class InterleavingStudy:
         kernel yields a log of interest only in a small fraction of runs.  The
         first ``runs`` runs are stitched in one batch; runs are then added one
         at a time until at least ``min_lois`` LOIs are available (bounded by
-        ``max_runs``), mirroring methodology step 8.  Each added run's LOIs
-        are counted from the matching stage alone; the added runs are
-        stitched once, after the loop.
+        ``max_runs``), mirroring methodology step 8.  Each added run is
+        extracted once and appended to the series as its own batch.
         """
         runs = runs or self._runs
         max_runs = max_runs or max(runs * 10, 400)
@@ -129,9 +128,11 @@ class InterleavingStudy:
         series = stitcher.collect(records)
         lois = series.count_last_execution_lois()
         while lois < min_lois and len(records) < max_runs:
-            records.append(collect(len(records)))
-            lois += stitcher.match(records[-1:]).last_execution_count()
-        stitcher.extend(series, records[runs:])
+            added = [collect(len(records))]
+            batch = stitcher.match(added)
+            series.append(added, batch)
+            records += added
+            lois += batch.last_execution_count()
         durations = [record.last_execution.duration_s for record in records]
         return profile_from_lois(
             kernel_name=self._backend.kernel_name(kernel),

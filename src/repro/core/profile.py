@@ -286,7 +286,7 @@ class ProfileColumns:
 
     # ------------------------------------------------------------------ #
     # The canonical columnar payload: the one shape that crosses every
-    # process/disk boundary (pickle, the sweep cache's NPZ spill, viz export).
+    # process/disk boundary (pickle, the sweep cache, viz export).
     # ------------------------------------------------------------------ #
     def to_payload(self) -> dict[str, np.ndarray]:
         """Flatten the bundle to named arrays.
@@ -314,8 +314,9 @@ class ProfileColumns:
         """Rebuild a bundle from :meth:`to_payload` arrays, zero-copy.
 
         Arrays that already carry the canonical dtype are adopted as-is --
-        memory-mapped inputs stay memory-mapped -- so deserialising a spilled
-        profile touches no payload bytes until a consumer reads them.
+        memory-mapped inputs stay memory-mapped -- so a profile loaded from a
+        memory-mapped ``.npz`` touches no payload bytes until a consumer reads
+        them.
         """
         if "components" in arrays:
             names = [str(name) for name in np.asarray(arrays["components"]).tolist()]

@@ -516,10 +516,11 @@ class ProfileStitcher:
         return series
 
     def match(self, runs: Sequence[RunRecord]) -> LOIBatch:
-        """The LOIs stitching ``runs`` would add, without appending them.
+        """The LOIs of ``runs`` as one batch, without appending them.
 
-        Enough to count them (:meth:`LOIBatch.last_execution_count`) before
-        stitching the runs.
+        A caller that needs a batch's LOI count
+        (:meth:`LOIBatch.last_execution_count`) appends the same batch with
+        :meth:`StitchedRunSeries.append` instead of extracting the runs again.
         """
         return extract_lois_batch(runs, self._calibration, self._synchronize)
 

@@ -50,7 +50,6 @@ _EXPORTS: dict[str, str] = {
     "JobFailure": "sweep",
     "KernelSpec": "sweep",
     "ProfileJob": "sweep",
-    "SweepConfig": "sweep",
     "SweepJobError": "sweep",
     "SweepManifest": "sweep",
     "SweepRunner": "sweep",

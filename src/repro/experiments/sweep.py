@@ -24,44 +24,24 @@ whole-run profile, the bulk of a long kernel's payload, is never even
 stitched when no driver asks for it.  Drivers that *do* re-stitch
 (Figure 5, the binning-margin ablation) pin ``result_mode="full"``.
 
-On-disk cache entries are pickles in which every large
-:class:`~repro.core.profile.ProfileColumns` (``>= spill_points`` LOIs) is
-spilled to a sidecar ``<key>.npz`` next to the entry; loading replays the
-pickle and maps the sidecar's arrays back in with ``mmap_mode="r"``, so a
-cache hit touches only the pages it actually reads.  Cache entries are
-keyed by :data:`_CACHE_SCHEMA` -- entries written by earlier schemas are
-simply never looked up again and recompute cleanly.
+On-disk cache entries are plain pickles named by the job's content key
+(:func:`job_key`), written to a per-writer staging file and renamed into
+place.  Entries written under an earlier :data:`_CACHE_SCHEMA` are simply
+never looked up again; an entry that fails to load (truncated, corrupt, or
+an entry from an older cache layout it cannot read) is quarantined to
+``<entry>.corrupt`` and recomputed.
 
-Execution is *supervised* (see ``docs/sweep.md`` for the full fault model).
-With ``workers > 1`` the runner dispatches jobs one at a time through
-``submit``/``wait`` scheduling instead of a blocking ``pool.map`` barrier:
-
-- every dispatched job carries a wall-clock deadline
-  (:attr:`SweepConfig.job_timeout_s` / ``FINGRAV_JOB_TIMEOUT``); a watchdog
-  kills-and-rebuilds the pool around a hung worker and requeues the other
-  in-flight jobs, so one wedged job costs one retry, not the sweep;
-- a crashed worker (``BrokenProcessPool`` -- e.g. a segfaulting compiled
-  provider) likewise triggers a bounded pool rebuild and charges each
-  affected job one retry;
-- transient failures (the taxonomy in :func:`classify_retryable`: broken
-  pools, watchdog timeouts, ``OSError`` I/O hiccups, injected transients)
-  are retried up to :attr:`SweepConfig.max_retries` times with exponential
-  backoff and deterministic per-(job, attempt) jitter; genuinely-fatal job
-  errors surface immediately as structured :class:`JobFailure` records,
-  formatted traceback included.
-
-A failing job still never aborts the sweep: every pending job runs to a
-terminal outcome, finished results are cached and attached to the raised
-:class:`SweepJobError` (``.completed`` / ``.failures``).  The cache tier
-degrades rather than aborts everywhere: a truncated/corrupt entry (pickle or
-sidecar) is quarantined to ``<entry>.corrupt`` and recomputed, and a failed
-store (``ENOSPC``, lock trouble) is recorded and ignored.  Each run emits a
-machine-checkable ``manifest.json`` next to the cache (per-job
-hit/recomputed/failed status, retry/timeout/quarantine counts, timings and
-engine+provider provenance) so operators can see what was reused, what was
-recomputed and what misbehaved.  The deterministic fault-injection harness in
-:mod:`repro.testing.faults` (``FINGRAV_FAULT_PLAN``) drives all of this in
-tests and the CI fault-smoke leg.
+Jobs are deterministic simulations, so a job that fails would fail the same
+way again: the runner never retries.  A failing job still never aborts the
+sweep.  Every pending job runs to an outcome, finished results are cached,
+and the raised :class:`SweepJobError` carries them (``.completed``) along
+with one :class:`JobFailure` per failed job, formatted traceback included.
+With ``workers > 1`` a worker process that dies (a segfault, ``os._exit``)
+breaks the pool: each job that had not finished fails with
+``BrokenProcessPool`` and the jobs that had finished are kept.  Each run
+emits a ``manifest.json`` next to the cache (per-job hit/recomputed/failed
+status, quarantines, timings and engine+provider provenance; schema in
+``docs/sweep.md``).
 
 Command line::
 
@@ -73,38 +53,29 @@ is called without an explicit runner): ``FINGRAV_WORKERS`` (worker count,
 default 1) and ``FINGRAV_PROFILE_CACHE`` (cache directory, default disabled).
 ``FINGRAV_RESULT_MODE`` (``slim`` / ``full``) overrides every driver's default
 result mode at job-construction time -- it participates in the cache key, so
-switching modes never replays a stale payload shape.  The fault-model knobs
-(``FINGRAV_JOB_TIMEOUT``, ``FINGRAV_MAX_RETRIES``, ``FINGRAV_RETRY_BACKOFF``)
-are read by :meth:`SweepConfig.from_env`, and ``FINGRAV_FAULT_PLAN`` names a
-fault-injection plan honoured by the dispatcher and its workers.
+switching modes never replays a stale payload shape.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import heapq
 import itertools
 import json
 import os
 import pickle
 import time
 import traceback
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
-from ..core.profile import ProfileColumns, load_npz_payload
 from ..core.profiler import FinGraVProfiler, ProfilerConfig
 from ..gpu.backend import BackendConfig, SimulatedDeviceBackend
 from ..gpu.spec import mi300x_spec
 from ..kernels.gemm import square_gemm
 from ..kernels.workloads import cb_gemm, collective_suite, mb_gemv
-from ..testing import faults
 from .common import (
     SWEEP_MAX_ADDITIONAL_RUNS,
     ExperimentScale,
@@ -129,13 +100,6 @@ _STALE_STAGING_S = 3600.0
 
 #: Distinguishes staging files written concurrently by one process.
 _STAGING_COUNTER = itertools.count()
-
-#: Profiles with at least this many LOIs leave the cache pickle for the
-#: sidecar ``.npz`` (overridable per runner and via ``FINGRAV_SPILL_POINTS``).
-_SPILL_POINTS_DEFAULT = 4096
-
-#: Persistent-id tag marking a spilled ProfileColumns inside a cache pickle.
-_SPILL_TAG = "fingrav-columns"
 
 
 # --------------------------------------------------------------------------- #
@@ -386,299 +350,79 @@ def job_key(job: ProfileJob) -> str:
 
 
 # --------------------------------------------------------------------------- #
-# The fault model: config knobs, retry taxonomy, structured failures.
+# Structured failures.
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class SweepConfig:
-    """Fault-model knobs for supervised sweep execution.
+    """An empty placeholder: the runner has no settings besides its arguments.
 
-    ``job_timeout_s`` is the per-job wall-clock watchdog (None disables it;
-    it only protects pool execution -- an inline ``workers=1`` sweep has no
-    process boundary to kill across).  Transient failures are retried up to
-    ``max_retries`` times per job with exponential backoff
-    (``backoff_base_s * 2**attempt`` capped at ``backoff_cap_s``, plus
-    deterministic per-(job, attempt) jitter).  ``max_pool_rebuilds`` bounds
-    how many times a sweep will rebuild its pool around crashes/hangs before
-    declaring the remaining work failed, which guarantees termination even
-    under a pathological fault plan.
+    It stays only because the benchmark's seeded runner still passes
+    ``SweepRunner(config=SweepConfig())``; once the benchmark stops passing
+    it, this class goes (ROADMAP.md, item 1).
     """
-
-    job_timeout_s: float | None = None
-    max_retries: int = 2
-    backoff_base_s: float = 0.25
-    backoff_cap_s: float = 8.0
-    max_pool_rebuilds: int = 8
-
-    def __post_init__(self) -> None:
-        if self.job_timeout_s is not None and self.job_timeout_s <= 0:
-            raise ValueError(f"job_timeout_s must be positive or None, got {self.job_timeout_s}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base_s < 0:
-            raise ValueError(f"backoff_base_s must be >= 0, got {self.backoff_base_s}")
-        if self.backoff_cap_s < 0:
-            raise ValueError(f"backoff_cap_s must be >= 0, got {self.backoff_cap_s}")
-        if self.max_pool_rebuilds < 0:
-            raise ValueError(f"max_pool_rebuilds must be >= 0, got {self.max_pool_rebuilds}")
-
-    @classmethod
-    def from_env(cls, environ: Mapping[str, str] | None = None) -> "SweepConfig":
-        """Config from ``FINGRAV_JOB_TIMEOUT`` / ``FINGRAV_MAX_RETRIES`` /
-        ``FINGRAV_RETRY_BACKOFF`` (unset keeps each default; a timeout of
-        ``0`` / ``none`` / ``off`` disables the watchdog)."""
-        env = os.environ if environ is None else environ
-        kwargs: dict[str, object] = {}
-        raw = env.get("FINGRAV_JOB_TIMEOUT", "").strip().lower()
-        if raw:
-            if raw in ("none", "off", "0"):
-                kwargs["job_timeout_s"] = None
-            else:
-                try:
-                    kwargs["job_timeout_s"] = float(raw)
-                except ValueError as exc:
-                    raise ValueError(
-                        f"FINGRAV_JOB_TIMEOUT must be a number of seconds, got {raw!r}"
-                    ) from exc
-        raw = env.get("FINGRAV_MAX_RETRIES", "").strip()
-        if raw:
-            try:
-                kwargs["max_retries"] = int(raw)
-            except ValueError as exc:
-                raise ValueError(
-                    f"FINGRAV_MAX_RETRIES must be an integer, got {raw!r}"
-                ) from exc
-        raw = env.get("FINGRAV_RETRY_BACKOFF", "").strip()
-        if raw:
-            try:
-                kwargs["backoff_base_s"] = float(raw)
-            except ValueError as exc:
-                raise ValueError(
-                    f"FINGRAV_RETRY_BACKOFF must be a number of seconds, got {raw!r}"
-                ) from exc
-        return cls(**kwargs)
-
-
-def classify_retryable(exc: BaseException) -> bool:
-    """The retry taxonomy: transient (retry with backoff) vs fatal.
-
-    Retryable: a broken pool (the worker died under the job -- its retry runs
-    in a fresh worker), watchdog timeouts, ``OSError`` (cache/file I/O
-    hiccups such as ``ENOSPC`` or lock contention inside the job), and the
-    fault harness's explicitly-transient injections.  Everything else --
-    ``KeyError`` from a bad kernel spec, ``ValueError`` from bad config,
-    arbitrary bugs -- is a genuine job failure: retrying a deterministic job
-    re-raises it, so it fails fast instead.
-    """
-    if isinstance(exc, faults.TransientInjectedFault):
-        return True
-    if isinstance(exc, faults.InjectedFault):
-        return False
-    return isinstance(exc, (BrokenExecutor, TimeoutError, OSError))
 
 
 @dataclass(frozen=True)
 class JobFailure:
-    """Structured description of one job's terminal failure.
+    """Structured description of one job's failure.
 
-    Carries the exception type/message *and* the formatted traceback (so a
-    failure that happened in a worker process three retries ago is still
-    debuggable from the raised :class:`SweepJobError`), plus the retry
-    classification and how many attempts the job consumed.
+    Carries the exception type/message *and* the formatted traceback, so a
+    failure that happened in a worker process is still debuggable from the
+    raised :class:`SweepJobError`.
     """
 
     exc_type: str
     message: str
     traceback: str = ""
-    retryable: bool = False
-    attempts: int = 1
 
     @classmethod
-    def from_exception(cls, exc: BaseException, attempts: int = 1) -> "JobFailure":
+    def from_exception(cls, exc: BaseException) -> "JobFailure":
         formatted = "".join(
             traceback.format_exception(type(exc), exc, exc.__traceback__)
         )
-        return cls(
-            exc_type=type(exc).__name__,
-            message=str(exc),
-            traceback=formatted,
-            retryable=classify_retryable(exc),
-            attempts=attempts,
-        )
-
-    @classmethod
-    def from_description(cls, text: str) -> "JobFailure":
-        """Adopt a legacy ``"Type: message\\ntraceback"`` failure string."""
-        head, _, trailer = str(text).partition("\n")
-        exc_type, sep, message = head.partition(": ")
-        if not sep:
-            exc_type, message = "Error", head
-        return cls(exc_type=exc_type, message=message, traceback=trailer)
-
-    def with_attempts(self, attempts: int) -> "JobFailure":
-        return replace(self, attempts=attempts)
+        return cls(exc_type=type(exc).__name__, message=str(exc), traceback=formatted)
 
     @property
     def summary_line(self) -> str:
         message = self.message.splitlines()[0] if self.message else ""
         return f"{self.exc_type}: {message}"
 
-    def describe(self) -> str:
-        kind = "retryable" if self.retryable else "fatal"
-        header = f"{self.summary_line} [{kind}, after {self.attempts} attempt(s)]"
-        return f"{header}\n{self.traceback}" if self.traceback else header
-
     def __str__(self) -> str:
-        return self.describe()
+        if self.traceback:
+            return f"{self.summary_line}\n{self.traceback}"
+        return self.summary_line
 
 
-def backoff_delay(
-    job_id: str, attempt: int, base_s: float, cap_s: float
-) -> float:
-    """Exponential backoff with deterministic jitter.
+def _execute_job_guarded(job: ProfileJob) -> tuple[object, JobFailure | None, float]:
+    """Run one job, trapping its failure instead of poisoning the pool.
 
-    ``base * 2**attempt`` plus a jitter in ``[0, base)`` derived from a hash
-    of ``(job_id, attempt)`` -- different jobs desynchronise their retries,
-    yet the same sweep replays the same delays.  Capped at ``cap_s``.
+    Returns ``(result, None, seconds)`` on success and ``(None, failure,
+    seconds)`` on failure, ``seconds`` being the job's own run time.  It
+    looks :func:`execute_job` up by name at every call, so a patched
+    ``execute_job`` is the one that runs.
     """
-    if base_s <= 0:
-        return 0.0
-    digest = hashlib.sha256(f"{job_id}:{attempt}".encode()).digest()
-    jitter = int.from_bytes(digest[:8], "big") / 2.0**64 * base_s
-    return min(base_s * (2.0**attempt) + jitter, cap_s)
-
-
-# --------------------------------------------------------------------------- #
-# Columnar cache codec: large ProfileColumns spill to a sidecar .npz.
-# --------------------------------------------------------------------------- #
-class _ColumnSpillPickler(pickle.Pickler):
-    """Pickles a cache entry, diverting large :class:`ProfileColumns`.
-
-    Every ``ProfileColumns`` holding at least ``spill_points`` LOIs is
-    replaced by a persistent id and collected on :attr:`spilled`; the caller
-    writes those columns' arrays to the sidecar ``.npz``.  Shared column
-    objects (one profile referenced from several places) spill once.
-    """
-
-    def __init__(self, handle, spill_points: int) -> None:
-        super().__init__(handle, protocol=pickle.HIGHEST_PROTOCOL)
-        self._spill_points = spill_points
-        self._indices: dict[int, int] = {}
-        self.spilled: list[ProfileColumns] = []
-
-    def persistent_id(self, obj: object) -> tuple[str, int] | None:
-        if not isinstance(obj, ProfileColumns) or len(obj) < self._spill_points:
-            return None
-        index = self._indices.get(id(obj))  # statics: allow[identity-hash] -- in-process dedup only; what persists is the first-encounter spill index
-        if index is None:
-            index = len(self.spilled)
-            self._indices[id(obj)] = index  # statics: allow[identity-hash] -- the pinned reference in self.spilled keeps the id stable for the dump
-            self.spilled.append(obj)
-        return (_SPILL_TAG, index)
-
-
-class _ColumnSpillUnpickler(pickle.Unpickler):
-    """Loads a cache entry, mapping spilled columns back from the sidecar.
-
-    The sidecar is opened lazily (entries without spilled columns never touch
-    it) with ``mmap_mode="r"``, so the replayed profile's arrays are memory
-    maps: a cache hit faults in only the pages a consumer actually reads.
-    """
-
-    def __init__(self, handle, sidecar: Path) -> None:
-        super().__init__(handle)
-        self._sidecar = sidecar
-        self._payloads: dict[int, dict[str, np.ndarray]] | None = None
-        self._loaded: dict[int, ProfileColumns] = {}
-
-    def persistent_load(self, pid: object) -> ProfileColumns:
-        if not (isinstance(pid, tuple) and len(pid) == 2 and pid[0] == _SPILL_TAG):
-            raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
-        index = int(pid[1])
-        columns = self._loaded.get(index)
-        if columns is None:
-            if self._payloads is None:
-                members = load_npz_payload(self._sidecar, mmap_mode="r")
-                self._payloads = {}
-                for name, array in members.items():
-                    prefix, _, key = name.partition("/")
-                    self._payloads.setdefault(int(prefix), {})[key] = array
-            columns = ProfileColumns.from_payload(self._payloads[index])
-            self._loaded[index] = columns
-        return columns
-
-
-def _write_entry(result: object, handle, spill_points: int) -> list[ProfileColumns]:
-    """Pickle ``result`` into ``handle``; return the columns that spilled."""
-    pickler = _ColumnSpillPickler(handle, spill_points)
-    pickler.dump(result)
-    return pickler.spilled
-
-
-def _write_sidecar(spilled: Sequence[ProfileColumns], handle) -> None:
-    """Write the spilled columns' arrays as ``{index}/{key}`` npz members."""
-    members: dict[str, np.ndarray] = {}
-    for index, columns in enumerate(spilled):
-        for key, array in columns.to_payload().items():
-            members[f"{index}/{key}"] = array
-    np.savez(handle, **members)
-
-
-def _execute_job_guarded(
-    job: ProfileJob,
-    attempt: int = 0,
-    in_worker: bool = False,
-    plan_payload: object | None = None,
-) -> tuple[object, JobFailure | None]:
-    """Run one job attempt, trapping its failure instead of poisoning the pool.
-
-    Returns ``(result, None)`` on success and ``(None, failure)`` on failure;
-    the :class:`JobFailure` carries the exception type, message, formatted
-    traceback and retry classification, so the supervising dispatcher can
-    decide whether to retry and the sweep can re-raise with full context.
-
-    Fault injection: the dispatcher ships its resolved
-    :mod:`~repro.testing.faults` plan via ``plan_payload``; called directly
-    (or by older dispatch paths) the worker honours ``FINGRAV_FAULT_PLAN``
-    itself.  Matching is per ``(job id, attempt)``, so a retried attempt is
-    past its fault deterministically.
-    """
+    started = time.perf_counter()
     try:
-        if plan_payload is not None:
-            plan = faults.FaultPlan.from_payload(plan_payload)
-        else:
-            plan = faults.active_plan()
-        if plan is not None:
-            spec = plan.execute_fault(job.job_id, attempt)
-            if spec is not None:
-                faults.fire(spec, in_worker=in_worker)
-        return execute_job(job), None
+        result, failure = execute_job(job), None
     except Exception as exc:
-        return None, JobFailure.from_exception(exc, attempts=attempt + 1)
+        result, failure = None, JobFailure.from_exception(exc)
+    return result, failure, time.perf_counter() - started
 
 
 class SweepJobError(RuntimeError):
     """One or more sweep jobs failed (the rest completed and were cached).
 
     ``failures`` maps the failing job ids to :class:`JobFailure` records
-    (exception type, message, formatted traceback, retry classification and
-    attempt count -- ``str(failure)`` renders the full description);
-    ``completed`` holds the results of every job that did finish (cache hits
-    included), so callers can salvage partial sweeps.
+    (exception type, message and formatted traceback -- ``str(failure)``
+    renders the full description); ``completed`` holds the results of every
+    job that did finish (cache hits included), so callers can salvage
+    partial sweeps.
     """
 
     def __init__(
-        self,
-        failures: Mapping[str, "JobFailure | str"],
-        completed: Mapping[str, object],
+        self, failures: Mapping[str, JobFailure], completed: Mapping[str, object]
     ) -> None:
-        self.failures: dict[str, JobFailure] = {
-            job_id: (
-                failure
-                if isinstance(failure, JobFailure)
-                else JobFailure.from_description(failure)
-            )
-            for job_id, failure in failures.items()
-        }
+        self.failures = dict(failures)
         self.completed = dict(completed)
         #: Experiments :func:`run_sweep` still assembled from the completed
         #: jobs (set by run_sweep before re-raising; empty for runner-level
@@ -697,8 +441,10 @@ class SweepJobError(RuntimeError):
 # --------------------------------------------------------------------------- #
 #: Bump when the manifest layout changes.
 #: Schema 2: per-job ``collection`` audit (adaptive stopping decision) and
-#: the run-wide ``counts.runs_saved`` aggregate.
-MANIFEST_SCHEMA = 2
+#: the run-wide ``counts.runs_saved`` aggregate.  Schema 3: no retry,
+#: timeout, requeue or worker-crash counters, no ``config`` and no
+#: ``fault_plan``.
+MANIFEST_SCHEMA = 3
 
 
 def _collection_audit(outcome: object) -> dict | None:
@@ -722,11 +468,6 @@ class _JobLedger:
 
     key: str
     status: str = "pending"  # pending -> hit | recomputed | failed
-    attempts: int = 0
-    retries: int = 0
-    timeouts: int = 0
-    worker_crashes: int = 0
-    requeues: int = 0
     quarantined: int = 0
     cache_stored: bool = False
     cache_store_failures: int = 0
@@ -741,11 +482,6 @@ class _JobLedger:
         return {
             "key": self.key,
             "status": self.status,
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "worker_crashes": self.worker_crashes,
-            "requeues": self.requeues,
             "quarantined": self.quarantined,
             "cache_stored": self.cache_stored,
             "cache_store_failures": self.cache_store_failures,
@@ -759,25 +495,15 @@ class _JobLedger:
 class SweepManifest:
     """Builds (and writes) the JSON run manifest of one :meth:`SweepRunner.run`.
 
-    The manifest is the source -> status -> follow-ups refresh log of the
-    sweep: per job id it records whether the result was a cache *hit* or was
-    *recomputed* (or *failed*), how many attempts/retries/timeouts/worker
-    crashes it took, whether its cache entry was quarantined, and how long it
-    ran; run-wide it stamps the runner config, the fault plan in force (if
-    any) and the engine/provider provenance.  Schema in ``docs/sweep.md``.
+    Per job id it records whether the result was a cache *hit* or was
+    *recomputed* (or *failed*), whether its cache entry was quarantined, and
+    how long it ran; run-wide it stamps the worker count and the
+    engine/provider provenance.  Schema in ``docs/sweep.md``.
     """
 
-    def __init__(
-        self,
-        path: Path | None,
-        workers: int,
-        config: SweepConfig,
-        fault_plan: "faults.FaultPlan | None" = None,
-    ) -> None:
+    def __init__(self, path: Path | None, workers: int) -> None:
         self.path = path
         self.workers = workers
-        self.config = config
-        self.fault_plan = fault_plan
         self.jobs: dict[str, _JobLedger] = {}
         self._started = time.perf_counter()
 
@@ -799,10 +525,6 @@ class SweepManifest:
             "hits": sum(1 for job in ledgers if job.status == "hit"),
             "recomputed": sum(1 for job in ledgers if job.status == "recomputed"),
             "failed": sum(1 for job in ledgers if job.status == "failed"),
-            "retried": sum(job.retries for job in ledgers),
-            "timed_out": sum(job.timeouts for job in ledgers),
-            "worker_crashes": sum(job.worker_crashes for job in ledgers),
-            "requeued": sum(job.requeues for job in ledgers),
             "quarantined": sum(job.quarantined for job in ledgers),
             "cache_store_failures": sum(job.cache_store_failures for job in ledgers),
             "runs_saved": sum(
@@ -817,15 +539,7 @@ class SweepManifest:
             "interrupted": interrupted,
             "elapsed_s": round(time.perf_counter() - self._started, 6),
             "workers": self.workers,
-            "config": {
-                "job_timeout_s": self.config.job_timeout_s,
-                "max_retries": self.config.max_retries,
-                "backoff_base_s": self.config.backoff_base_s,
-                "backoff_cap_s": self.config.backoff_cap_s,
-                "max_pool_rebuilds": self.config.max_pool_rebuilds,
-            },
             "engine": execution_provenance(),
-            "fault_plan": self.fault_plan.to_payload() if self.fault_plan else None,
             "counts": counts,
             "jobs": {job_id: ledger.to_payload() for job_id, ledger in self.jobs.items()},
         }
@@ -858,84 +572,36 @@ class SweepManifest:
 # --------------------------------------------------------------------------- #
 # The runner.
 # --------------------------------------------------------------------------- #
-@dataclass
-class _Flight:
-    """One dispatched job attempt: what is running, since when, until when."""
-
-    job: ProfileJob
-    attempt: int
-    started: float
-    deadline: float | None
-
-
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Forcibly stop a pool that may hold hung or dead workers.
-
-    ``shutdown`` alone never returns while a worker is wedged, so the worker
-    processes are SIGKILLed first; reaching into ``_processes`` is the only
-    way the stdlib executor exposes them, and any failure here degrades to
-    leaking a doomed pool rather than hanging the sweep.
-    """
-    # Snapshot then SIGKILL the workers *before* any shutdown call:
-    # ``shutdown()`` drops the ``_processes``/manager-thread references even
-    # with ``wait=False``, after which the hung workers can no longer be
-    # reached and interpreter exit blocks joining them.
-    for process in list((getattr(pool, "_processes", None) or {}).values()):
-        try:
-            process.kill()
-        except Exception:
-            continue
-    try:
-        pool.shutdown(wait=True, cancel_futures=True)
-    except Exception:
-        pass
-
-
 class SweepRunner:
     """Executes profile jobs, optionally in parallel and through a disk cache.
 
-    ``workers <= 1`` runs jobs inline (no subprocesses); ``workers > 1`` fans
+    ``workers == 1`` runs jobs inline (no subprocesses); ``workers > 1`` fans
     pending jobs out over a :class:`ProcessPoolExecutor`.  Because jobs are
     independent and internally seeded, results are identical for any worker
     count; a determinism test pins this.  When ``cache_dir`` is set, finished
-    jobs are stored under their content key and replayed on later sweeps:
-    each entry is a pickle whose large profile columns (``>= spill_points``
-    LOIs) live in a sidecar ``<key>.npz`` and are mapped back lazily with
-    ``mmap_mode="r"`` on load.  ``spill_points`` defaults to
-    ``FINGRAV_SPILL_POINTS`` or :data:`_SPILL_POINTS_DEFAULT`.
+    jobs are pickled under their content key and replayed on later sweeps.
+    ``config`` is accepted for callers that still pass a :class:`SweepConfig`
+    and is ignored.
     """
 
     def __init__(
         self,
         workers: int = 1,
         cache_dir: str | Path | None = None,
-        spill_points: int | None = None,
         config: SweepConfig | None = None,
         manifest_path: str | Path | None = None,
-        fault_plan: "faults.FaultPlan | None" = None,
     ) -> None:
         workers = int(workers)
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        if spill_points is None:
-            try:
-                spill_points = int(
-                    os.environ.get("FINGRAV_SPILL_POINTS", "") or _SPILL_POINTS_DEFAULT
-                )
-            except ValueError:
-                spill_points = _SPILL_POINTS_DEFAULT
-        self.spill_points = max(int(spill_points), 1)
-        self.config = config if config is not None else SweepConfig.from_env()
         if manifest_path is not None:
             self.manifest_path: Path | None = Path(manifest_path)
         elif self.cache_dir is not None:
             self.manifest_path = self.cache_dir / "manifest.json"
         else:
             self.manifest_path = None
-        #: Explicit fault plan for tests; None defers to FINGRAV_FAULT_PLAN.
-        self.fault_plan = fault_plan
         self.cache_hits = 0
         #: Snapshot of the last run's manifest payload (set even when no
         #: manifest file is written because the cache is disabled).
@@ -946,12 +612,11 @@ class SweepRunner:
         """Execute jobs (deduplicated by id) and return {job_id: result}.
 
         Job failures are collected, not fatal per-job: every pending job
-        still runs to a terminal outcome (bounded retries included),
-        finished results are cached, and a :class:`SweepJobError` naming the
-        failing job id(s) is raised at the end with the completed results
-        attached.  The run manifest is flushed on every exit path --
-        including ``KeyboardInterrupt`` -- so an aborted sweep still leaves
-        an accurate record of what finished.
+        still runs to an outcome, finished results are cached, and a
+        :class:`SweepJobError` naming the failing job id(s) is raised at the
+        end with the completed results attached.  The run manifest is
+        flushed on every exit path -- including ``KeyboardInterrupt`` -- so
+        an aborted sweep still leaves an accurate record of what finished.
         """
         unique: dict[str, ProfileJob] = {}
         for job in jobs:
@@ -962,18 +627,13 @@ class SweepRunner:
                 continue
             unique[job.job_id] = job
 
-        # Resolve (and validate) the fault plan before any work is dispatched:
-        # a malformed plan must abort loudly, not run a silently-clean sweep.
-        plan = self.fault_plan if self.fault_plan is not None else faults.active_plan()
         self._sweep_stale_staging()
-        manifest = SweepManifest(
-            self.manifest_path, workers=self.workers, config=self.config, fault_plan=plan
-        )
+        manifest = SweepManifest(self.manifest_path, workers=self.workers)
         results: dict[str, object] = {}
         pending: list[ProfileJob] = []
         for job in unique.values():
             ledger = manifest.entry(job)
-            cached = self._cache_load(job, manifest=manifest, plan=plan)
+            cached = self._cache_load(job, manifest=manifest)
             if cached is not None:
                 results[job.job_id] = cached
                 self.cache_hits += 1
@@ -985,12 +645,29 @@ class SweepRunner:
                 pending.append(job)
 
         failures: dict[str, JobFailure] = {}
+
+        def settle(
+            job: ProfileJob, outcome: object, failure: JobFailure | None, seconds: float
+        ) -> None:
+            ledger = manifest.entry(job)
+            ledger.seconds = seconds
+            if failure is None:
+                results[job.job_id] = outcome
+                self._cache_store(job, outcome, manifest=manifest)
+                ledger.status = "recomputed"
+                ledger.collection = _collection_audit(outcome)
+            else:
+                failures[job.job_id] = failure
+                ledger.status = "failed"
+                ledger.error = failure.summary_line
+
         try:
             if pending:
                 if self.workers == 1:
-                    self._run_inline(pending, results, failures, manifest, plan)
+                    for job in pending:
+                        settle(job, *_execute_job_guarded(job))
                 else:
-                    self._run_supervised(pending, results, failures, manifest, plan)
+                    self._run_pool(pending, settle)
         except BaseException:
             # KeyboardInterrupt (and any dispatcher bug) still flushes the
             # manifest so operators can see exactly what completed.
@@ -1001,313 +678,31 @@ class SweepRunner:
             raise SweepJobError(failures, results)
         return results
 
-    # ------------------------------------------------------------------ #
-    # Inline execution (workers == 1): retries, no process isolation.
-    # ------------------------------------------------------------------ #
-    def _run_inline(
-        self,
-        pending: Sequence[ProfileJob],
-        results: dict[str, object],
-        failures: dict[str, JobFailure],
-        manifest: SweepManifest,
-        plan: "faults.FaultPlan | None",
-    ) -> None:
-        plan_payload = plan.to_payload() if plan is not None else None
-        for job in pending:
-            ledger = manifest.entry(job)
-            attempt = 0
-            while True:
-                ledger.attempts += 1
-                started = time.perf_counter()
-                outcome, failure = _execute_job_guarded(
-                    job, attempt, in_worker=False, plan_payload=plan_payload
-                )
-                ledger.seconds += time.perf_counter() - started
-                if failure is None:
-                    results[job.job_id] = outcome
-                    self._cache_store(job, outcome, manifest=manifest)
-                    ledger.status = "recomputed"
-                    ledger.collection = _collection_audit(outcome)
-                    break
-                if failure.retryable and attempt < self.config.max_retries:
-                    delay = self._backoff(job.job_id, attempt)
-                    ledger.retries += 1
-                    manifest.event(
-                        job.job_id,
-                        f"retry {attempt + 1}/{self.config.max_retries} after "
-                        f"{failure.summary_line} (backoff {delay:.3f}s)",
-                    )
-                    time.sleep(delay)
-                    attempt += 1
-                    continue
-                failures[job.job_id] = failure
-                ledger.status = "failed"
-                ledger.error = failure.summary_line
-                break
+    def _run_pool(self, pending: Sequence[ProfileJob], settle: Callable[..., None]) -> None:
+        """Run every pending job on one process pool, settling each as it ends.
 
-    # ------------------------------------------------------------------ #
-    # Supervised pool execution (workers > 1): submit/wait dispatch with a
-    # per-job watchdog, bounded retries and bounded pool rebuilds.
-    # ------------------------------------------------------------------ #
-    def _run_supervised(
-        self,
-        pending: Sequence[ProfileJob],
-        results: dict[str, object],
-        failures: dict[str, JobFailure],
-        manifest: SweepManifest,
-        plan: "faults.FaultPlan | None",
-    ) -> None:
-        config = self.config
-        plan_payload = plan.to_payload() if plan is not None else None
-        size = min(self.workers, len(pending))
-        ready: deque[tuple[ProfileJob, int]] = deque((job, 0) for job in pending)
-        delayed: list[tuple[float, int, ProfileJob, int]] = []  # backoff heap
-        tiebreak = itertools.count()
-        rebuilds = 0
-        pool = ProcessPoolExecutor(max_workers=size)
-        in_flight: dict[Future, _Flight] = {}
-
-        def settle_failure(job: ProfileJob, attempt: int, failure: JobFailure) -> None:
-            """Schedule a retry with backoff, or record the terminal failure."""
-            ledger = manifest.entry(job)
-            if failure.retryable and attempt < config.max_retries:
-                delay = self._backoff(job.job_id, attempt)
-                ledger.retries += 1
-                manifest.event(
-                    job.job_id,
-                    f"retry {attempt + 1}/{config.max_retries} after "
-                    f"{failure.summary_line} (backoff {delay:.3f}s)",
-                )
-                heapq.heappush(
-                    delayed,
-                    (time.monotonic() + delay, next(tiebreak), job, attempt + 1),
-                )
-            else:
-                failures[job.job_id] = failure
-                ledger.status = "failed"
-                ledger.error = failure.summary_line
-
-        def settle_outcome(flight: "_Flight", outcome: object, failure: JobFailure | None) -> None:
-            ledger = manifest.entry(flight.job)
-            ledger.seconds += time.monotonic() - flight.started
-            if failure is None:
-                results[flight.job.job_id] = outcome
-                self._cache_store(flight.job, outcome, manifest=manifest)
-                ledger.status = "recomputed"
-                ledger.collection = _collection_audit(outcome)
-            else:
-                settle_failure(flight.job, flight.attempt, failure)
-
-        def exhaust_rebuild_budget(reason: str) -> None:
-            """Terminal backstop: the pool broke more often than allowed."""
-            casualties = (
-                [(flight.job, flight.attempt) for flight in in_flight.values()]
-                + list(ready)
-                + [(job, attempt) for _, _, job, attempt in delayed]
-            )
-            in_flight.clear()
-            ready.clear()
-            delayed.clear()
-            for job, attempt in casualties:
-                ledger = manifest.entry(job)
-                failure = JobFailure(
-                    exc_type="PoolRebuildBudgetExceeded",
-                    message=(
-                        f"pool rebuild budget exhausted after "
-                        f"{config.max_pool_rebuilds} rebuild(s): {reason}"
-                    ),
-                    retryable=False,
-                    attempts=attempt + 1,
-                )
-                failures[job.job_id] = failure
-                ledger.status = "failed"
-                ledger.error = failure.summary_line
-
+        A worker that dies breaks the pool, and the executor then fails
+        every job that had not finished with ``BrokenProcessPool``; those
+        jobs settle as that failure and the jobs that had finished are kept.
+        The pool is not rebuilt: a deterministic job that killed its worker
+        would kill the next one too.
+        """
+        pool = ProcessPoolExecutor(max_workers=min(self.workers, len(pending)))
         try:
-            while ready or delayed or in_flight:
-                now = time.monotonic()
-                while delayed and delayed[0][0] <= now:
-                    _, _, job, attempt = heapq.heappop(delayed)
-                    ready.append((job, attempt))
-
-                pool_broken = False
-                while ready and len(in_flight) < size:
-                    job, attempt = ready.popleft()
-                    ledger = manifest.entry(job)
-                    started = time.monotonic()
-                    deadline = (
-                        started + config.job_timeout_s
-                        if config.job_timeout_s is not None
-                        else None
-                    )
-                    try:
-                        future = pool.submit(
-                            _execute_job_guarded, job, attempt, True, plan_payload
-                        )
-                    except BrokenExecutor:
-                        # The pool died between completions; put the job back
-                        # (it never ran -- no attempt charged) and rebuild.
-                        ready.appendleft((job, attempt))
-                        pool_broken = True
-                        break
-                    ledger.attempts += 1
-                    in_flight[future] = _Flight(job, attempt, started, deadline)
-
-                if not pool_broken and not in_flight:
-                    # Only backoff-delayed work remains: sleep until due.
-                    if delayed:
-                        time.sleep(max(delayed[0][0] - time.monotonic(), 0.0))
-                    continue
-
-                if not pool_broken:
-                    deadlines = [
-                        flight.deadline
-                        for flight in in_flight.values()
-                        if flight.deadline is not None
-                    ]
-                    if delayed:
-                        deadlines.append(delayed[0][0])
-                    timeout = (
-                        max(min(deadlines) - time.monotonic(), 0.0)
-                        if deadlines
-                        else None
-                    )
-                    done, _ = wait(
-                        list(in_flight), timeout=timeout, return_when=FIRST_COMPLETED
-                    )
-                    for future in done:
-                        flight = in_flight.pop(future)
-                        ledger = manifest.entry(flight.job)
-                        try:
-                            outcome, failure = future.result()
-                        except BrokenExecutor as exc:
-                            # The worker under this job (or a sibling) died;
-                            # every in-flight future fails the same way.  We
-                            # cannot tell the crasher from the bystanders, so
-                            # each affected job is charged one retryable
-                            # attempt -- one crashed worker costs one retry.
-                            ledger.worker_crashes += 1
-                            ledger.seconds += time.monotonic() - flight.started
-                            manifest.event(
-                                flight.job.job_id,
-                                f"worker-crash on attempt {flight.attempt + 1} "
-                                f"({type(exc).__name__})",
-                            )
-                            settle_failure(
-                                flight.job,
-                                flight.attempt,
-                                JobFailure.from_exception(exc, flight.attempt + 1),
-                            )
-                            pool_broken = True
-                            continue
-                        except Exception as exc:  # CancelledError and friends
-                            ledger.seconds += time.monotonic() - flight.started
-                            settle_failure(
-                                flight.job,
-                                flight.attempt,
-                                JobFailure.from_exception(exc, flight.attempt + 1),
-                            )
-                            continue
-                        settle_outcome(flight, outcome, failure)
-
-                if pool_broken:
-                    rebuilds += 1
-                    # Salvage any future that finished cleanly before the
-                    # collapse; everything else is lost with the pool.
-                    for future, flight in list(in_flight.items()):
-                        if future.done():
-                            try:
-                                outcome, failure = future.result()
-                            except Exception:
-                                pass
-                            else:
-                                settle_outcome(flight, outcome, failure)
-                                continue
-                        ledger = manifest.entry(flight.job)
-                        ledger.worker_crashes += 1
-                        ledger.seconds += time.monotonic() - flight.started
-                        manifest.event(
-                            flight.job.job_id,
-                            f"worker-crash on attempt {flight.attempt + 1} "
-                            f"(pool collapsed)",
-                        )
-                        settle_failure(
-                            flight.job,
-                            flight.attempt,
-                            JobFailure(
-                                exc_type="BrokenProcessPool",
-                                message="worker pool collapsed under this job",
-                                retryable=True,
-                                attempts=flight.attempt + 1,
-                            ),
-                        )
-                    in_flight.clear()
-                    _kill_pool(pool)
-                    if rebuilds > config.max_pool_rebuilds:
-                        exhaust_rebuild_budget("worker crash")
-                        return
-                    pool = ProcessPoolExecutor(max_workers=size)
-                    continue
-
-                # Watchdog: time out any in-flight job past its deadline.
-                now = time.monotonic()
-                hung = [
-                    future
-                    for future, flight in in_flight.items()
-                    if flight.deadline is not None and flight.deadline <= now
-                ]
-                if hung:
-                    rebuilds += 1
-                    # A hung worker cannot be cancelled through the executor
-                    # API; kill the pool and rebuild it.  The hung job is
-                    # charged a (retryable) timeout; innocent in-flight jobs
-                    # are requeued at the same attempt -- interruption is not
-                    # their failure -- bounded by the rebuild budget.
-                    _kill_pool(pool)
-                    for future, flight in list(in_flight.items()):
-                        ledger = manifest.entry(flight.job)
-                        ledger.seconds += time.monotonic() - flight.started
-                        if future in hung:
-                            ledger.timeouts += 1
-                            manifest.event(
-                                flight.job.job_id,
-                                f"timed-out after {config.job_timeout_s}s on "
-                                f"attempt {flight.attempt + 1}",
-                            )
-                            settle_failure(
-                                flight.job,
-                                flight.attempt,
-                                JobFailure(
-                                    exc_type="JobTimeout",
-                                    message=(
-                                        f"job exceeded job_timeout_s="
-                                        f"{config.job_timeout_s}s"
-                                    ),
-                                    retryable=True,
-                                    attempts=flight.attempt + 1,
-                                ),
-                            )
-                        else:
-                            ledger.requeues += 1
-                            manifest.event(
-                                flight.job.job_id,
-                                f"requeued (pool rebuilt around a hung sibling, "
-                                f"attempt {flight.attempt + 1} uncharged)",
-                            )
-                            ready.append((flight.job, flight.attempt))
-                    in_flight.clear()
-                    if rebuilds > config.max_pool_rebuilds:
-                        exhaust_rebuild_budget("hung job")
-                        return
-                    pool = ProcessPoolExecutor(max_workers=size)
+            futures: dict[Future, ProfileJob] = {}
+            for job in pending:
+                try:
+                    futures[pool.submit(_execute_job_guarded, job)] = job
+                except BrokenExecutor as exc:
+                    settle(job, None, JobFailure.from_exception(exc), 0.0)
+            for future in as_completed(futures):
+                try:
+                    outcome, failure, seconds = future.result()
+                except Exception as exc:  # BrokenProcessPool and friends
+                    outcome, failure, seconds = None, JobFailure.from_exception(exc), 0.0
+                settle(futures[future], outcome, failure, seconds)
         finally:
-            _kill_pool(pool)
-
-    # ------------------------------------------------------------------ #
-    def _backoff(self, job_id: str, attempt: int) -> float:
-        return backoff_delay(
-            job_id, attempt, self.config.backoff_base_s, self.config.backoff_cap_s
-        )
+            pool.shutdown(cancel_futures=True)
 
     # ------------------------------------------------------------------ #
     def _cache_path(self, job: ProfileJob, manifest: SweepManifest | None = None) -> Path | None:
@@ -1317,28 +712,18 @@ class SweepRunner:
         return self.cache_dir / f"{key}.pkl"
 
     def _cache_load(
-        self,
-        job: ProfileJob,
-        manifest: SweepManifest | None = None,
-        plan: "faults.FaultPlan | None" = None,
+        self, job: ProfileJob, manifest: SweepManifest | None = None
     ) -> object | None:
         path = self._cache_path(job, manifest)
-        if path is None:
-            return None
-        if plan is not None and path.exists():
-            spec = plan.cache_fault(job.job_id)
-            if spec is not None and faults.corrupt_entry(path):
-                if manifest is not None:
-                    manifest.event(job.job_id, "fault-injected: cache_corrupt")
-        if not path.exists():
+        if path is None or not path.exists():
             return None
         try:
             with path.open("rb") as handle:
-                return _ColumnSpillUnpickler(handle, path.with_suffix(".npz")).load()
+                return pickle.load(handle)
         except Exception as exc:
-            # Truncated/corrupt pickle or sidecar: quarantine the entry so
-            # later sweeps see a clean miss instead of re-parsing garbage,
-            # and degrade to a recompute -- never an abort.
+            # Truncated/corrupt pickle: quarantine the entry so later sweeps
+            # see a clean miss instead of re-parsing garbage, and degrade to
+            # a recompute -- never an abort.
             self._quarantine(job, path, exc, manifest)
             return None
 
@@ -1349,25 +734,21 @@ class SweepRunner:
         exc: Exception,
         manifest: SweepManifest | None,
     ) -> None:
-        quarantined: list[str] = []
-        for victim in (path, path.with_suffix(".npz")):
+        try:
+            path.replace(path.with_name(path.name + ".corrupt"))
+        except OSError:
+            # Even the rename can fail (read-only dir, races); removal is
+            # the next-best way to stop replaying the corruption.
             try:
-                if victim.exists():
-                    victim.replace(victim.with_name(victim.name + ".corrupt"))
-                    quarantined.append(victim.name)
+                path.unlink(missing_ok=True)
             except OSError:
-                # Even the rename can fail (read-only dir, races); removal is
-                # the next-best way to stop replaying the corruption.
-                try:
-                    victim.unlink(missing_ok=True)
-                except OSError:
-                    continue
+                pass
         if manifest is not None:
             ledger = manifest.entry(job)
             ledger.quarantined += 1
             manifest.event(
                 job.job_id,
-                f"cache-quarantined {quarantined or [path.name]} "
+                f"cache-quarantined {path.name} "
                 f"({type(exc).__name__}: {str(exc).splitlines()[0] if str(exc) else ''})",
             )
 
@@ -1377,24 +758,14 @@ class SweepRunner:
         path = self._cache_path(job, manifest)
         if path is None:
             return
-        # The staging names are unique per writer (pid + in-process counter):
-        # two sweeps sharing FINGRAV_PROFILE_CACHE previously staged to the
-        # same `<key>.tmp` and could interleave writes, atomically renaming a
-        # corrupt mix of both into place.  The sidecar shares the suffix and
-        # is renamed into place *before* the pickle, so a reader that sees
-        # the new pickle always finds a sidecar at least as new.
-        sidecar = path.with_suffix(".npz")
-        suffix = f".{os.getpid()}-{next(_STAGING_COUNTER)}.tmp"
-        staging = path.with_name(path.name + suffix)
-        sidecar_staging = sidecar.with_name(sidecar.name + suffix)
+        # The staging name is unique per writer (pid + in-process counter),
+        # so two sweeps sharing FINGRAV_PROFILE_CACHE never interleave writes
+        # into one staging file and rename a corrupt mix into place.
+        staging = path.with_name(f"{path.name}.{os.getpid()}-{next(_STAGING_COUNTER)}.tmp")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             with staging.open("wb") as handle:
-                spilled = _write_entry(result, handle, self.spill_points)
-            if spilled:
-                with sidecar_staging.open("wb") as handle:
-                    _write_sidecar(spilled, handle)
-                sidecar_staging.replace(sidecar)
+                pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
             staging.replace(path)
             if manifest is not None:
                 manifest.entry(job).cache_stored = True
@@ -1410,12 +781,11 @@ class SweepRunner:
                 )
         finally:
             # A failed write (or a replace that raced a directory removal)
-            # must not leave its staging files behind.
-            for stray in (staging, sidecar_staging):
-                try:
-                    stray.unlink(missing_ok=True)
-                except OSError:
-                    pass
+            # must not leave its staging file behind.
+            try:
+                staging.unlink(missing_ok=True)
+            except OSError:
+                pass
 
     def _sweep_stale_staging(self) -> None:
         """Remove staging strays orphaned by crashed/killed writers.
@@ -1427,7 +797,7 @@ class SweepRunner:
         if self.cache_dir is None or not self.cache_dir.is_dir():
             return
         cutoff = time.time() - _STALE_STAGING_S  # statics: allow[wall-clock] -- GC cutoff compared against file mtimes, which are wall-clock too
-        for pattern in ("*.pkl.*.tmp", "*.npz.*.tmp", "*.json.*.tmp"):
+        for pattern in ("*.pkl.*.tmp", "*.json.*.tmp"):
             for stray in self.cache_dir.glob(pattern):
                 try:
                     if stray.stat().st_mtime < cutoff:
@@ -1448,8 +818,7 @@ def _parse_workers(value: object, source: str) -> int:
 
 
 def default_runner() -> SweepRunner:
-    """Runner configured from FINGRAV_WORKERS / FINGRAV_PROFILE_CACHE (plus
-    the fault-model knobs read by :meth:`SweepConfig.from_env`)."""
+    """Runner configured from FINGRAV_WORKERS / FINGRAV_PROFILE_CACHE."""
     workers = _parse_workers(os.environ.get("FINGRAV_WORKERS", "1") or 1, "FINGRAV_WORKERS")
     cache = os.environ.get("FINGRAV_PROFILE_CACHE") or None
     return SweepRunner(workers=workers, cache_dir=cache)
@@ -1635,15 +1004,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="content-keyed on-disk profile cache (default: FINGRAV_PROFILE_CACHE)",
     )
     parser.add_argument(
-        "--job-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-job watchdog timeout, workers > 1 only "
-             "(default: FINGRAV_JOB_TIMEOUT or disabled; 0 disables)",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="max retries per transiently-failing job (default: FINGRAV_MAX_RETRIES or 2)",
-    )
-    parser.add_argument(
         "--manifest", default=None, metavar="PATH",
         help="run-manifest location (default: <cache>/manifest.json when caching)",
     )
@@ -1667,38 +1027,25 @@ def main(argv: Sequence[str] | None = None) -> int:
             workers = _parse_workers(
                 os.environ.get("FINGRAV_WORKERS", "1") or 1, "FINGRAV_WORKERS"
             )
-        config = SweepConfig.from_env()
-        if args.job_timeout is not None:
-            config = replace(
-                config, job_timeout_s=args.job_timeout if args.job_timeout > 0 else None
-            )
-        if args.retries is not None:
-            config = replace(config, max_retries=args.retries)
     except ValueError as error:
         parser.error(str(error))
     cache = args.cache if args.cache is not None else (
         os.environ.get("FINGRAV_PROFILE_CACHE") or None
     )
     try:
-        runner = SweepRunner(
-            workers=workers, cache_dir=cache, config=config, manifest_path=args.manifest
-        )
+        runner = SweepRunner(workers=workers, cache_dir=cache, manifest_path=args.manifest)
     except ValueError as error:
         parser.error(str(error))
 
     print(f"[sweep] scale={scale.name} workers={runner.workers} "
           f"cache={runner.cache_dir or 'off'} "
-          f"timeout={config.job_timeout_s or 'off'} retries={config.max_retries} "
           f"experiments={' '.join(requested)}")
     begin = time.perf_counter()
     job_error: SweepJobError | None = None
     try:
         results = run_sweep(requested, scale=scale, runner=runner)
-    except faults.FaultPlanError as error:
-        print(f"[sweep] ABORT: {error}")
-        return 2
     except KeyboardInterrupt:
-        # The runner already cancelled/killed its pool and flushed the
+        # The runner already shut its pool down and flushed the
         # manifest before re-raising; exit with the conventional SIGINT code.
         print("\n[sweep] interrupted: pending jobs cancelled", flush=True)
         if runner.manifest_path is not None:
@@ -1721,7 +1068,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     counts = manifest.get("counts", {})
     print(f"\n[sweep] done in {elapsed:.1f}s "
           f"({runner.cache_hits} cache hits, {runner.workers} workers, "
-          f"{counts.get('retried', 0)} retries, {counts.get('timed_out', 0)} timeouts, "
           f"{counts.get('quarantined', 0)} quarantined)")
     if runner.manifest_path is not None:
         print(f"[sweep] manifest written to {runner.manifest_path}")
@@ -1770,10 +1116,7 @@ __all__ = [
     "configured_adaptive",
     "execute_job",
     "job_key",
-    "SweepConfig",
-    "classify_retryable",
     "JobFailure",
-    "backoff_delay",
     "SweepJobError",
     "SweepManifest",
     "MANIFEST_SCHEMA",

@@ -10,11 +10,11 @@ hashes the very configs ``execute_job`` runs (``ProfileJob.configs``), and
 the C provider is generated from the kernel bodies (``gpu/_fastcore_c.py``).
 
 ``determinism`` (:mod:`repro.statics.determinism`)
-    In the declared deterministic-critical modules (``gpu/``, ``core/``,
-    ``experiments/sweep.py``, ``testing/faults.py``): wall-clock reads,
-    unseeded RNG construction, builtin ``hash()``/``id()`` (process-unstable
-    values that must never feed persisted or cache-key data), and iteration
-    over unordered sets where the order can escape into results.
+    In the declared deterministic-critical modules (``gpu/``, ``core/`` and
+    ``experiments/sweep.py``): wall-clock reads, unseeded RNG construction,
+    builtin ``hash()``/``id()`` (process-unstable values that must never feed
+    persisted or cache-key data), and iteration over unordered sets where
+    the order can escape into results.
 
 ``contracts`` (:mod:`repro.statics.contracts`)
     Detects lambdas, closures and local classes handed to process-pool

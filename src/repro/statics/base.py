@@ -54,7 +54,6 @@ DETERMINISM_CRITICAL: tuple[str, ...] = (
     "gpu",
     "core",
     "experiments/sweep.py",
-    "testing/faults.py",
 )
 
 

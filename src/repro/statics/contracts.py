@@ -1,7 +1,7 @@
 """Cross-process contracts: payloads must survive pickling.
 
-Everything a sweep hands to a worker pool -- the callable submitted, the job
-payloads, the fault plan -- crosses a process boundary through pickle.
+Everything a sweep hands to a worker pool -- the callable submitted and the
+job payloads -- crosses a process boundary through pickle.
 Lambdas, closures over local state and locally-defined classes all pickle
 only by *reference to a module-level name they do not have*, so today they
 fail at dispatch time, deep inside the pool machinery, with an error that
@@ -10,7 +10,7 @@ site instead:
 
 * a ``lambda`` anywhere inside the arguments of a pool-submission call
   (``pool.submit``, ``executor.map``, ``apply_async``, ``Process(target=...)``)
-  or a fault-plan construction (``FaultSpec``/``FaultPlan``);
+  or a job-payload construction (``ProfileJob``/``KernelSpec``);
 * a reference to a function or class *defined inside the enclosing function*
   (a closure or local class) passed the same way.
 
@@ -30,7 +30,7 @@ _SUBMIT_METHODS = frozenset({"submit", "apply_async", "apply"})
 #: keep builtin-alike ``.map`` methods out of scope.
 _MAP_METHODS = frozenset({"map", "imap", "imap_unordered", "starmap"})
 #: Constructors whose arguments ship across process boundaries.
-_PAYLOAD_CTORS = ("Process", "FaultSpec", "FaultPlan")
+_PAYLOAD_CTORS = ("Process", "ProfileJob", "KernelSpec")
 
 
 def _pool_like(receiver: ast.expr) -> bool:

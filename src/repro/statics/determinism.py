@@ -3,8 +3,8 @@
 The critical scope (:data:`repro.statics.base.DETERMINISM_CRITICAL`) is the
 code whose outputs are pinned bit-identical by the equivalence suites and the
 sweep cache: the simulated device and engines (``gpu/``), the methodology
-core (``core/``), the sweep engine (``experiments/sweep.py``) and the fault
-harness (``testing/faults.py``).  Inside it, four things are flagged:
+core (``core/``) and the sweep engine (``experiments/sweep.py``).  Inside
+it, four things are flagged:
 
 ``wall-clock``
     Reads of the wall clock (``time.time``, ``datetime.now``, ...).  Monotonic

@@ -289,3 +289,21 @@ class TestInterleavedBatching:
         # Same number of draws from the study's stream and the same runs.
         assert study._rng.uniform() == reference_rng.uniform()
         assert collected >= runs
+
+    def test_each_run_extracted_once(self, monkeypatch):
+        from repro.core import stitching
+
+        extracted: list[int] = []
+        real = stitching.extract_lois_batch
+
+        def counting(runs, *args, **kwargs):
+            extracted.extend(record.run_index for record in runs)
+            return real(runs, *args, **kwargs)
+
+        monkeypatch.setattr(stitching, "extract_lois_batch", counting)
+        study = InterleavingStudy(SimulatedDeviceBackend(seed=17), runs=6, seed=23)
+        study.interleaved_profile(
+            mb_gemv(4096), [(cb_gemm(8192), 2), (cb_gemm(4096), 4)], min_lois=6, max_runs=200
+        )
+        assert len(extracted) > 6  # the top-up loop ran
+        assert sorted(extracted) == list(range(len(extracted)))

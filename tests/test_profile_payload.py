@@ -1,15 +1,14 @@
-"""Tests for the canonical columnar payload: NPZ/pickle codecs and spill.
+"""Tests for the canonical columnar payload: NPZ/pickle codecs and cache entries.
 
 Covers the ProfileColumns codec (`to_payload`/`from_payload`, `to_npz`/
 `from_npz` with memory-mapped loads), the columnar `FineGrainProfile`
 pickle/equality fast paths, the viz `profile_to_npz`/`profile_from_npz`
-pair, and the sweep cache's sidecar spill.
+pair, and the sweep cache's entries.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import io
 import pickle
 
 import numpy as np
@@ -22,7 +21,6 @@ from repro.core.profile import (
     ProfilePoint,
     load_npz_payload,
 )
-from repro.experiments import sweep as sweep_module
 from repro.experiments.sweep import ProfileJob, SweepRunner, job_key, kernel_spec
 from repro.viz.export import profile_from_npz, profile_to_npz
 
@@ -282,10 +280,10 @@ class TestVizNpz:
 
 
 # --------------------------------------------------------------------------- #
-# The sweep cache's sidecar spill.
+# The sweep cache's entries.
 # --------------------------------------------------------------------------- #
-SPILL_JOB = ProfileJob(
-    job_id="payload-test/spill",
+CACHE_JOB = ProfileJob(
+    job_id="payload-test/cache",
     kernel=kernel_spec("cb_gemm", 2048),
     runs=4,
     backend_seed=5,
@@ -293,7 +291,7 @@ SPILL_JOB = ProfileJob(
 )
 
 
-class TestCacheSpill:
+class TestCacheEntries:
     def entry(self, points: int) -> dict[str, object]:
         return {
             "big": profile_from(large_columns(points)),
@@ -301,68 +299,20 @@ class TestCacheSpill:
             "scalar": 7,
         }
 
-    def test_round_trip_with_spill(self, tmp_path):
-        runner = SweepRunner(workers=1, cache_dir=tmp_path, spill_points=1000)
+    def test_round_trip(self, tmp_path):
+        runner = SweepRunner(workers=1, cache_dir=tmp_path)
         entry = self.entry(5000)
-        runner._cache_store(SPILL_JOB, entry)
-        sidecar = (tmp_path / f"{job_key(SPILL_JOB)}.pkl").with_suffix(".npz")
-        assert sidecar.exists()  # the big profile left the pickle
-        loaded = runner._cache_load(SPILL_JOB)
+        runner._cache_store(CACHE_JOB, entry)
+        loaded = runner._cache_load(CACHE_JOB)
         assert loaded["big"] == entry["big"]
         assert loaded["small"] == entry["small"]
         assert loaded["scalar"] == 7
-        # Spilled columns come back memory-mapped.
-        assert isinstance(loaded["big"].columns().time_s, np.memmap)
-        assert not isinstance(loaded["small"].columns().time_s, np.memmap)
-
-    def test_pickle_shrinks_and_shared_columns_spill_once(self, tmp_path):
-        profile = profile_from(large_columns(5000))
-        entry = {"a": profile, "b": profile}  # shared object
-        buffer = io.BytesIO()
-        spilled = sweep_module._write_entry(entry, buffer, spill_points=1000)
-        assert len(spilled) == 1  # deduplicated by identity
-        plain = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
-        assert buffer.tell() < len(plain) / 10
-        # And both references resolve to the same reloaded object.
-        sidecar = tmp_path / "side.npz"
-        with sidecar.open("wb") as handle:
-            sweep_module._write_sidecar(spilled, handle)
-        buffer.seek(0)
-        loaded = sweep_module._ColumnSpillUnpickler(buffer, sidecar).load()
-        assert loaded["a"] is loaded["b"]
-        assert loaded["a"] == profile
-
-    def test_no_sidecar_below_threshold(self, tmp_path):
-        runner = SweepRunner(workers=1, cache_dir=tmp_path, spill_points=10**9)
-        runner._cache_store(SPILL_JOB, self.entry(5000))
-        assert not list(tmp_path.glob("*.npz"))
-        assert runner._cache_load(SPILL_JOB)["scalar"] == 7
-
-    def test_corrupt_sidecar_recomputes_not_crashes(self, tmp_path):
-        runner = SweepRunner(workers=1, cache_dir=tmp_path, spill_points=1000)
-        runner._cache_store(SPILL_JOB, self.entry(5000))
-        sidecar = (tmp_path / f"{job_key(SPILL_JOB)}.pkl").with_suffix(".npz")
-        sidecar.write_bytes(b"garbage")
-        assert runner._cache_load(SPILL_JOB) is None  # falls through to recompute
-
-    def test_missing_sidecar_recomputes_not_crashes(self, tmp_path):
-        runner = SweepRunner(workers=1, cache_dir=tmp_path, spill_points=1000)
-        runner._cache_store(SPILL_JOB, self.entry(5000))
-        (tmp_path / f"{job_key(SPILL_JOB)}.pkl").with_suffix(".npz").unlink()
-        assert runner._cache_load(SPILL_JOB) is None
-
-    def test_spill_points_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FINGRAV_SPILL_POINTS", "123")
-        assert SweepRunner(workers=1).spill_points == 123
-        monkeypatch.setenv("FINGRAV_SPILL_POINTS", "not-a-number")
-        assert SweepRunner(workers=1).spill_points == sweep_module._SPILL_POINTS_DEFAULT
-        monkeypatch.delenv("FINGRAV_SPILL_POINTS")
-        assert SweepRunner(workers=1, spill_points=5).spill_points == 5
+        assert [path.name for path in tmp_path.iterdir()] == [f"{job_key(CACHE_JOB)}.pkl"]
 
     def test_schema2_entry_ignored_cleanly(self, tmp_path):
         # A schema-2 cache wrote plain pickles under the schema-2 key; the
         # schema-3 key differs, so the old entry is simply never looked up.
-        old_key_payload = dataclasses.asdict(SPILL_JOB)
+        old_key_payload = dataclasses.asdict(CACHE_JOB)
         old_key_payload.pop("job_id")
         old_key_payload.pop("profile_sections")  # field did not exist then
         import hashlib
@@ -374,10 +324,10 @@ class TestCacheSpill:
             pickle.dumps("schema-2 payload")
         )
         runner = SweepRunner(workers=1, cache_dir=tmp_path)
-        assert old_digest != job_key(SPILL_JOB)
-        assert runner._cache_load(SPILL_JOB) is None  # recompute, no crash
+        assert old_digest != job_key(CACHE_JOB)
+        assert runner._cache_load(CACHE_JOB) is None  # recompute, no crash
 
     def test_profile_sections_part_of_cache_key(self):
-        assert job_key(SPILL_JOB) != job_key(
-            dataclasses.replace(SPILL_JOB, profile_sections=("ssp",))
+        assert job_key(CACHE_JOB) != job_key(
+            dataclasses.replace(CACHE_JOB, profile_sections=("ssp",))
         )

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import io
+import json
 import math
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -21,9 +24,11 @@ from repro.experiments.sweep import (
     ProfileJob,
     SweepJobError,
     SweepRunner,
+    default_runner,
     execute_job,
     job_key,
     kernel_spec,
+    main,
     run_sweep,
 )
 
@@ -249,18 +254,59 @@ class TestSweepRunner:
         assert retry.cache_hits == 0
         assert set(results) == {small_jobs()[0].job_id}
 
-    def test_cache_replay_through_spill_sidecar(self, tmp_path, serial_results):
-        # With a threshold of 1 LOI every profile leaves the pickle for the
-        # sidecar; the replayed results must still be bit-identical.
-        cache_dir = tmp_path / "spill-cache"
-        warm = SweepRunner(workers=1, cache_dir=cache_dir, spill_points=1)
-        first = warm.run(small_jobs())
-        assert sorted(cache_dir.glob("*.npz"))  # sidecars written
-        replay = SweepRunner(workers=1, cache_dir=cache_dir, spill_points=1)
-        second = replay.run(small_jobs())
-        assert replay.cache_hits == len(small_jobs())
-        assert_result_maps_identical(first, second)
-        assert_result_maps_identical(second, serial_results)
+    def test_manually_truncated_entry_quarantined(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        SweepRunner(workers=1, cache_dir=cache_dir).run(small_jobs()[:1])
+        (entry,) = cache_dir.glob("*.pkl")
+        entry.write_bytes(entry.read_bytes()[:10])  # truncated write
+        retry = SweepRunner(workers=1, cache_dir=cache_dir)
+        results = retry.run(small_jobs()[:1])
+        assert retry.cache_hits == 0
+        assert set(results) == {small_jobs()[0].job_id}
+        assert entry.with_name(entry.name + ".corrupt").exists()
+        counts = retry.last_manifest["counts"]
+        assert counts["quarantined"] == 1 and counts["recomputed"] == 1
+        # The recompute re-stored a healthy entry at the same path.
+        replay = SweepRunner(workers=1, cache_dir=cache_dir)
+        replay.run(small_jobs()[:1])
+        assert replay.cache_hits == 1
+
+    def test_entry_with_a_persistent_id_quarantined(self, tmp_path, serial_results):
+        # Cache entries are plain pickles.  An entry whose large profile
+        # columns were spilled to a sidecar (an older cache layout) holds a
+        # pickle persistent id, which a plain load cannot resolve.
+        class Spilled:
+            pass
+
+        class SpillingPickler(pickle.Pickler):
+            def persistent_id(self, obj):
+                return ("fingrav-columns", 0) if isinstance(obj, Spilled) else None
+
+        job = small_jobs()[0]
+        runner = SweepRunner(workers=1, cache_dir=tmp_path)
+        entry = runner._cache_path(job)
+        buffer = io.BytesIO()
+        SpillingPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump({"columns": Spilled()})
+        entry.write_bytes(buffer.getvalue())
+        results = runner.run([job])
+        assert runner.cache_hits == 0
+        counts = runner.last_manifest["counts"]
+        assert counts["quarantined"] == 1 and counts["recomputed"] == 1
+        assert entry.with_name(entry.name + ".corrupt").exists()
+        assert_result_maps_identical(results, {job.job_id: serial_results[job.job_id]})
+        replay = SweepRunner(workers=1, cache_dir=tmp_path)
+        replay.run([job])
+        assert replay.cache_hits == 1
+
+    def test_entries_are_plain_pickles(self, tmp_path, serial_results):
+        job = small_jobs()[0]
+        runner = SweepRunner(workers=1, cache_dir=tmp_path)
+        runner.run([job])
+        stored = runner._cache_path(job).read_bytes()
+        assert stored == pickle.dumps(serial_results[job.job_id], protocol=pickle.HIGHEST_PROTOCOL)
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            [runner._cache_path(job).name, "manifest.json"]
+        )
 
 
 def adaptive_jobs() -> list[ProfileJob]:
@@ -330,6 +376,14 @@ class TestAdaptiveSweepDeterminism:
         assert adaptive.num_runs < fixed.num_runs
 
 
+def _exit_once_cached(cache_dir: str) -> object:
+    """Kernel builder that kills its worker once another job's entry is cached."""
+    deadline = time.monotonic() + 60.0
+    while not list(Path(cache_dir).glob("*.pkl")) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    os._exit(77)
+
+
 def failing_job(job_id: str = "test/failing") -> ProfileJob:
     """A job whose kernel build raises inside execute_job (any process)."""
     return ProfileJob(
@@ -353,7 +407,6 @@ class TestPartialFailureRecovery:
         assert set(error.failures) == {"test/failing"}
         failure = error.failures["test/failing"]
         assert failure.exc_type == "KeyError"
-        assert not failure.retryable  # a bad kernel spec is not transient
         assert "Traceback" in failure.traceback  # debuggable across processes
         assert "KeyError" in str(failure)
         # The good job finished, was returned, and was cached for replay.
@@ -368,6 +421,40 @@ class TestPartialFailureRecovery:
         with pytest.raises(SweepJobError) as excinfo:
             SweepRunner(workers=2).run(jobs)
         assert set(excinfo.value.completed) == {job.job_id for job in small_jobs()}
+        failure = excinfo.value.failures["test/failing"]
+        assert failure.exc_type == "KeyError"
+        assert "Traceback" in failure.traceback  # formatted in the worker
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the crashing kernel builder reaches the workers only by fork",
+    )
+    def test_worker_crash_fails_unfinished_jobs_and_keeps_finished_ones(
+        self, tmp_path, monkeypatch
+    ):
+        cache_dir = tmp_path / "cache"
+        monkeypatch.setitem(sweep_module.KERNEL_BUILDERS, "crash", _exit_once_cached)
+        good = small_jobs()[0]
+        crashing = ProfileJob(
+            job_id="test/crash",
+            kernel=kernel_spec("crash", str(cache_dir)),
+            runs=4,
+            backend_seed=1,
+            profiler_seed=2,
+        )
+        runner = SweepRunner(workers=2, cache_dir=cache_dir)
+        with pytest.raises(SweepJobError) as excinfo:
+            runner.run([good, crashing])
+        error = excinfo.value
+        assert set(error.failures) == {"test/crash"}
+        assert error.failures["test/crash"].exc_type == "BrokenProcessPool"
+        assert set(error.completed) == {good.job_id}
+        counts = runner.last_manifest["counts"]
+        assert counts["failed"] == 1 and counts["recomputed"] == 1
+        replay = SweepRunner(workers=1, cache_dir=cache_dir)
+        results = replay.run([good])
+        assert replay.cache_hits == 1
+        assert_result_maps_identical(results, {good.job_id: error.completed[good.job_id]})
 
     def test_multiple_failures_all_reported(self):
         with pytest.raises(SweepJobError) as excinfo:
@@ -405,13 +492,13 @@ class TestCacheStagingHardening:
         runner = SweepRunner(workers=1, cache_dir=tmp_path)
         job = small_jobs()[0]
         staged: list[str] = []
-        real_write = sweep_module._write_entry
+        real_replace = Path.replace
 
-        def recording_write(result, handle, spill_points):
-            staged.append(handle.name)
-            return real_write(result, handle, spill_points)
+        def recording_replace(path, target):
+            staged.append(path.name)
+            return real_replace(path, target)
 
-        monkeypatch.setattr(sweep_module, "_write_entry", recording_write)
+        monkeypatch.setattr(Path, "replace", recording_replace)
         runner._cache_store(job, "payload-1")
         runner._cache_store(job, "payload-2")
         assert len(staged) == 2 and staged[0] != staged[1]
@@ -614,3 +701,89 @@ class TestCommandLine:
             "assert e.run_sweep is sys.modules['repro.experiments.sweep'].run_sweep"
         )
         subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+
+class TestManifest:
+    def test_written_next_to_cache_with_provenance(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        runner = SweepRunner(workers=1, cache_dir=cache_dir)
+        runner.run(small_jobs())
+        manifest_path = cache_dir / "manifest.json"
+        assert manifest_path.exists()
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["schema"] == 3
+        assert manifest["workers"] == 1
+        assert "engine" in manifest and "provider" in manifest["engine"]
+        assert manifest["counts"]["recomputed"] == 2
+        for job in small_jobs():
+            entry = manifest["jobs"][job.job_id]
+            assert entry["status"] == "recomputed"
+            assert entry["cache_stored"]
+            assert entry["seconds"] > 0
+        # Replay flips every job to a hit.
+        replay = SweepRunner(workers=1, cache_dir=cache_dir)
+        replay.run(small_jobs())
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["counts"]["hits"] == 2
+
+    def test_last_manifest_populated_without_cache(self):
+        runner = SweepRunner(workers=1)
+        runner.run(small_jobs()[:1])
+        assert runner.manifest_path is None
+        manifest = runner.last_manifest
+        assert manifest["counts"]["recomputed"] == 1
+        assert not manifest["interrupted"]
+
+    def test_failed_jobs_recorded(self):
+        runner = SweepRunner(workers=1)
+        with pytest.raises(SweepJobError):
+            runner.run(small_jobs()[:1] + [failing_job()])
+        manifest = runner.last_manifest
+        assert manifest["counts"]["failed"] == 1
+        entry = manifest["jobs"]["test/failing"]
+        assert entry["status"] == "failed"
+        assert "KeyError" in entry["error"]
+
+    def test_interrupt_flushes_partial_manifest(self, tmp_path, monkeypatch):
+        cache_dir = tmp_path / "cache"
+        runner = SweepRunner(workers=1, cache_dir=cache_dir)
+
+        calls = {"n": 0}
+        real = sweep_module.execute_job
+
+        def interrupting(job):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise KeyboardInterrupt
+            return real(job)
+
+        monkeypatch.setattr(sweep_module, "execute_job", interrupting)
+        with pytest.raises(KeyboardInterrupt):
+            runner.run(small_jobs())
+        manifest = json.loads((cache_dir / "manifest.json").read_text())
+        assert manifest["interrupted"]
+        statuses = {job_id: entry["status"] for job_id, entry in manifest["jobs"].items()}
+        assert statuses["test/CB-2K-GEMM"] == "recomputed"  # finished before ^C
+        assert statuses["test/CB-4K-GEMM"] == "pending"
+
+
+class TestWorkersValidation:
+    def test_runner_rejects_nonpositive_workers(self):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            SweepRunner(workers=0)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            SweepRunner(workers=-2)
+
+    def test_default_runner_rejects_bad_env(self, monkeypatch):
+        monkeypatch.setenv("FINGRAV_WORKERS", "0")
+        with pytest.raises(ValueError, match="FINGRAV_WORKERS"):
+            default_runner()
+        monkeypatch.setenv("FINGRAV_WORKERS", "two")
+        with pytest.raises(ValueError, match="FINGRAV_WORKERS"):
+            default_runner()
+
+    def test_cli_rejects_bad_workers(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--experiments", "table1", "--workers", "0"])
+        assert excinfo.value.code == 2
+        assert "--workers must be >= 1" in capsys.readouterr().err
